@@ -8,6 +8,7 @@ so shuffling the training list never changes a prediction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .vectorize import SparseVector, cosine_similarity, term_counts
@@ -67,26 +68,105 @@ def _vote(neighbors: list[Neighbor], weighting: str) -> Prediction:
     return Prediction(min(tied), tuple(neighbors), votes)
 
 
+def _check_non_negative(vec: SparseVector):
+    if vec.weights and min(vec.weights.values()) < 0.0:
+        raise ClassifierError("k-NN vectors must have non-negative weights")
+
+
+class KnnIndex:
+    """Training vectors in account_id order plus an inverted index over
+    them: term -> [position, weight, position, weight, ...], one flat list
+    per term, built once per training set.
+
+    Weights must be non-negative, as TF-IDF weights are. Accounts with a
+    zero-norm vector are left out of the postings: their cosine with any
+    query is exactly 0.0, like that of an account sharing no term with it.
+    """
+
+    def __init__(self, train: Iterable[KnnExample]):
+        examples = sorted(train, key=lambda e: e[0])
+        self.ids = [account_id for account_id, _, _ in examples]
+        self.labels = [label for _, label, _ in examples]
+        self.vectors = [vec for _, _, vec in examples]
+        self.norms = [vec.norm for vec in self.vectors]
+        self.postings: dict[str, list] = {}
+        for i, vec in enumerate(self.vectors):
+            _check_non_negative(vec)
+            if vec.norm == 0.0:
+                continue
+            for term, w in vec.weights.items():
+                entry = self.postings.get(term)
+                if entry is None:
+                    self.postings[term] = [i, w]
+                else:
+                    entry.append(i)
+                    entry.append(w)
+
+    def nearest(self, query: SparseVector, k: int) -> list[Neighbor]:
+        """The first k accounts by (-cosine_similarity(query, vec), account_id).
+
+        Accumulating over the postings of the query's terms gives every
+        account an approximate score. It adds the same non-negative
+        products q_t * w_t as the exact dot product, in another order, and
+        divides by the same |q| * |v|. Barring underflow, each of the two
+        sums is within gamma_n * P of the true sum P of the n <= len(query)
+        products, where u = 2**-53 and gamma_n = n*u / (1 - n*u); that holds
+        for any order of addition, and for compensated summation such as
+        the sum() of Python 3.12+. By Cauchy-Schwarz P <= |q| * |v|, so
+        after the division the two scores differ by at most
+        (2 * gamma_n + 2u) * (1 + 2**-28), the last factor for the
+        rounding of the stored norms. That is below
+        margin = (n + 2) * 2**-50.
+
+        An account whose approximate score is more than 2 * margin below
+        the k-th best has k accounts whose exact scores beat its own, so
+        only the accounts above that line are re-scored exactly, with
+        cosine_similarity, and sorted on (-similarity, account_id). A zero
+        sum means every product was zero: such an account, including one
+        sharing no term with the query, scores exactly 0.0 without a
+        re-score. Every reported similarity, and so the order, is the one
+        the exhaustive sort gives, bit for bit.
+        """
+        _check_k(k, len(self.ids))
+        _check_non_negative(query)
+        acc = [0.0] * len(self.ids)
+        qnorm = query.norm
+        if qnorm != 0.0:
+            postings = self.postings
+            for term, qw in query.weights.items():
+                entry = postings.get(term)
+                if entry is not None:
+                    it = iter(entry)
+                    for i, w in zip(it, it):
+                        acc[i] += qw * w
+        norms = self.norms
+        approx = [s / (qnorm * norms[i]) if s else 0.0 for i, s in enumerate(acc)]
+        margin = (len(query) + 2) * 2.0 ** -50
+        floor = sorted(approx, reverse=True)[k - 1] - 2.0 * margin
+        vectors = self.vectors
+        scored = [(cosine_similarity(query, vectors[i]) if acc[i] else 0.0, i)
+                  for i, a in enumerate(approx) if a >= floor]
+        ids = self.ids
+        scored.sort(key=lambda si: (-si[0], ids[si[1]]))
+        return [Neighbor(ids[i], self.labels[i], sim) for sim, i in scored[:k]]
+
+
 def knn_predict(
     query: SparseVector,
-    train: list[KnnExample],
+    train: KnnIndex | list[KnnExample],
     k: int = 5,
     weighting: str = "uniform",
 ) -> Prediction:
     """Vote among the k training vectors most cosine-similar to the query.
 
-    Similarity ties are broken by ascending account_id; vote ties by larger
-    summed similarity, then by the lexicographically smaller label.
+    `train` is a KnnIndex, or a list of examples to index first. Similarity
+    ties are broken by ascending account_id; vote ties by larger summed
+    similarity, then by the lexicographically smaller label.
     """
     if weighting not in WEIGHTINGS:
         raise ClassifierError(f"unknown weighting {weighting!r}")
-    _check_k(k, len(train))
-    scored = sorted(
-        (Neighbor(account_id, label, cosine_similarity(query, vec))
-         for account_id, label, vec in train),
-        key=lambda nb: (-nb.similarity, nb.account_id),
-    )
-    return _vote(scored[:k], weighting)
+    index = train if isinstance(train, KnnIndex) else KnnIndex(train)
+    return _vote(index.nearest(query, k), weighting)
 
 
 def baseline0_predict(train_labels: list[str]) -> Prediction:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from datetime import date
 
 from .classify import (
+    KnnIndex,
     Neighbor,
     Prediction,
     baseline0_predict,
@@ -215,22 +216,26 @@ class Pipeline:
 
     Tokenization (conversion + segmentation) is stateless per account, so
     the cache is shared safely across folds; everything fitted on data
-    (the IDF model, top-term sets) is rebuilt per training set.
+    (the IDF model, the k-NN index, top-term sets) is rebuilt per training
+    set. Cached tokens are interned per Pipeline, so a term repeated across
+    tweets and accounts is one string object.
     """
 
     def __init__(self, resources: Resources, config: PipelineConfig):
         self.resources = resources
         self.config = config
         self._tokens: dict[AccountRecord, list[str]] = {}
+        self._interned: dict[str, str] = {}
 
     def account_tokens(self, account: AccountRecord) -> list[str]:
         cached = self._tokens.get(account)
         if cached is None:
             cached = []
+            intern = self._interned.setdefault
             for tweet in account.tweets:
                 simplified = to_simplified(tweet.text, self.resources.table)
-                cached.extend(segment(simplified, self.resources.lexicon,
-                                      self.resources.hmm, self.config.clean))
+                cached.extend(intern(t, t) for t in segment(
+                    simplified, self.resources.lexicon, self.resources.hmm, self.config.clean))
             self._tokens[account] = cached
         return cached
 
@@ -258,14 +263,14 @@ class Pipeline:
             return out, vocabulary
         docs = [self.account_tokens(a) for a in train.accounts]
         vectorizer = fit_vectorizer(docs, tf_mode=cfg.tf)
-        examples = [
+        index = KnnIndex(
             (a.account_id, a.label, vectorizer.transform(doc))
             for a, doc in zip(train.accounts, docs)
-        ]
+        )
         out = []
         for q in ordered:
             query_vec = vectorizer.transform(self.account_tokens(q))
-            out.append(self._wrap(q, knn_predict(query_vec, examples, cfg.k, cfg.weighting)))
+            out.append(self._wrap(q, knn_predict(query_vec, index, cfg.k, cfg.weighting)))
         return out, vectorizer.vocabulary
 
     @staticmethod

@@ -114,10 +114,10 @@ def _format_metric_block(labels: list[str], accuracy: float, per_label: dict, su
     width = max(len("label"), *(len(x) for x in labels))
     lines.append(f"{'label'.ljust(width)}  precision  recall    f1  support")
     for label in labels:
-        m = per_label[label]
+        m = _get(per_label, label)
         lines.append(
-            f"{label.ljust(width)}  {_fmt(m['precision']):>9}  {_fmt(m['recall']):>6}"
-            f"  {_fmt(m['f1']):>4}  {support[label]:>7}"
+            f"{label.ljust(width)}  {_fmt(_get(m, 'precision')):>9}  {_fmt(_get(m, 'recall')):>6}"
+            f"  {_fmt(_get(m, 'f1')):>4}  {_get(support, label):>7}"
         )
     return "\n".join(lines)
 
@@ -149,17 +149,15 @@ def format_crossval_payload(payload: dict) -> str:
                      f" ({len(_get(f, 'validation_ids'))} accounts)")
     aggregate = _get(payload, "aggregate")
     acc = _get(aggregate, "accuracy")
-    lines.append(f"mean accuracy {_fmt(acc['mean'])} (std {_fmt(acc['std'])})")
+    lines.append(f"mean accuracy {_fmt(_get(acc, 'mean'))} (std {_fmt(_get(acc, 'std'))})")
     lines.append("")
     width = max(len("label"), *(len(x) for x in labels))
     lines.append(f"{'label'.ljust(width)}  precision  recall    f1  (fold means)")
     per_label = _get(aggregate, "per_label")
     for label in labels:
-        per = per_label[label]
-        lines.append(
-            f"{label.ljust(width)}  {_fmt(per['precision']['mean']):>9}"
-            f"  {_fmt(per['recall']['mean']):>6}  {_fmt(per['f1']['mean']):>4}"
-        )
+        means = [_fmt(_get(_get(_get(per_label, label), metric), "mean"))
+                 for metric in ("precision", "recall", "f1")]
+        lines.append(f"{label.ljust(width)}  {means[0]:>9}  {means[1]:>6}  {means[2]:>4}")
     return "\n".join(lines)
 
 

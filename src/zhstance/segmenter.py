@@ -175,32 +175,56 @@ def route_score(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> float
 
 
 def load_hmm(path) -> HmmModel:
-    """Load HMM parameters from JSON with keys start/trans/emit and optional
-    floor; absent transitions are structural zeros."""
+    """Load HMM parameters from a JSON object with start/trans/emit
+    log-probability tables and an optional floor_logp for unseen emissions
+    ("floor" is accepted as its older name). Unknown keys, non-numeric and
+    non-finite values are rejected; absent transitions are structural zeros."""
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
+
+    def fail(msg: str):
+        raise HmmModelError(f"{path}: {msg}")
+
+    def table(value, where: str) -> dict:
+        if not isinstance(value, dict):
+            fail(f"{where} must be an object")
+        return value
+
+    def logp(value, where: str) -> float:
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            fail(f"{where} must be a finite number, got {value!r}")
+        return float(value)
+
+    table(raw, "the HMM file")
+    unknown = sorted(set(raw) - {"start", "trans", "emit", "floor_logp", "floor"})
+    if unknown:
+        fail(f"unknown key(s) {unknown}")
     for key in ("start", "trans", "emit"):
         if key not in raw:
-            raise HmmModelError(f"missing {key!r} table")
+            fail(f"missing {key!r} table")
+    if "floor" in raw and "floor_logp" in raw:
+        fail("both 'floor_logp' and its older name 'floor' given")
     start = {}
-    for state, logp in raw["start"].items():
+    for state, value in table(raw["start"], "start").items():
         if state not in STATES:
-            raise HmmModelError(f"unknown start state {state!r}")
-        start[state] = float(logp)
+            fail(f"unknown start state {state!r}")
+        start[state] = logp(value, f"start.{state}")
     trans = {}
-    for src, row in raw["trans"].items():
+    for src, row in table(raw["trans"], "trans").items():
         if src not in STATES:
-            raise HmmModelError(f"unknown transition source {src!r}")
-        for dst, logp in row.items():
+            fail(f"unknown transition source {src!r}")
+        for dst, value in table(row, f"trans.{src}").items():
             if dst not in ALLOWED_TRANS[src]:
-                raise HmmModelError(f"forbidden transition {src}->{dst}")
-            trans[(src, dst)] = float(logp)
+                fail(f"forbidden transition {src}->{dst}")
+            trans[(src, dst)] = logp(value, f"trans.{src}.{dst}")
     emit = {s: {} for s in STATES}
-    for state, row in raw["emit"].items():
+    for state, row in table(raw["emit"], "emit").items():
         if state not in STATES:
-            raise HmmModelError(f"unknown emission state {state!r}")
-        emit[state] = {ch: float(lp) for ch, lp in row.items()}
-    floor = float(raw.get("floor", DEFAULT_FLOOR_LOGP))
+            fail(f"unknown emission state {state!r}")
+        emit[state] = {ch: logp(value, f"emit.{state}.{ch}")
+                       for ch, value in table(row, f"emit.{state}").items()}
+    floor = logp(raw.get("floor_logp", raw.get("floor", DEFAULT_FLOOR_LOGP)), "floor_logp")
     return HmmModel(start, trans, emit, floor)
 
 

@@ -23,7 +23,11 @@ class SparseVector:
     norm: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "norm", math.sqrt(sum(w * w for w in self.weights.values())))
+        # Added left to right, like dot(), and for the same reason.
+        squares = 0.0
+        for w in self.weights.values():
+            squares += w * w
+        object.__setattr__(self, "norm", math.sqrt(squares))
 
     def __len__(self):
         return len(self.weights)
@@ -33,8 +37,16 @@ class SparseVector:
 
 
 def dot(u: SparseVector, v: SparseVector) -> float:
+    """Added left to right over the shorter vector's terms. The loop is
+    written out because sum() is compensated from Python 3.12 on: it can
+    move a result by an ulp, and that reorders mathematically tied
+    neighbours between interpreter versions."""
     small, large = (u, v) if len(u) <= len(v) else (v, u)
-    return sum(w * large.weights.get(t, 0.0) for t, w in small.weights.items())
+    get = large.weights.get
+    total = 0.0
+    for t, w in small.weights.items():
+        total += w * get(t, 0.0)
+    return total
 
 
 def cosine_similarity(u: SparseVector, v: SparseVector) -> float:
@@ -57,6 +69,7 @@ class TfidfVectorizer:
     corpus_size: int
     tf_mode: str = "raw"
     log_base: float | None = None  # None means natural log
+    _idf: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tf_mode not in TF_MODES:
@@ -65,6 +78,17 @@ class TfidfVectorizer:
             raise VectorizerError(f"log base must exceed 1, got {self.log_base!r}")
         if self.corpus_size < 1:
             raise VectorizerError("vectorizer fit on an empty corpus")
+        # One log per distinct document frequency; terms sharing a
+        # frequency share the float object.
+        by_df: dict[int, float] = {}
+        for df in self.document_frequency.values():
+            if df not in by_df:
+                value = math.log(self.corpus_size / df)
+                if self.log_base is not None:
+                    value /= math.log(self.log_base)
+                by_df[df] = value
+        object.__setattr__(self, "_idf", {
+            term: by_df[df] for term, df in self.document_frequency.items()})
 
     @property
     def vocabulary(self) -> frozenset[str]:
@@ -72,23 +96,19 @@ class TfidfVectorizer:
 
     def idf(self, term: str) -> float:
         """log(corpus_size / document_frequency); 0 for unknown terms."""
-        df = self.document_frequency.get(term)
-        if df is None:
-            return 0.0
-        value = math.log(self.corpus_size / df)
-        if self.log_base is not None:
-            value /= math.log(self.log_base)
-        return value
+        return self._idf.get(term, 0.0)
 
     def transform(self, tokens: list[str]) -> SparseVector:
         counts = term_counts(tokens)
         total = sum(counts.values())
+        relative = self.tf_mode == "relative"
+        idf = self._idf
         weights: dict[str, float] = {}
         for term, count in counts.items():
-            if term not in self.document_frequency:
+            term_idf = idf.get(term)
+            if term_idf is None:
                 continue
-            tf = count / total if self.tf_mode == "relative" else float(count)
-            w = tf * self.idf(term)
+            w = (count / total if relative else float(count)) * term_idf
             if w != 0.0:
                 weights[term] = w
         return SparseVector(weights)

@@ -5,12 +5,14 @@ training vectors by similarity and re-applies the documented tie-break
 chain from scratch.
 """
 
+import math
 import random
 
 import pytest
 
 from zhstance.classify import (
     ClassifierError,
+    KnnIndex,
     Neighbor,
     Prediction,
     baseline0_predict,
@@ -156,6 +158,90 @@ class TestKnnPredict:
             assert p1.label == p2.label
             assert p1.neighbors == p2.neighbors
             assert p1.votes == p2.votes
+
+
+def oracle_neighbors(query, train, k):
+    """Reference neighbors: every similarity computed, then a full sort."""
+    ranked = sorted(
+        (Neighbor(account_id, label, cosine_similarity(query, v)) for account_id, label, v in train),
+        key=lambda nb: (-nb.similarity, nb.account_id),
+    )
+    return ranked[:k]
+
+
+def assert_exact(query, train, k):
+    """Neighbors, similarities (==, not approx), label and votes all equal
+    the exhaustive oracle's, for every weighting and training order."""
+    want = oracle_neighbors(query, train, k)
+    assert KnnIndex(train).nearest(query, k) == want
+    for weighting in ("uniform", "inverse"):
+        label, _, votes = oracle_knn(query, train, k, weighting)
+        for order in (train, train[::-1]):
+            p = knn_predict(query, order, k, weighting)
+            assert list(p.neighbors) == want
+            assert p.label == label
+            assert p.votes == votes
+
+
+class TestKnnIndexEdgeCases:
+    def test_duplicate_vectors_in_different_insertion_orders(self):
+        # The query has a term no training vector has, so the exact dot
+        # product walks each training dict in its own insertion order:
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 can differ by an ulp.
+        # The accumulated scores are identical, so only the exact
+        # re-score can order the copies.
+        query = vec(a=1, b=1, c=1, d=1)
+        forward = SparseVector({"a": 0.1, "b": 0.2, "c": 0.3})
+        backward = SparseVector({"c": 0.3, "b": 0.2, "a": 0.1})
+        train = [("d1", "X", forward), ("d0", "Y", backward),
+                 ("d2", "X", SparseVector(dict(backward.weights))),
+                 ("d3", "Y", SparseVector(dict(forward.weights))),
+                 ("z", "Y", vec(e=1))]
+        for k in range(1, len(train) + 1):
+            assert_exact(query, train, k)
+
+    def test_near_duplicates_straddling_the_margin(self):
+        # Copies of one vector, each weight nudged by a few ulps and the
+        # terms shuffled: their exact scores lie closer together than the
+        # re-score margin, on both sides of the k-th best.
+        rng = random.Random(11)
+        for _ in range(200):
+            base = {f"t{i}": rng.uniform(0.1, 3.0) for i in range(rng.randrange(2, 40))}
+            query = SparseVector({**{t: rng.uniform(0.1, 3.0) for t in base}, "extra": 1.0})
+            train = []
+            for j in range(rng.randrange(2, 10)):
+                items = [(t, w if rng.random() < 0.5 else math.nextafter(w, 4.0 * rng.random()))
+                         for t, w in base.items()]
+                rng.shuffle(items)
+                train.append((f"n{rng.randrange(100):02d}{j}", rng.choice("XY"), SparseVector(dict(items))))
+            assert_exact(query, train, rng.randrange(1, len(train) + 1))
+
+    def test_empty_query_picks_smallest_ids_at_zero(self):
+        train = [("c", "X", vec(a=1)), ("a", "Y", vec(b=2)), ("b", "X", vec(a=1, b=1))]
+        for k in (1, 2, 3):
+            got = KnnIndex(train).nearest(SparseVector({}), k)
+            assert got == [Neighbor(i, lab, 0.0) for i, lab in (("a", "Y"), ("b", "X"), ("c", "X"))][:k]
+            assert_exact(SparseVector({}), train, k)
+
+    def test_zero_norm_training_vectors(self):
+        train = [("a", "X", SparseVector({})), ("b", "Y", vec(p=0)),
+                 ("c", "Y", SparseVector({"p": 1e-200})),  # its norm underflows to 0
+                 ("d", "X", vec(p=1, q=1)), ("e", "Y", vec(q=3))]
+        for k in range(1, 6):
+            assert_exact(vec(p=2, q=1), train, k)
+            assert_exact(vec(r=1), train, k)
+
+    def test_k_exceeds_overlapping_accounts(self):
+        train = [(f"a{i}", "XY"[i % 2], vec(**{f"t{i}": 1})) for i in range(6)]
+        train.append(("b0", "X", vec(t1=1, t3=2)))
+        for k in range(1, 8):
+            assert_exact(vec(t1=1, t3=1), train, k)
+
+    def test_negative_weights_rejected(self):
+        with pytest.raises(ClassifierError):
+            KnnIndex([("a", "X", vec(p=-1))])
+        with pytest.raises(ClassifierError):
+            knn_predict(vec(p=-1), [("a", "X", vec(p=1))], k=1)
 
 
 class TestBaseline0:

@@ -3,9 +3,15 @@ and the exit-code contract (0 success, 1 validation, 2 I/O)."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zhstance
+import zhstance.cli
 from zhstance.cli import main
 
 WHEN = "2021-02-01T12:00:00Z"
@@ -271,6 +277,57 @@ class TestReportCommand:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "report", "/nonexistent/report.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command,path", [
+        ("crossval", ("aggregate", "accuracy", "mean")),
+        ("crossval", ("aggregate", "per_label", "Beijing")),
+        ("crossval", ("aggregate", "per_label", "Democracy", "f1", "mean")),
+        ("test", ("per_label", "Beijing", "precision")),
+        ("test", ("support", "Democracy")),
+    ])
+    def test_missing_nested_key_exits_1(self, capsys, tmp_path, command, path):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("b2\nd2\n", encoding="utf-8")
+        extra = ["--folds", "3"] if command == "crossval" else ["--test-ids", str(ids)]
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, command, "--corpus", str(corpus_file(tmp_path)),
+                         *RELAXED, "--k", "1", *extra, "--output", str(out_path))
+        assert code == 0
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        out_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(capsys, "report", str(out_path))
+        assert code == 1
+        assert f"missing {path[-1]!r}" in err
+
+    def test_programming_key_error_is_not_a_user_error(self, tmp_path, monkeypatch):
+        def broken(payload):
+            return {}["bug"]
+
+        report = tmp_path / "report.json"
+        report.write_text("{}", encoding="utf-8")
+        monkeypatch.setattr(zhstance.cli, "format_payload", broken)
+        with pytest.raises(KeyError):
+            main(["report", str(report)])
+
+
+def test_crossval_bytes_independent_of_hash_seed(synthetic_corpus_path):
+    """Criterion 8 reruns within one interpreter; set and dict order under
+    different string hash seeds only shows across processes."""
+    src = str(Path(zhstance.__file__).resolve().parents[1])
+    blobs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "zhstance.cli", "crossval", "--corpus", str(synthetic_corpus_path)],
+            env=env, capture_output=True, timeout=120, check=True)
+        blobs.append(done.stdout)
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["folds"]
 
 
 class TestConfigResolution:

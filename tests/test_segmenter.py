@@ -314,6 +314,42 @@ class TestLoadHmm:
         with pytest.raises(HmmModelError, match=msg):
             load_hmm(self.write(tmp_path, body))
 
+    # written the way the README's HMM paragraph describes the format:
+    # start, trans and emit log-probability tables plus floor_logp
+    README_MODEL = """
+    {"start": {"B": -0.7, "S": -0.7},
+     "trans": {"B": {"E": 0.0}, "E": {"B": -0.7, "S": -0.7},
+               "S": {"B": -0.7, "S": -0.7}},
+     "emit": {"S": {"x": -6.0}},
+     "floor_logp": %s}
+    """
+
+    def test_readme_floor_logp_is_used(self, tmp_path):
+        hmm = load_hmm(self.write(tmp_path, self.README_MODEL % "-5.0"))
+        assert hmm.floor_logp == -5.0
+        # B and E never saw "x", so B E scores -0.7 + 2 * floor: -10.7
+        # beats S S (-13.4) under this floor and loses under the default
+        assert viterbi("xx", hmm) == ["B", "E"]
+        default = HmmModel(hmm.start_logp, hmm.trans_logp, hmm.emit_logp)
+        assert viterbi("xx", default) == ["S", "S"]
+
+    @pytest.mark.parametrize("body,msg", [
+        ('[]', "must be an object"),
+        ('{"start": {}, "trans": {}, "emit": {}, "flor_logp": -5}', "unknown key"),
+        ('{"start": {}, "trans": {}, "emit": {}, "floor": -5, "floor_logp": -5}', "both"),
+        ('{"start": [], "trans": {}, "emit": {}}', "start must be an object"),
+        ('{"start": {}, "trans": {"B": 1}, "emit": {}}', "trans.B must be an object"),
+        ('{"start": {"B": "-1"}, "trans": {}, "emit": {}}', "finite number"),
+        ('{"start": {"B": true}, "trans": {}, "emit": {}}', "finite number"),
+        ('{"start": {"B": NaN}, "trans": {}, "emit": {}}', "finite number"),
+        ('{"start": {}, "trans": {"B": {"E": -Infinity}}, "emit": {}}', "finite number"),
+        ('{"start": {}, "trans": {}, "emit": {"S": {"x": Infinity}}}', "finite number"),
+        ('{"start": {}, "trans": {}, "emit": {}, "floor_logp": NaN}', "finite number"),
+    ])
+    def test_strict_schema(self, tmp_path, body, msg):
+        with pytest.raises(HmmModelError, match=msg):
+            load_hmm(self.write(tmp_path, body))
+
 
 # ----------------------------------------------------------------------
 # Viterbi decoding
