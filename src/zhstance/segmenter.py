@@ -14,6 +14,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .zh_convert import prefix_closure, word_ends
+
 NEG_INF = float("-inf")
 
 STATES = ("B", "M", "E", "S")
@@ -57,19 +59,13 @@ class HmmModel:
     floor_logp: float = DEFAULT_FLOOR_LOGP
 
 
-def _prefixes(word: str):
-    for i in range(1, len(word) + 1):
-        yield word[:i]
-
-
 def build_lexicon(entries: dict[str, int]) -> Lexicon:
     for word, freq in entries.items():
         if not word:
             raise LexiconError("empty word")
         if not isinstance(freq, int) or isinstance(freq, bool) or freq <= 0:
             raise LexiconError(f"word {word!r}: frequency must be a positive integer, got {freq!r}")
-    prefix_set = frozenset(p for w in entries for p in _prefixes(w))
-    return Lexicon(dict(entries), sum(entries.values()), prefix_set)
+    return Lexicon(dict(entries), sum(entries.values()), prefix_closure(entries))
 
 
 def load_lexicon(path) -> Lexicon:
@@ -111,20 +107,7 @@ def build_dag(sentence: str, lex: Lexicon) -> dict[int, list[int]]:
 
     Scanning from i stops as soon as the fragment leaves the prefix set.
     """
-    dag: dict[int, list[int]] = {}
-    n = len(sentence)
-    for i in range(n):
-        ends = []
-        for j in range(i, n):
-            frag = sentence[i:j + 1]
-            if frag not in lex.prefix_set:
-                break
-            if frag in lex.entries:
-                ends.append(j)
-        if i not in ends:
-            ends.insert(0, i)
-        dag[i] = ends
-    return dag
+    return dict(enumerate(word_ends(sentence, lex.entries, lex.prefix_set)))
 
 
 def _word_logp(word: str, lex: Lexicon, log_total: float) -> float:
@@ -134,17 +117,16 @@ def _word_logp(word: str, lex: Lexicon, log_total: float) -> float:
     return math.log(freq) - log_total
 
 
-def max_prob_route(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> TokenStream:
-    """Best segmentation by right-to-left dynamic programming.
+def _best_routes(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> list[tuple[float, int]]:
+    """Right-to-left dynamic programming over the DAG.
 
-    route[i] = max over DAG edges (i, j) of logp(word i..j) + route[j+1].
-    Score ties go to the longer word.
+    best[i] = (score, j): the best route through sentence[i:] has log-probability
+    score and starts with the word i..j; score = max over DAG edges (i, j) of
+    logp(word i..j) + best[j+1].score. Score ties go to the longer word.
     """
     n = len(sentence)
-    if n == 0:
-        return []
     log_total = math.log(lex.total) if lex.total > 0 else 0.0
-    best: dict[int, tuple[float, int]] = {n: (0.0, n)}
+    best = [(0.0, n)] * (n + 1)
     for i in range(n - 1, -1, -1):
         choice = None
         for j in dag[i]:
@@ -152,9 +134,15 @@ def max_prob_route(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> To
             if choice is None or score > choice[0] or (score == choice[0] and j > choice[1]):
                 choice = (score, j)
         best[i] = choice
+    return best
+
+
+def max_prob_route(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> TokenStream:
+    """Best segmentation: the words along the DP's backpointers."""
+    best = _best_routes(sentence, dag, lex)
     tokens = []
     i = 0
-    while i < n:
+    while i < len(sentence):
         j = best[i][1]
         tokens.append(sentence[i:j + 1])
         i = j + 1
@@ -163,15 +151,7 @@ def max_prob_route(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> To
 
 def route_score(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> float:
     """Log-probability of the best route (the DP's optimum value)."""
-    n = len(sentence)
-    log_total = math.log(lex.total) if lex.total > 0 else 0.0
-    best = {n: 0.0}
-    for i in range(n - 1, -1, -1):
-        best[i] = max(
-            _word_logp(sentence[i:j + 1], lex, log_total) + best[j + 1]
-            for j in dag[i]
-        )
-    return best[0]
+    return _best_routes(sentence, dag, lex)[0][0]
 
 
 def load_hmm(path) -> HmmModel:

@@ -7,7 +7,9 @@ from zhstance.zh_convert import (
     ConversionTable,
     ConversionTableError,
     load_conversion_table,
+    prefix_closure,
     to_simplified,
+    word_ends,
 )
 
 
@@ -20,12 +22,30 @@ class TestFromPairs:
         t = table_from(("發", "发"), ("頭髮", "头发"))
         assert t.char_map == {"發": "发"}
         assert t.phrase_map == {"頭髮": "头发"}
-        assert t.max_phrase_len == 2
+        assert t.phrase_prefixes == frozenset({"頭", "頭髮"})
 
     def test_empty_table(self):
         t = table_from()
-        assert t.max_phrase_len == 0
+        assert t.phrase_prefixes == frozenset()
         assert to_simplified("abc", t) == "abc"
+
+
+class TestWordEnds:
+    def test_fallback_then_ascending_word_ends(self):
+        words = {"AB", "ABC", "BC"}
+        assert word_ends("ABCA", words, prefix_closure(words)) == [[0, 1, 2], [1, 2], [2], [3]]
+
+    def test_scan_stops_at_first_non_prefix(self):
+        # "AX" is no word's prefix, so "AXB" is never looked up
+        words = {"AXB"}
+        assert word_ends("AXB", words, frozenset({"A"})) == [[0], [1], [2]]
+
+    def test_empty_text(self):
+        assert word_ends("", {"AB"}, prefix_closure({"AB"})) == []
+
+    def test_prefix_closure(self):
+        assert prefix_closure(["ABC", "B"]) == frozenset({"A", "AB", "ABC", "B"})
+        assert prefix_closure([]) == frozenset()
 
 
 class TestLoadConversionTable:
