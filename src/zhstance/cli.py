@@ -24,7 +24,6 @@ import sys
 
 from .classify import WEIGHTINGS
 from .corpus import (
-    AccountRecord,
     Corpus,
     SplitSpec,
     filter_accounts,
@@ -276,12 +275,9 @@ def cmd_classify(args) -> int:
     if len(train) == 0:
         raise PipelineError("no labeled training accounts after filtering")
     queries = load_corpus(args.queries)
-    # Query accounts are never dropped, but their tweets are still
-    # restricted to the collection window for comparability.
-    trimmed = Corpus(queries.label_set, tuple(
-        AccountRecord(a.account_id, a.follower_count, a.label,
-                      tuple(t for t in a.tweets if config.window.contains(t.timestamp)))
-        for a in queries.accounts))
+    # Query accounts are never dropped (both floors are 0), but their
+    # tweets are still restricted to the collection window for comparability.
+    trimmed = filter_accounts(queries, 0, 0, config.window)
     preds, _ = pipe.predict(train, trimmed)
     lines = [json.dumps(prediction_dict(p), ensure_ascii=False, sort_keys=True) for p in preds]
     _emit(args, "\n".join(lines) + "\n", None)

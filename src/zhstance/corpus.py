@@ -92,9 +92,9 @@ def parse_timestamp(raw: str) -> datetime:
     return ts
 
 
-def _parse_account(obj: dict, lineno: int, declared: tuple[str, ...] | None) -> AccountRecord:
+def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> AccountRecord:
     def fail(msg: str):
-        raise CorpusError(f"line {lineno}: {msg}")
+        raise CorpusError(f"{where}: {msg}")
 
     if not isinstance(obj, dict):
         fail("account line is not a JSON object")
@@ -130,7 +130,7 @@ def _parse_account(obj: dict, lineno: int, declared: tuple[str, ...] | None) -> 
 def load_corpus(path) -> Corpus:
     """Load and validate a JSONL corpus file.
 
-    Raises CorpusError with the offending line number for malformed lines,
+    Raises CorpusError with the path and line number for malformed lines,
     duplicate account ids, or labels outside a declared label set.
     """
     declared: tuple[str, ...] | None = None
@@ -143,17 +143,17 @@ def load_corpus(path) -> Corpus:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+                raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
             if lineno == 1 and isinstance(obj, dict) and "label_set" in obj and "account_id" not in obj:
                 labels = obj["label_set"]
                 if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
                         or len(set(labels)) != len(labels)):
-                    raise CorpusError("line 1: label_set must be a list of distinct strings")
+                    raise CorpusError(f"{path}: line 1: label_set must be a list of distinct strings")
                 declared = tuple(labels)
                 continue
-            record = _parse_account(obj, lineno, declared)
+            record = _parse_account(obj, f"{path}: line {lineno}", declared)
             if record.account_id in seen:
-                raise CorpusError(f"line {lineno}: duplicate account_id {record.account_id!r}")
+                raise CorpusError(f"{path}: line {lineno}: duplicate account_id {record.account_id!r}")
             seen.add(record.account_id)
             accounts.append(record)
     if declared is not None:

@@ -96,6 +96,17 @@ def _get(payload: dict, key: str):
         raise ReportError(f"report payload is missing {key!r}") from None
 
 
+def _confusion(payload: dict, size: int) -> list[list[int]]:
+    """The payload's confusion matrix, required to be size rows of size integers."""
+    counts = _get(payload, "confusion")
+    if not (isinstance(counts, list) and len(counts) == size and all(
+            isinstance(row, list) and len(row) == size
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in row)
+            for row in counts)):
+        raise ReportError(f"confusion must be {size} rows of {size} integers, got {counts!r}")
+    return counts
+
+
 def format_confusion(labels: list[str], counts: list[list[int]]) -> str:
     """Counts table with key labels as rows and output labels as columns."""
     header = ["Key \\ Output", *labels]
@@ -125,7 +136,7 @@ def _format_metric_block(labels: list[str], accuracy: float, per_label: dict, su
 def format_test_payload(payload: dict) -> str:
     labels = list(_get(payload, "label_set"))
     return "\n".join([
-        format_confusion(labels, _get(payload, "confusion")),
+        format_confusion(labels, _confusion(payload, len(labels))),
         "",
         _format_metric_block(labels, _get(payload, "accuracy"),
                              _get(payload, "per_label"), _get(payload, "support")),
@@ -138,9 +149,10 @@ def format_crossval_payload(payload: dict) -> str:
     size = len(labels)
     pooled = [[0] * size for _ in range(size)]
     for f in folds:
+        counts = _confusion(f, size)
         for i in range(size):
             for j in range(size):
-                pooled[i][j] += _get(f, "confusion")[i][j]
+                pooled[i][j] += counts[i][j]
     lines = [f"{len(folds)}-fold cross-validation, pooled predictions:"]
     lines.append(format_confusion(labels, pooled))
     lines.append("")

@@ -78,14 +78,14 @@ def load_lexicon(path) -> Lexicon:
                 continue
             parts = line.split()
             if len(parts) < 2:
-                raise LexiconError(f"line {lineno}: expected 'word freq [tag]'")
+                raise LexiconError(f"{path}: line {lineno}: expected 'word freq [tag]'")
             word = parts[0]
             try:
                 freq = int(parts[1])
             except ValueError:
-                raise LexiconError(f"line {lineno}: non-numeric frequency {parts[1]!r}") from None
+                raise LexiconError(f"{path}: line {lineno}: non-numeric frequency {parts[1]!r}") from None
             if freq <= 0:
-                raise LexiconError(f"line {lineno}: non-positive frequency for {word!r}")
+                raise LexiconError(f"{path}: line {lineno}: non-positive frequency for {word!r}")
             entries[word] = freq
     return build_lexicon(entries)
 

@@ -71,11 +71,11 @@ def load_conversion_table(path) -> ConversionTable:
             if not line.strip() or line.startswith("#"):
                 continue
             if "\t" not in line:
-                raise ConversionTableError(f"line {lineno}: missing tab separator")
+                raise ConversionTableError(f"{path}: line {lineno}: missing tab separator")
             key, _, value = line.partition("\t")
             value = value.split(" ")[0].strip()
             if not key or not value:
-                raise ConversionTableError(f"line {lineno}: empty mapping side")
+                raise ConversionTableError(f"{path}: line {lineno}: empty mapping side")
             pairs.append((key, value))
     return ConversionTable.from_pairs(pairs)
 

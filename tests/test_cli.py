@@ -303,6 +303,24 @@ class TestReportCommand:
         assert code == 1
         assert f"missing {path[-1]!r}" in err
 
+    @pytest.mark.parametrize("command", ["crossval", "test"])
+    @pytest.mark.parametrize("confusion", [[[1]], [[1, 0], [0]], "ab", [[1, 0], [0, True]],
+                                           [[1, 0], [0, 1.0]], [[1, 0], [0, 1], [0, 0]]])
+    def test_malformed_confusion_exits_1(self, capsys, tmp_path, command, confusion):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("b2\nd2\n", encoding="utf-8")
+        extra = ["--folds", "3"] if command == "crossval" else ["--test-ids", str(ids)]
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, command, "--corpus", str(corpus_file(tmp_path)),
+                         *RELAXED, "--k", "1", *extra, "--output", str(out_path))
+        assert code == 0
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        (payload["folds"][-1] if command == "crossval" else payload)["confusion"] = confusion
+        out_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(capsys, "report", str(out_path))
+        assert code == 1
+        assert "confusion must be 2 rows of 2 integers" in err
+
     def test_programming_key_error_is_not_a_user_error(self, tmp_path, monkeypatch):
         def broken(payload):
             return {}["bug"]

@@ -183,6 +183,13 @@ class TestLexicon:
         with pytest.raises(LexiconError, match="line 1"):
             load_lexicon(path)
 
+    def test_load_error_names_the_file(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("中国 5\n人民 x\n", encoding="utf-8")
+        with pytest.raises(LexiconError) as info:
+            load_lexicon(path)
+        assert str(info.value).startswith(f"{path}: line 2: ")
+
     def test_add_word(self):
         lex = build_lexicon({"中": 2})
         lex2 = add_word(lex, "中国", 7)

@@ -73,6 +73,13 @@ class TestLoadConversionTable:
         with pytest.raises(ConversionTableError, match="line 1"):
             load_conversion_table(path)
 
+    def test_error_names_the_file(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("發\t发\n國 国\n", encoding="utf-8")
+        with pytest.raises(ConversionTableError) as info:
+            load_conversion_table(path)
+        assert str(info.value).startswith(f"{path}: line 2: ")
+
 
 class TestToSimplified:
     def test_char_conversion(self):
