@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zhstance.resources import load_resources  # noqa: E402
 from zhstance.segmenter import segment  # noqa: E402
-from zhstance.zh_convert import to_simplified  # noqa: E402
+from zhstance.zh_convert import ConversionTable, to_simplified  # noqa: E402
 
 RESOURCES = load_resources()
 TABLE = RESOURCES.table
@@ -60,10 +60,24 @@ mixed_text = st.lists(st.one_of(
 ), max_size=30).map("".join)
 
 
+# Tiny tables over a few letters, where keys nest and overlap far more
+# often than in the bundled table, and a phrase's output rarely equals
+# what its characters would give.
+small_table = st.lists(st.tuples(st.text("ABCD", min_size=1, max_size=4),
+                                 st.text("xyz", min_size=1, max_size=3)),
+                       max_size=12).map(ConversionTable.from_pairs)
+
+
 @PROPERTY
 @given(table_text)
 def test_to_simplified_matches_width_loop(text):
     assert to_simplified(text, TABLE) == width_loop_to_simplified(text, TABLE)
+
+
+@PROPERTY
+@given(small_table, st.text("ABCDE", max_size=20))
+def test_to_simplified_matches_width_loop_on_small_tables(table, text):
+    assert to_simplified(text, table) == width_loop_to_simplified(text, table)
 
 
 @PROPERTY

@@ -36,9 +36,10 @@ class TestWordEnds:
         assert word_ends("ABCA", words, prefix_closure(words)) == [[0, 1, 2], [1, 2], [2], [3]]
 
     def test_scan_stops_at_first_non_prefix(self):
-        # "AX" is no word's prefix, so "AXB" is never looked up
+        # "AX" is left out of the prefixes, so the scan from 0 stops there
+        # and never reaches the word "AXB"
         words = {"AXB"}
-        assert word_ends("AXB", words, frozenset({"A"})) == [[0], [1], [2]]
+        assert word_ends("AXB", words, frozenset({"A", "AXB"})) == [[0], [1], [2]]
 
     def test_empty_text(self):
         assert word_ends("", {"AB"}, prefix_closure({"AB"})) == []
