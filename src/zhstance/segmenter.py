@@ -31,7 +31,9 @@ FINAL_STATES = ("E", "S")
 
 DEFAULT_FLOOR_LOGP = math.log(1e-12)
 
-_HAN_RUN = re.compile(r"[一-鿿]+")
+# Han ideographs: CJK Unified Ideographs and Extension A, the compatibility
+# ideographs, and Extensions B-H with their supplement (planes 2 and 3).
+_HAN_RUN = re.compile("[\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff\U00020000-\U000323af]+")
 
 TokenStream = list[str]
 

@@ -88,6 +88,20 @@ def test_segment_tokens_partition_the_chunks(text, with_hmm):
     assert all(tokens)
 
 
+HAN_BLOCKS = ((0x3400, 0x4DBF), (0x4E00, 0x9FFF), (0xF900, 0xFAFF), (0x20000, 0x323AF))
+
+
+def is_han(ch):
+    return any(lo <= ord(ch) <= hi for lo, hi in HAN_BLOCKS)
+
+
+@PROPERTY
+@given(mixed_text)
+def test_no_token_mixes_han_and_other_characters(text):
+    for token in segment(text, LEX, RESOURCES.hmm, clean=False):
+        assert len({is_han(ch) for ch in token}) == 1, token
+
+
 @PROPERTY
 @given(st.one_of(mixed_text, st.text()))
 def test_segment_never_raises(text):

@@ -491,6 +491,22 @@ class TestSegment:
     def test_hmm_does_not_touch_dictionary_words(self, bundled_lexicon, bundled_hmm):
         assert segment("中国人民", bundled_lexicon, hmm=bundled_hmm) == ["中国", "人民"]
 
+    def test_extension_and_astral_han_are_han(self, bundled_lexicon, bundled_hmm):
+        # 㑔 is in Extension A; 𬘡 and 𫚖 are astral (Extensions C and E)
+        text = "是\U0002c621缦\U0002b696！\u3454好"
+        assert segment(text, bundled_lexicon, hmm=bundled_hmm) == [
+            "是", "\U0002c621缦", "\U0002b696", "！", "\u3454好"]
+
+    @pytest.mark.parametrize("han", ["\u3400", "\u4dbf", "\u4e00", "\u9fff", "\uf900",
+                                     "\ufaff", "\U00020000", "\U0002f800", "\U000323af"])
+    def test_han_block_bounds_split_from_punctuation(self, bundled_lexicon, han):
+        assert segment(f"a{han}！", bundled_lexicon) == ["a", han, "！"]
+
+    @pytest.mark.parametrize("other", ["\u33ff", "\u4dc0", "\ua000", "\ufb00",
+                                       "\U0001ffff", "\U000323b0", "\u3007"])
+    def test_neighbours_of_han_blocks_are_not_han(self, bundled_lexicon, other):
+        assert segment(f"民主{other}", bundled_lexicon) == ["民主", other]
+
     def test_concatenation_preserved_modulo_cleanup(self, bundled_lexicon, bundled_hmm):
         text = "今天中国的经济问题都是社会新闻"
         tokens = segment(text, bundled_lexicon, hmm=bundled_hmm)
