@@ -158,25 +158,18 @@ class TestLoadCorpus:
         with pytest.raises(OSError):
             load_corpus(tmp_path / "absent.jsonl")
 
-    @pytest.mark.parametrize("second_line,lineno", [
-        ("{oops", 2),
-        (json.dumps(account_line("a1", None)), 2),
-        (json.dumps(account_line("a2", None, followers=-1)), 2),
+    @pytest.mark.parametrize("lines", [
+        ['{"label_set": ["A", "A"]}'],
+        [json.dumps(account_line("a1", None)), "{oops"],
+        [json.dumps(account_line("a1", None))] * 2,
+        [json.dumps(account_line("a1", None)), json.dumps(account_line("a2", None, followers=-1))],
     ])
-    def test_error_names_the_file(self, tmp_path, second_line, lineno):
+    def test_error_names_the_file(self, tmp_path, lines):
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps(account_line("a1", None)) + "\n" + second_line + "\n",
-                        encoding="utf-8")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError) as info:
             load_corpus(path)
-        assert str(info.value).startswith(f"{path}: line {lineno}: ")
-
-    def test_label_set_error_names_the_file(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        write_corpus(path, [{"label_set": ["A", "A"]}])
-        with pytest.raises(CorpusError) as info:
-            load_corpus(path)
-        assert str(info.value).startswith(f"{path}: line 1: ")
+        assert str(info.value).startswith(f"{path}: line {len(lines)}: ")
 
 
 class TestFilterAccounts:

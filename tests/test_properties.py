@@ -2,7 +2,7 @@
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zhstance.resources import load_resources  # noqa: E402
