@@ -96,6 +96,14 @@ def _get(payload: dict, key: str):
         raise ReportError(f"report payload is missing {key!r}") from None
 
 
+def _labels(payload: dict) -> list[str]:
+    """The payload's label_set, required to be a non-empty list of strings."""
+    labels = _get(payload, "label_set")
+    if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
+        raise ReportError(f"label_set must be a non-empty list of strings, got {labels!r}")
+    return labels
+
+
 def _confusion(payload: dict, size: int) -> list[list[int]]:
     """The payload's confusion matrix, required to be size rows of size integers."""
     counts = _get(payload, "confusion")
@@ -134,7 +142,7 @@ def _format_metric_block(labels: list[str], accuracy: float, per_label: dict, su
 
 
 def format_test_payload(payload: dict) -> str:
-    labels = list(_get(payload, "label_set"))
+    labels = _labels(payload)
     return "\n".join([
         format_confusion(labels, _confusion(payload, len(labels))),
         "",
@@ -144,8 +152,10 @@ def format_test_payload(payload: dict) -> str:
 
 
 def format_crossval_payload(payload: dict) -> str:
-    labels = list(_get(payload, "label_set"))
+    labels = _labels(payload)
     folds = _get(payload, "folds")
+    if not isinstance(folds, list):
+        raise ReportError(f"folds must be a list, got {folds!r}")
     size = len(labels)
     pooled = [[0] * size for _ in range(size)]
     for f in folds:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .zh_convert import prefix_closure, word_ends
 
@@ -28,6 +28,8 @@ ALLOWED_TRANS = {
     "S": ("B", "S"),
 }
 FINAL_STATES = ("E", "S")
+_TRANS_ORDER = tuple((src, dst) for src in STATES for dst in ALLOWED_TRANS[src])
+_STATE_INDEX = {s: i for i, s in enumerate(STATES)}
 
 DEFAULT_FLOOR_LOGP = math.log(1e-12)
 
@@ -48,17 +50,49 @@ class HmmModelError(ValueError):
 
 @dataclass(frozen=True)
 class Lexicon:
+    """Word frequencies, their total and the prefix closure of the words.
+
+    Each word's log-probability ln(freq / total) is derived once, when the
+    lexicon is built; route scores do not follow later changes to entries.
+    """
+
     entries: dict[str, int]
     total: int
     prefix_set: frozenset[str]
+    # (log-probability per word, ln(1/total) for characters outside entries)
+    _logp: tuple[dict[str, float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        log_total = math.log(self.total) if self.total > 0 else 0.0
+        object.__setattr__(self, "_logp", (
+            {word: math.log(freq) - log_total for word, freq in self.entries.items()},
+            -log_total))
 
 
 @dataclass(frozen=True)
 class HmmModel:
+    """B/M/E/S tagging model in log-probabilities.
+
+    The decoder reads the start and emission tables of the four states and
+    only the 8 allowed transitions (ALLOWED_TRANS); any other trans_logp key
+    is ignored. Starts, transitions and the per-state emission rows are
+    looked up once, when the model is built, so replacing them afterwards
+    has no effect.
+    """
+
     start_logp: dict[str, float]
     trans_logp: dict[tuple[str, str], float]
     emit_logp: dict[str, dict[str, float]]
     floor_logp: float = DEFAULT_FLOOR_LOGP
+    # (starts in B M E S order, allowed transitions in _TRANS_ORDER,
+    # emission dicts in B M E S order); an absent start or transition is -inf
+    _tables: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tables", (
+            tuple(self.start_logp.get(s, NEG_INF) for s in STATES),
+            tuple(self.trans_logp.get(t, NEG_INF) for t in _TRANS_ORDER),
+            tuple(self.emit_logp.get(s, {}) for s in STATES)))
 
 
 def build_lexicon(entries: dict[str, int]) -> Lexicon:
@@ -112,13 +146,6 @@ def build_dag(sentence: str, lex: Lexicon) -> dict[int, list[int]]:
     return dict(enumerate(word_ends(sentence, lex.entries, lex.prefix_set)))
 
 
-def _word_logp(word: str, lex: Lexicon, log_total: float) -> float:
-    freq = lex.entries.get(word)
-    if freq is None:
-        return -log_total  # ln(1/total) floor for single-character fallbacks
-    return math.log(freq) - log_total
-
-
 def _best_routes(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> list[tuple[float, int]]:
     """Right-to-left dynamic programming over the DAG.
 
@@ -127,12 +154,12 @@ def _best_routes(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> list
     logp(word i..j) + best[j+1].score. Score ties go to the longer word.
     """
     n = len(sentence)
-    log_total = math.log(lex.total) if lex.total > 0 else 0.0
+    word_logp, oov_logp = lex._logp  # oov: single-character fallbacks
     best = [(0.0, n)] * (n + 1)
     for i in range(n - 1, -1, -1):
         choice = None
         for j in dag[i]:
-            score = _word_logp(sentence[i:j + 1], lex, log_total) + best[j + 1][0]
+            score = word_logp.get(sentence[i:j + 1], oov_logp) + best[j + 1][0]
             if choice is None or score > choice[0] or (score == choice[0] and j > choice[1]):
                 choice = (score, j)
         best[i] = choice
@@ -214,53 +241,72 @@ def viterbi(observations: str, hmm: HmmModel) -> list[str]:
     """Most probable B/M/E/S state sequence for a character sequence.
 
     Unseen emissions score floor_logp, absent transitions -inf, and the
-    final state must be E or S. Ties prefer the earlier state in B<M<E<S
-    order, both at backpointers and at the final state.
+    final state must be E or S. Each state compares only its two allowed
+    predecessors. Ties prefer the earlier state in B<M<E<S order, both at
+    backpointers and at the final state; a state no finite path reaches
+    points back to B.
     """
     if not observations:
         raise ValueError("empty observation sequence")
+    (sB, sM, sE, sS), (tBM, tBE, tMM, tME, tEB, tES, tSB, tSS), (eB, eM, eE, eS) = hmm._tables
+    floor = hmm.floor_logp
 
-    def emit(state: str, ch: str) -> float:
-        return hmm.emit_logp.get(state, {}).get(ch, hmm.floor_logp)
-
-    first = observations[0]
-    delta = {s: hmm.start_logp.get(s, NEG_INF) + emit(s, first) for s in STATES}
-    back: list[dict[str, str]] = []
+    ch = observations[0]
+    dB = sB + eB.get(ch, floor)
+    dM = sM + eM.get(ch, floor)
+    dE = sE + eE.get(ch, floor)
+    dS = sS + eS.get(ch, floor)
+    back: list[tuple[str, str, str, str]] = []
     for ch in observations[1:]:
-        new_delta = {}
-        pointers = {}
-        for state in STATES:
-            best_score = NEG_INF
-            best_prev = STATES[0]
-            for prev in STATES:
-                t = hmm.trans_logp.get((prev, state), NEG_INF)
-                score = delta[prev] + t
-                if score > best_score:
-                    best_score = score
-                    best_prev = prev
-            new_delta[state] = best_score + emit(state, ch)
-            pointers[state] = best_prev
-        delta = new_delta
-        back.append(pointers)
+        # B and S follow E or S; M and E follow B or M. B is both the
+        # fallback and the first predecessor of M and E, so their best
+        # starts at B's score.
+        pB, nB = "B", NEG_INF
+        x = dE + tEB
+        if x > nB:
+            pB, nB = "E", x
+        x = dS + tSB
+        if x > nB:
+            pB, nB = "S", x
+        pM, nM = "B", dB + tBM
+        x = dM + tMM
+        if x > nM:
+            pM, nM = "M", x
+        pE, nE = "B", dB + tBE
+        x = dM + tME
+        if x > nE:
+            pE, nE = "M", x
+        pS, nS = "B", NEG_INF
+        x = dE + tES
+        if x > nS:
+            pS, nS = "E", x
+        x = dS + tSS
+        if x > nS:
+            pS, nS = "S", x
+        dB = nB + eB.get(ch, floor)
+        dM = nM + eM.get(ch, floor)
+        dE = nE + eE.get(ch, floor)
+        dS = nS + eS.get(ch, floor)
+        back.append((pB, pM, pE, pS))
 
-    last = max(FINAL_STATES, key=lambda s: (delta[s], -STATES.index(s)))
-    path = [last]
+    state = "E" if dE >= dS else "S"
+    path = [state]
     for pointers in reversed(back):
-        path.append(pointers[path[-1]])
+        state = pointers[_STATE_INDEX[state]]
+        path.append(state)
     path.reverse()
     return path
 
 
 def hmm_segment(span: str, hmm: HmmModel) -> TokenStream:
-    """Segment a span by Viterbi states: words end at E and S."""
+    """Segment a span by Viterbi states: words end at E and S, and the
+    decoder always ends on one of them."""
     tokens = []
     start = 0
     for i, state in enumerate(viterbi(span, hmm)):
         if state in ("E", "S"):
             tokens.append(span[start:i + 1])
             start = i + 1
-    if start < len(span):
-        tokens.append(span[start:])  # decoder ended mid-word; keep the tail
     return tokens
 
 

@@ -321,6 +321,33 @@ class TestReportCommand:
         assert code == 1
         assert "confusion must be 2 rows of 2 integers" in err
 
+    @pytest.mark.parametrize("command,key,value,msg", [
+        ("test", "label_set", 5, "label_set must be a non-empty list of strings"),
+        ("test", "label_set", None, "label_set must be a non-empty list of strings"),
+        ("test", "label_set", "AB", "label_set must be a non-empty list of strings"),
+        ("test", "label_set", [], "label_set must be a non-empty list of strings"),
+        ("test", "label_set", ["Beijing", 1], "label_set must be a non-empty list of strings"),
+        ("crossval", "label_set", 5, "label_set must be a non-empty list of strings"),
+        ("crossval", "label_set", None, "label_set must be a non-empty list of strings"),
+        ("crossval", "label_set", "AB", "label_set must be a non-empty list of strings"),
+        ("crossval", "folds", 3, "folds must be a list"),
+        ("crossval", "folds", None, "folds must be a list"),
+    ])
+    def test_malformed_label_set_or_folds_exits_1(self, capsys, tmp_path, command, key, value, msg):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("b2\nd2\n", encoding="utf-8")
+        extra = ["--folds", "3"] if command == "crossval" else ["--test-ids", str(ids)]
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, command, "--corpus", str(corpus_file(tmp_path)),
+                         *RELAXED, "--k", "1", *extra, "--output", str(out_path))
+        assert code == 0
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        payload[key] = value
+        out_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(capsys, "report", str(out_path))
+        assert code == 1
+        assert msg in err
+
     def test_programming_key_error_is_not_a_user_error(self, tmp_path, monkeypatch):
         def broken(payload):
             return {}["bug"]

@@ -1,12 +1,26 @@
 """Property-based tests for conversion and segmentation (Hypothesis)."""
 
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zhstance.resources import load_resources  # noqa: E402
-from zhstance.segmenter import segment  # noqa: E402
+from zhstance.segmenter import (  # noqa: E402
+    ALLOWED_TRANS,
+    FINAL_STATES,
+    NEG_INF,
+    STATES,
+    HmmModel,
+    build_dag,
+    build_lexicon,
+    max_prob_route,
+    route_score,
+    segment,
+    viterbi,
+)
 from zhstance.zh_convert import ConversionTable, to_simplified  # noqa: E402
 
 RESOURCES = load_resources()
@@ -106,3 +120,94 @@ def test_no_token_mixes_han_and_other_characters(text):
 @given(st.one_of(mixed_text, st.text()))
 def test_segment_never_raises(text):
     segment(text, LEX, RESOURCES.hmm)
+
+
+def sixteen_transition_viterbi(observations, hmm):
+    """The earlier decoder: every state tries all four predecessors, reading
+    the model's dicts at each step; ties keep the earlier state."""
+
+    def emit(state, ch):
+        return hmm.emit_logp.get(state, {}).get(ch, hmm.floor_logp)
+
+    delta = {s: hmm.start_logp.get(s, NEG_INF) + emit(s, observations[0]) for s in STATES}
+    back = []
+    for ch in observations[1:]:
+        new_delta = {}
+        pointers = {}
+        for state in STATES:
+            best_score = NEG_INF
+            best_prev = STATES[0]
+            for prev in STATES:
+                score = delta[prev] + hmm.trans_logp.get((prev, state), NEG_INF)
+                if score > best_score:
+                    best_score = score
+                    best_prev = prev
+            new_delta[state] = best_score + emit(state, ch)
+            pointers[state] = best_prev
+        delta = new_delta
+        back.append(pointers)
+    path = [max(FINAL_STATES, key=lambda s: (delta[s], -STATES.index(s)))]
+    for pointers in reversed(back):
+        path.append(pointers[path[-1]])
+    path.reverse()
+    return path
+
+
+# Log-probabilities from a small pool, so that different paths often tie
+# exactly. Any start, transition, emission row or emission may be missing,
+# which also yields models where no path has a finite score.
+_POOL = st.sampled_from([-1.0, -2.0, math.log(0.3)])
+_ALLOWED = [(src, dst) for src in STATES for dst in ALLOWED_TRANS[src]]
+hmm_models = st.builds(
+    HmmModel,
+    st.dictionaries(st.sampled_from(STATES), _POOL),
+    st.dictionaries(st.sampled_from(_ALLOWED), _POOL),
+    st.dictionaries(st.sampled_from(STATES), st.dictionaries(st.sampled_from("xyz"), _POOL)),
+    _POOL,
+)
+
+
+# More examples than PROPERTY: an exact tie between M's two predecessors
+# on the decoded path is rare, and 300 examples miss it.
+@settings(PROPERTY, max_examples=600)
+@given(hmm_models, st.text("xyzw", min_size=1, max_size=8))
+def test_viterbi_matches_sixteen_transition_loop(hmm, observations):
+    assert viterbi(observations, hmm) == sixteen_transition_viterbi(observations, hmm)
+
+
+def per_edge_log_routes(sentence, dag, lex):
+    """The earlier route DP, taking math.log of the frequency on every edge."""
+    n = len(sentence)
+    log_total = math.log(lex.total) if lex.total > 0 else 0.0
+    best = [(0.0, n)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        choice = None
+        for j in dag[i]:
+            freq = lex.entries.get(sentence[i:j + 1])
+            logp = -log_total if freq is None else math.log(freq) - log_total
+            score = logp + best[j + 1][0]
+            if choice is None or score > choice[0] or (score == choice[0] and j > choice[1]):
+                choice = (score, j)
+        best[i] = choice
+    tokens = []
+    i = 0
+    while i < n:
+        tokens.append(sentence[i:best[i][1] + 1])
+        i = best[i][1] + 1
+    return tokens, best[0][0]
+
+
+# Few words over three letters with frequencies 1-3: single-character
+# fallbacks then score like frequency-1 words, and equal-frequency words
+# give routes that tie exactly.
+small_lexicon = st.dictionaries(st.text("abc", min_size=1, max_size=3),
+                                st.integers(1, 3), min_size=1, max_size=8).map(build_lexicon)
+
+
+@PROPERTY
+@given(small_lexicon, st.text("abcd", min_size=1, max_size=10))
+def test_route_matches_per_edge_log_dp(lex, sentence):
+    dag = build_dag(sentence, lex)
+    tokens, score = per_edge_log_routes(sentence, dag, lex)
+    assert max_prob_route(sentence, dag, lex) == tokens
+    assert route_score(sentence, dag, lex) == score

@@ -406,6 +406,12 @@ class TestViterbi:
         )
         assert viterbi("xy", hmm) == ["B", "E"]
 
+    def test_forbidden_transitions_are_ignored(self):
+        # S->M is outside the BMES structure; a model that supplies it
+        # still decodes to a structurally valid path
+        hmm = HmmModel({"S": 0.0}, {("S", "M"): 0.0, ("M", "E"): 0.0, ("S", "S"): -10.0}, {})
+        assert viterbi("xyz", hmm) == ["S", "S", "S"]
+
     def test_unseen_emissions_use_floor(self):
         hmm = HmmModel(
             {"B": math.log(0.6), "S": math.log(0.4)},
