@@ -8,6 +8,7 @@ so shuffling the training list never changes a prediction.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -197,22 +198,58 @@ def baseline1_distance(a, b) -> int:
     return len(frozenset(a) ^ frozenset(b))
 
 
-def baseline1_predict(query_terms, train: list[SetExample], k: int = 5) -> Prediction:
+class TermSetIndex:
+    """Training top-term sets in account_id order, each stored as an int bit
+    mask: every distinct training term gets one bit in `term_bits`.
+
+    The symmetric difference of two sets is then the popcount of the XOR of
+    their masks, exact integer arithmetic; a query term that no training
+    set holds adds exactly 1 to every distance.
+    """
+
+    def __init__(self, train: Iterable[SetExample]):
+        examples = sorted(train, key=lambda e: e[0])
+        self.ids = [account_id for account_id, _, _ in examples]
+        self.labels = [label for _, label, _ in examples]
+        self.term_bits: dict[str, int] = {}
+        self.masks: list[int] = []
+        for _, _, terms in examples:
+            mask = 0
+            for term in terms:
+                bit = self.term_bits.get(term)
+                if bit is None:
+                    bit = self.term_bits[term] = 1 << len(self.term_bits)
+                mask |= bit
+            self.masks.append(mask)
+
+    def nearest(self, query_terms, k: int) -> list[Neighbor]:
+        """The first k accounts by (symmetric-difference distance, account_id),
+        each with similarity 1/(1 + distance)."""
+        n = len(self.ids)
+        _check_k(k, n)
+        query, outside = 0, 0
+        term_bits = self.term_bits
+        for term in frozenset(query_terms):
+            bit = term_bits.get(term)
+            if bit is None:
+                outside += 1
+            else:
+                query |= bit
+        # distance * n + position orders by distance, then by account_id
+        keys = heapq.nsmallest(k, [((query ^ mask).bit_count() + outside) * n + i
+                                   for i, mask in enumerate(self.masks)])
+        ids, labels = self.ids, self.labels
+        return [Neighbor(ids[i], labels[i], 1.0 / (1.0 + d))
+                for d, i in (divmod(key, n) for key in keys)]
+
+
+def baseline1_predict(query_terms, train: TermSetIndex | list[SetExample], k: int = 5) -> Prediction:
     """Uniform vote among the k training accounts whose top-term lists are
     closest by symmetric difference (ties by ascending account_id).
 
-    A distance d is recorded as similarity 1/(1 + d) so the shared vote
+    `train` is a TermSetIndex, or a list of examples to index first. A
+    distance d is recorded as similarity 1/(1 + d) so the shared vote
     tie-break still favors the closer neighbors.
     """
-    _check_k(k, len(train))
-    query_set = frozenset(query_terms)
-    scored = sorted(
-        ((len(query_set ^ frozenset(terms)), account_id, label)
-         for account_id, label, terms in train),
-        key=lambda t: (t[0], t[1]),
-    )
-    neighbors = [
-        Neighbor(account_id, label, 1.0 / (1.0 + distance))
-        for distance, account_id, label in scored[:k]
-    ]
-    return _vote(neighbors, "uniform")
+    index = train if isinstance(train, TermSetIndex) else TermSetIndex(train)
+    return _vote(index.nearest(query_terms, k), "uniform")

@@ -16,6 +16,7 @@ from .classify import (
     KnnIndex,
     Neighbor,
     Prediction,
+    TermSetIndex,
     baseline0_predict,
     baseline1_predict,
     knn_predict,
@@ -214,11 +215,12 @@ def _require_labeled(corpus: Corpus, role: str):
 class Pipeline:
     """Caches per-account token streams and runs the configured predictor.
 
-    Tokenization (conversion + segmentation) is stateless per account, so
-    the cache is shared safely across folds; everything fitted on data
-    (the IDF model, the k-NN index, top-term sets) is rebuilt per training
-    set. Cached tokens are interned per Pipeline, so a term repeated across
-    tweets and accounts is one string object.
+    Tokenization (conversion + segmentation) and an account's top-term set
+    (top_n and the stopwords are fixed per Pipeline) depend on that account
+    alone, so both caches are shared safely across folds; everything fitted
+    on data (the IDF model, the k-NN index, the top-term index) is rebuilt
+    per training set. Cached tokens are interned per Pipeline, so a term
+    repeated across tweets and accounts is one string object.
     """
 
     def __init__(self, resources: Resources, config: PipelineConfig):
@@ -226,6 +228,7 @@ class Pipeline:
         self.config = config
         self._tokens: dict[AccountRecord, list[str]] = {}
         self._interned: dict[str, str] = {}
+        self._top_terms: dict[AccountRecord, frozenset[str]] = {}
 
     def account_tokens(self, account: AccountRecord) -> list[str]:
         cached = self._tokens.get(account)
@@ -239,6 +242,14 @@ class Pipeline:
             self._tokens[account] = cached
         return cached
 
+    def top_terms(self, account: AccountRecord) -> frozenset[str]:
+        """The account's top_n terms after stopword removal, as a set."""
+        cached = self._top_terms.get(account)
+        if cached is None:
+            cached = self._top_terms[account] = frozenset(top_k_terms(
+                self.account_tokens(account), self.config.top_n, self.resources.stopwords))
+        return cached
+
     def predict(self, train: Corpus, queries: Corpus) -> tuple[list[AccountPrediction], frozenset[str]]:
         """Train the configured model on `train` and predict every query
         account, returned sorted by account_id along with the vocabulary
@@ -250,17 +261,11 @@ class Pipeline:
             shared = baseline0_predict([a.label for a in train.accounts])
             return [self._wrap(q, shared) for q in ordered], frozenset()
         if cfg.model == "baseline1":
-            examples = [
-                (a.account_id, a.label,
-                 frozenset(top_k_terms(self.account_tokens(a), cfg.top_n, self.resources.stopwords)))
-                for a in train.accounts
-            ]
-            vocabulary = frozenset().union(*(terms for _, _, terms in examples)) if examples else frozenset()
-            out = []
-            for q in ordered:
-                terms = top_k_terms(self.account_tokens(q), cfg.top_n, self.resources.stopwords)
-                out.append(self._wrap(q, baseline1_predict(terms, examples, cfg.k)))
-            return out, vocabulary
+            index = TermSetIndex(
+                (a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
+            out = [self._wrap(q, baseline1_predict(self.top_terms(q), index, cfg.k))
+                   for q in ordered]
+            return out, frozenset(index.term_bits)
         docs = [self.account_tokens(a) for a in train.accounts]
         vectorizer = fit_vectorizer(docs, tf_mode=cfg.tf)
         index = KnnIndex(

@@ -10,6 +10,7 @@ half up, the way the metrics are usually quoted.
 from __future__ import annotations
 
 import json
+import math
 
 from .evaluate import MetricReport, round_half_up
 from .pipeline import (
@@ -85,15 +86,28 @@ def test_report(result: TestResult, config: PipelineConfig) -> dict:
     }
 
 
-def _fmt(value: float) -> str:
-    return f"{round_half_up(value):.2f}"
-
-
 def _get(payload: dict, key: str):
     try:
         return payload[key]
     except (KeyError, TypeError):
         raise ReportError(f"report payload is missing {key!r}") from None
+
+
+def _number(payload: dict, key: str) -> str:
+    """payload[key], required to be a finite int or float (not a bool),
+    rounded half up to two decimals."""
+    value = _get(payload, key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ReportError(f"{key} must be a finite number, got {value!r}")
+    return f"{round_half_up(value):.2f}"
+
+
+def _count(payload: dict, key: str) -> int:
+    """payload[key], required to be an int (not a bool)."""
+    value = _get(payload, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ReportError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _labels(payload: dict) -> list[str]:
@@ -128,27 +142,20 @@ def format_confusion(labels: list[str], counts: list[list[int]]) -> str:
     return "\n".join(lines)
 
 
-def _format_metric_block(labels: list[str], accuracy: float, per_label: dict, support: dict) -> str:
-    lines = [f"accuracy: {_fmt(accuracy)}"]
+def format_test_payload(payload: dict) -> str:
+    labels = _labels(payload)
+    lines = [format_confusion(labels, _confusion(payload, len(labels))), ""]
+    lines.append(f"accuracy: {_number(payload, 'accuracy')}")
     width = max(len("label"), *(len(x) for x in labels))
     lines.append(f"{'label'.ljust(width)}  precision  recall    f1  support")
+    per_label, support = _get(payload, "per_label"), _get(payload, "support")
     for label in labels:
         m = _get(per_label, label)
         lines.append(
-            f"{label.ljust(width)}  {_fmt(_get(m, 'precision')):>9}  {_fmt(_get(m, 'recall')):>6}"
-            f"  {_fmt(_get(m, 'f1')):>4}  {_get(support, label):>7}"
+            f"{label.ljust(width)}  {_number(m, 'precision'):>9}  {_number(m, 'recall'):>6}"
+            f"  {_number(m, 'f1'):>4}  {_count(support, label):>7}"
         )
     return "\n".join(lines)
-
-
-def format_test_payload(payload: dict) -> str:
-    labels = _labels(payload)
-    return "\n".join([
-        format_confusion(labels, _confusion(payload, len(labels))),
-        "",
-        _format_metric_block(labels, _get(payload, "accuracy"),
-                             _get(payload, "per_label"), _get(payload, "support")),
-    ])
 
 
 def format_crossval_payload(payload: dict) -> str:
@@ -167,17 +174,20 @@ def format_crossval_payload(payload: dict) -> str:
     lines.append(format_confusion(labels, pooled))
     lines.append("")
     for f in folds:
-        lines.append(f"fold {_get(f, 'fold')}: accuracy {_fmt(_get(f, 'accuracy'))}"
-                     f" ({len(_get(f, 'validation_ids'))} accounts)")
+        validation_ids = _get(f, "validation_ids")
+        if not isinstance(validation_ids, list):
+            raise ReportError(f"validation_ids must be a list, got {validation_ids!r}")
+        lines.append(f"fold {_get(f, 'fold')}: accuracy {_number(f, 'accuracy')}"
+                     f" ({len(validation_ids)} accounts)")
     aggregate = _get(payload, "aggregate")
     acc = _get(aggregate, "accuracy")
-    lines.append(f"mean accuracy {_fmt(_get(acc, 'mean'))} (std {_fmt(_get(acc, 'std'))})")
+    lines.append(f"mean accuracy {_number(acc, 'mean')} (std {_number(acc, 'std')})")
     lines.append("")
     width = max(len("label"), *(len(x) for x in labels))
     lines.append(f"{'label'.ljust(width)}  precision  recall    f1  (fold means)")
     per_label = _get(aggregate, "per_label")
     for label in labels:
-        means = [_fmt(_get(_get(_get(per_label, label), metric), "mean"))
+        means = [_number(_get(_get(per_label, label), metric), "mean")
                  for metric in ("precision", "recall", "f1")]
         lines.append(f"{label.ljust(width)}  {means[0]:>9}  {means[1]:>6}  {means[2]:>4}")
     return "\n".join(lines)

@@ -23,14 +23,23 @@ def bundled_path(name: str) -> Path:
     return Path(str(importlib_resources.files("zhstance").joinpath("data", name)))
 
 
+class StopwordError(ValueError):
+    """Raised for a malformed stopword file."""
+
+
 def load_stopwords(path) -> frozenset[str]:
-    """One stopword per line; blank lines and # comments are ignored."""
+    """One stopword per line; blank lines and # comments are ignored. A
+    line holding whitespace inside it is rejected: segmentation never
+    emits a token with whitespace, so such an entry could never match."""
     words = set()
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             word = line.strip()
-            if word and not word.startswith("#"):
-                words.add(word)
+            if not word or word.startswith("#"):
+                continue
+            if len(word.split()) > 1:
+                raise StopwordError(f"{path}: line {lineno}: stopword {word!r} contains whitespace")
+            words.add(word)
     return frozenset(words)
 
 

@@ -187,7 +187,8 @@ def load_hmm(path) -> HmmModel:
     """Load HMM parameters from a JSON object with start/trans/emit
     log-probability tables and an optional floor_logp for unseen emissions
     ("floor" is accepted as its older name). Unknown keys, non-numeric and
-    non-finite values are rejected; absent transitions are structural zeros."""
+    non-finite values, and start probabilities on M or E are rejected;
+    absent transitions are structural zeros."""
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
 
@@ -218,6 +219,8 @@ def load_hmm(path) -> HmmModel:
     for state, value in table(raw["start"], "start").items():
         if state not in STATES:
             fail(f"unknown start state {state!r}")
+        if state in ("M", "E"):
+            fail(f"forbidden start state {state} (a path cannot begin mid-word)")
         start[state] = logp(value, f"start.{state}")
     trans = {}
     for src, row in table(raw["trans"], "trans").items():

@@ -228,6 +228,15 @@ class TestCrossval:
                          *RELAXED, "--folds", "7")
         assert code == 1
 
+    def test_stopword_with_whitespace_exits_1(self, capsys, tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("香港\n统一 稳定\n", encoding="utf-8")
+        code, _, err = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)),
+                           *RELAXED, "--folds", "3", "--k", "1", "--model", "baseline1",
+                           "--stopwords", str(stop))
+        assert code == 1
+        assert f"{stop}: line 2:" in err
+
 
 class TestTestCommand:
     def test_report_payload(self, capsys, tmp_path):
@@ -332,6 +341,17 @@ class TestReportCommand:
         ("crossval", "label_set", "AB", "label_set must be a non-empty list of strings"),
         ("crossval", "folds", 3, "folds must be a list"),
         ("crossval", "folds", None, "folds must be a list"),
+        # a dotted key names a nested value; digits index a list
+        ("test", "accuracy", "x", "accuracy must be a finite number"),
+        ("test", "accuracy", True, "accuracy must be a finite number"),
+        ("test", "accuracy", float("inf"), "accuracy must be a finite number"),
+        ("test", "per_label.Beijing.recall", "1.0", "recall must be a finite number"),
+        ("test", "support.Democracy", 1.5, "Democracy must be an integer"),
+        ("crossval", "folds.0.accuracy", "x", "accuracy must be a finite number"),
+        ("crossval", "folds.0.validation_ids", 3, "validation_ids must be a list"),
+        ("crossval", "aggregate.accuracy.mean", False, "mean must be a finite number"),
+        ("crossval", "aggregate.accuracy.std", None, "std must be a finite number"),
+        ("crossval", "aggregate.per_label.Democracy.f1.mean", [1.0], "mean must be a finite number"),
     ])
     def test_malformed_label_set_or_folds_exits_1(self, capsys, tmp_path, command, key, value, msg):
         ids = tmp_path / "ids.txt"
@@ -342,7 +362,11 @@ class TestReportCommand:
                          *RELAXED, "--k", "1", *extra, "--output", str(out_path))
         assert code == 0
         payload = json.loads(out_path.read_text(encoding="utf-8"))
-        payload[key] = value
+        *parents, last = key.split(".")
+        target = payload
+        for part in parents:
+            target = target[int(part)] if part.isdigit() else target[part]
+        target[last] = value
         out_path.write_text(json.dumps(payload), encoding="utf-8")
         code, _, err = run(capsys, "report", str(out_path))
         assert code == 1
@@ -359,16 +383,19 @@ class TestReportCommand:
             main(["report", str(report)])
 
 
-def test_crossval_bytes_independent_of_hash_seed(synthetic_corpus_path):
+@pytest.mark.parametrize("model", ["knn", "baseline1"])
+def test_crossval_bytes_independent_of_hash_seed(synthetic_corpus_path, model):
     """Criterion 8 reruns within one interpreter; set and dict order under
-    different string hash seeds only shows across processes."""
+    different string hash seeds only shows across processes. baseline1's
+    index assigns term bits in set iteration order, so it is covered too."""
     src = str(Path(zhstance.__file__).resolve().parents[1])
     blobs = []
     for hash_seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
-            [sys.executable, "-m", "zhstance.cli", "crossval", "--corpus", str(synthetic_corpus_path)],
+            [sys.executable, "-m", "zhstance.cli", "crossval", "--corpus", str(synthetic_corpus_path),
+             "--model", model],
             env=env, capture_output=True, timeout=120, check=True)
         blobs.append(done.stdout)
     assert blobs[0] == blobs[1]

@@ -4,6 +4,7 @@ from datetime import date
 
 import pytest
 
+import zhstance.pipeline
 from zhstance.corpus import AccountRecord, Corpus, DateWindow, Tweet, parse_timestamp
 from zhstance.pipeline import (
     DEFAULT_WINDOW,
@@ -225,6 +226,24 @@ class TestCrossValidate:
         corpus = Corpus(("B",), (account("a", None, "民主"), account("b", "B", "统一")))
         with pytest.raises(PipelineError):
             pipeline.cross_validate(corpus)
+
+    def test_baseline1_top_terms_once_per_account(self, resources, monkeypatch):
+        top_k_terms = zhstance.pipeline.top_k_terms
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return top_k_terms(*args)
+
+        monkeypatch.setattr(zhstance.pipeline, "top_k_terms", counting)
+        pipe = Pipeline(resources, PipelineConfig(model="baseline1", k=3, folds=4))
+        corpus = make_corpus()
+        result = pipe.cross_validate(corpus)
+        assert len(calls) == len(corpus.accounts)
+        # each fold's vocabulary is the union of its training top-term sets
+        for fold in result.folds:
+            train = [a for a in corpus.accounts if a.account_id not in fold.validation_ids]
+            assert fold.vocabulary == frozenset().union(*map(pipe.top_terms, train))
 
 
 class TestEvaluateTestSet:

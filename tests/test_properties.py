@@ -1,4 +1,5 @@
-"""Property-based tests for conversion and segmentation (Hypothesis)."""
+"""Property-based tests for conversion, segmentation and the top-term
+baseline (Hypothesis)."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from zhstance.classify import Neighbor, TermSetIndex, _vote, baseline1_predict  # noqa: E402
 from zhstance.resources import load_resources  # noqa: E402
 from zhstance.segmenter import (  # noqa: E402
     ALLOWED_TRANS,
@@ -211,3 +213,47 @@ def test_route_matches_per_edge_log_dp(lex, sentence):
     tokens, score = per_edge_log_routes(sentence, dag, lex)
     assert max_prob_route(sentence, dag, lex) == tokens
     assert route_score(sentence, dag, lex) == score
+
+
+def exhaustive_baseline1(query_terms, train, k):
+    """The earlier baseline1: a new set per training account, a full sort on
+    (distance, account_id) and a Neighbor for every account."""
+    query_set = frozenset(query_terms)
+    scored = sorted(
+        ((len(query_set ^ frozenset(terms)), account_id, label)
+         for account_id, label, terms in train),
+        key=lambda t: (t[0], t[1]),
+    )
+    neighbors = [
+        Neighbor(account_id, label, 1.0 / (1.0 + distance))
+        for distance, account_id, label in scored[:k]
+    ]
+    return _vote(neighbors, "uniform")
+
+
+# Term lists over four letters, with repeats and empty lists; a few shared
+# lists make duplicate training sets common, so distance ties are too.
+term_lists = st.lists(st.sampled_from("abcd"), max_size=5).map(tuple)
+
+
+@st.composite
+def set_training(draw):
+    n = draw(st.integers(1, 8))
+    ids = draw(st.permutations([f"u{i}" for i in range(n)]))
+    shared = draw(st.lists(term_lists, min_size=1, max_size=3))
+    return [(account_id, draw(st.sampled_from("ABC")),
+             draw(st.one_of(st.sampled_from(shared), term_lists)))
+            for account_id in ids]
+
+
+# Query terms may repeat and may lie outside every training set (x, y).
+@PROPERTY
+@given(set_training(), st.lists(st.sampled_from("abcdxy"), max_size=8))
+def test_baseline1_index_matches_exhaustive_sort(train, query):
+    index = TermSetIndex(train)
+    for k in range(1, len(train) + 1):
+        want = exhaustive_baseline1(query, train, k)
+        # Prediction equality compares label, votes and the neighbours
+        # with their similarities, in order
+        assert baseline1_predict(query, index, k) == want
+        assert baseline1_predict(query, train, k) == want

@@ -1,9 +1,14 @@
 """Tests for bundled data files and resource loading."""
 
+import re
+
+import pytest
+
 from zhstance.resources import (
     BUNDLED_HMM,
     BUNDLED_LEXICON,
     BUNDLED_TABLE,
+    StopwordError,
     bundled_path,
     load_resources,
     load_stopwords,
@@ -37,6 +42,14 @@ def test_load_stopwords(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("# comment\n的\n了\n\n的\n", encoding="utf-8")
     assert load_stopwords(path) == frozenset({"的", "了"})
+
+
+def test_stopword_with_inner_whitespace_rejected(tmp_path):
+    # segment never emits whitespace, so such an entry could never match
+    path = tmp_path / "stop.txt"
+    path.write_text("# comment\n的\n的 了\n", encoding="utf-8")
+    with pytest.raises(StopwordError, match=f"^{re.escape(str(path))}: line 3: "):
+        load_stopwords(path)
 
 
 def test_stopwords_path_wired_through(tmp_path):

@@ -352,6 +352,8 @@ class TestLoadHmm:
         ('{"start": {}, "trans": {"B": {"E": -Infinity}}, "emit": {}}', "finite number"),
         ('{"start": {}, "trans": {}, "emit": {"S": {"x": Infinity}}}', "finite number"),
         ('{"start": {}, "trans": {}, "emit": {}, "floor_logp": NaN}', "finite number"),
+        ('{"start": {"B": -0.7, "M": -0.7}, "trans": {}, "emit": {}}', "forbidden start state M"),
+        ('{"start": {"E": -0.7, "S": -0.7}, "trans": {}, "emit": {}}', "forbidden start state E"),
     ])
     def test_strict_schema(self, tmp_path, body, msg):
         with pytest.raises(HmmModelError, match=msg):
