@@ -71,6 +71,16 @@ class PipelineConfig:
             raise ConfigError(f"unknown weighting {self.weighting!r} (choose from {WEIGHTINGS})")
         if self.tf not in TF_MODES:
             raise ConfigError(f"unknown tf variant {self.tf!r} (choose from {TF_MODES})")
+        for name in _PATH_KEYS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"path {name} must be a string or null, got {value!r}")
+        for name in ("min_followers", "min_tweets", "k", "top_n", "folds", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.clean, bool):
+            raise ConfigError(f"clean must be true or false, got {self.clean!r}")
         if self.k < 1:
             raise ConfigError(f"k must be at least 1, got {self.k}")
         if self.top_n < 1:
@@ -247,7 +257,7 @@ class Pipeline:
         cached = self._top_terms.get(account)
         if cached is None:
             cached = self._top_terms[account] = frozenset(top_k_terms(
-                self.account_tokens(account), self.config.top_n, self.resources.stopwords))
+                self.account_tokens(account), self.config.top_n, self.resources.token_stopwords))
         return cached
 
     def predict(self, train: Corpus, queries: Corpus) -> tuple[list[AccountPrediction], frozenset[str]]:

@@ -8,11 +8,12 @@ every path can be overridden to swap in full-size models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources as importlib_resources
 from pathlib import Path
 
 from .segmenter import HmmModel, Lexicon, load_hmm, load_lexicon
-from .zh_convert import ConversionTable, load_conversion_table
+from .zh_convert import ConversionTable, load_conversion_table, to_simplified
 
 BUNDLED_TABLE = "t2s.tsv"
 BUNDLED_LEXICON = "lexicon.txt"
@@ -48,7 +49,14 @@ class Resources:
     table: ConversionTable
     lexicon: Lexicon
     hmm: HmmModel | None
-    stopwords: frozenset[str]
+    stopwords: frozenset[str]  # as written in the file
+
+    @cached_property
+    def token_stopwords(self) -> frozenset[str]:
+        """The stopwords as tokens are: each converted with the table, so
+        that 國家 removes the token 国家. Derived on first use, so that
+        loading does not compile the table's phrase pattern."""
+        return frozenset(to_simplified(word, self.table) for word in self.stopwords)
 
 
 def load_resources(

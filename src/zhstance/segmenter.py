@@ -52,8 +52,9 @@ class HmmModelError(ValueError):
 class Lexicon:
     """Word frequencies, their total and the prefix closure of the words.
 
-    Each word's log-probability ln(freq / total) is derived once, when the
-    lexicon is built; route scores do not follow later changes to entries.
+    Each word's log-probability ln(freq / total) and the first characters
+    of the multi-character words are derived once, when the lexicon is
+    built; routes do not follow later changes to entries.
     """
 
     entries: dict[str, int]
@@ -61,12 +62,16 @@ class Lexicon:
     prefix_set: frozenset[str]
     # (log-probability per word, ln(1/total) for characters outside entries)
     _logp: tuple[dict[str, float], float] = field(init=False, repr=False, compare=False)
+    # first characters of the multi-character words
+    _word_starts: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         log_total = math.log(self.total) if self.total > 0 else 0.0
         object.__setattr__(self, "_logp", (
             {word: math.log(freq) - log_total for word, freq in self.entries.items()},
             -log_total))
+        object.__setattr__(self, "_word_starts",
+                           frozenset(word[0] for word in self.entries if len(word) > 1))
 
 
 @dataclass(frozen=True)
@@ -314,7 +319,12 @@ def hmm_segment(span: str, hmm: HmmModel) -> TokenStream:
 
 
 def _cut_han(run: str, lex: Lexicon, hmm: HmmModel | None) -> TokenStream:
-    tokens = max_prob_route(run, build_dag(run, lex), lex)
+    if lex._word_starts.isdisjoint(run):
+        # no multi-character word can start in the run: every DAG node has
+        # only its single-character edge, so the route is forced
+        tokens = list(run)
+    else:
+        tokens = max_prob_route(run, build_dag(run, lex), lex)
     if hmm is None:
         return tokens
     out: TokenStream = []

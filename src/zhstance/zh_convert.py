@@ -4,13 +4,20 @@ The mapping is a plain dictionary file, one ``traditional<TAB>simplified``
 pair per line. Lines starting with ``#`` are comments. A key may list
 several space-separated candidates on the right (as OpenCC dictionaries
 do); only the first is used, so ambiguity resolution belongs to the table
-author, not this engine. Phrase keys are found by ``word_ends``, the
-prefix-dictionary scan the segmenter also builds its DAG with.
+author, not this engine.
+
+Conversion runs at C speed: one compiled alternation of the phrase keys,
+longest first, finds the phrases, and ``str.translate`` maps the stretches
+between them character by character. Both are built once per table, on
+its first conversion. ``word_ends`` and ``prefix_closure`` are the
+prefix-dictionary scan the segmenter builds its DAG with.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ConversionTableError(ValueError):
@@ -47,18 +54,34 @@ def word_ends(text: str, words, prefixes) -> list[list[int]]:
 class ConversionTable:
     phrase_map: dict[str, str]
     char_map: dict[str, str]
-    phrase_prefixes: frozenset[str]
 
     @staticmethod
     def from_pairs(pairs) -> "ConversionTable":
         phrase_map: dict[str, str] = {}
         char_map: dict[str, str] = {}
         for key, value in pairs:
+            if not key:
+                raise ConversionTableError("empty key")
             if len(key) == 1:
                 char_map[key] = value
             else:
                 phrase_map[key] = value
-        return ConversionTable(phrase_map, char_map, prefix_closure(phrase_map))
+        return ConversionTable(phrase_map, char_map)
+
+    @cached_property
+    def _translation(self) -> dict[int, str]:
+        return {ord(key): value for key, value in self.char_map.items()}
+
+    @cached_property
+    def _phrase_pattern(self) -> re.Pattern | None:
+        """The phrase keys as one alternation, longest first: ``re`` takes
+        the first alternative that matches at the leftmost position, so a
+        match is the longest key there. None without phrase keys, since an
+        empty alternation would match the empty string everywhere."""
+        if not self.phrase_map:
+            return None
+        keys = sorted(self.phrase_map, key=len, reverse=True)
+        return re.compile("|".join(map(re.escape, keys)))
 
 
 def load_conversion_table(path) -> ConversionTable:
@@ -85,16 +108,18 @@ def to_simplified(text: str, table: ConversionTable) -> str:
 
     At each position the longest phrase key wins; without one, the
     single-character map applies, and unmapped characters pass through
-    unchanged.
+    unchanged. A phrase's output is never converted again.
     """
-    spans = word_ends(text, table.phrase_map, table.phrase_prefixes)
+    translation = table._translation
+    pattern = table._phrase_pattern
+    if pattern is None:
+        return text.translate(translation)
+    phrase_map = table.phrase_map
     out = []
-    i = 0
-    while i < len(text):
-        j = spans[i][-1]
-        if j > i:
-            out.append(table.phrase_map[text[i:j + 1]])
-        else:
-            out.append(table.char_map.get(text[i], text[i]))
-        i = j + 1
+    pos = 0
+    for m in pattern.finditer(text):
+        out.append(text[pos:m.start()].translate(translation))
+        out.append(phrase_map[m.group()])
+        pos = m.end()
+    out.append(text[pos:].translate(translation))
     return "".join(out)

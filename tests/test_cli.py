@@ -454,6 +454,32 @@ class TestConfigResolution:
                          "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"model": {"k": "5"}},
+        {"model": {"k": 2.5}},
+        {"model": {"k": True}},
+        {"model": {"top_n": "25"}},
+        {"folds": 3.0},
+        {"seed": 1.5},
+        {"seed": None},
+        {"filters": {"min_followers": "0"}},
+        {"filters": {"min_tweets": False}},
+        {"clean": "no"},
+        {"clean": 0},
+        {"paths": {"stopwords": 5}},
+        {"paths": {"hmm": ["hmm.json"]}},
+    ])
+    def test_config_value_of_wrong_type_exits_1(self, capsys, tmp_path, overrides):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(overrides), encoding="utf-8")
+        code, out, err = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)),
+                             *RELAXED, "--folds", "3", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        [(section, value)] = overrides.items()
+        assert (next(iter(value)) if isinstance(value, dict) else section) in err
+
     def test_missing_corpus_path_exits_1(self, capsys):
         code, _, err = run(capsys, "crossval")
         assert code == 1

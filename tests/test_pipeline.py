@@ -84,6 +84,22 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"k": "5"},
+        {"k": 2.5},
+        {"top_n": True},
+        {"seed": 1.5},
+        {"folds": None},
+        {"min_followers": 1e4},
+        {"clean": "no"},
+        {"clean": 1},
+        {"corpus": 5},
+        {"table": b"t2s.tsv"},
+    ])
+    def test_value_types(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            PipelineConfig(**kwargs)
+
     def test_echo_merge_roundtrip(self):
         cfg = PipelineConfig(corpus="c.jsonl", k=7, model="baseline1",
                              window=DateWindow(date(2021, 2, 1), date(2021, 3, 1)),
@@ -190,6 +206,15 @@ class TestPredict:
         for p in preds:
             for nb in p.neighbors:
                 assert 0.0 < nb.similarity <= 1.0
+
+    def test_baseline1_traditional_stopword_removes_simplified_token(self, resources, tmp_path):
+        path = tmp_path / "stopwords.txt"
+        path.write_text("國家\n", encoding="utf-8")
+        acct = account("a", "B", "我們的國家")
+        plain = Pipeline(resources, PipelineConfig(model="baseline1"))
+        assert "国家" in plain.top_terms(acct)
+        pipe = Pipeline(load_resources(stopwords=str(path)), PipelineConfig(model="baseline1"))
+        assert pipe.top_terms(acct) == plain.top_terms(acct) - {"国家"}
 
 
 class TestCrossValidate:

@@ -18,6 +18,7 @@ from zhstance.segmenter import (  # noqa: E402
     HmmModel,
     build_dag,
     build_lexicon,
+    hmm_segment,
     max_prob_route,
     route_score,
     segment,
@@ -76,12 +77,32 @@ mixed_text = st.lists(st.one_of(
 ), max_size=30).map("".join)
 
 
-# Tiny tables over a few letters, where keys nest and overlap far more
-# often than in the bundled table, and a phrase's output rarely equals
-# what its characters would give.
-small_table = st.lists(st.tuples(st.text("ABCD", min_size=1, max_size=4),
-                                 st.text("xyz", min_size=1, max_size=3)),
-                       max_size=12).map(ConversionTable.from_pairs)
+# Tiny tables over two letters and regular-expression metacharacters.
+# Keys are often prefixes or extensions of earlier keys, so keys nest and
+# overlap far more often than in the bundled table. Outputs may hold key
+# characters, so converting a phrase's output again would change it.
+_KEY_ALPHABET = "AB.*|([\\"
+_key_text = st.text(_KEY_ALPHABET, min_size=1, max_size=4)
+_output_text = st.text("xy" + _KEY_ALPHABET, min_size=1, max_size=3)
+
+
+@st.composite
+def small_table(draw):
+    keys = []
+    for _ in range(draw(st.integers(0, 12))):
+        if keys and draw(st.booleans()):
+            base = draw(st.sampled_from(keys))
+            keys.append(base[:draw(st.integers(1, len(base)))]
+                        + draw(st.text(_KEY_ALPHABET, max_size=2)))
+        else:
+            keys.append(draw(_key_text))
+    return ConversionTable.from_pairs((key, draw(_output_text)) for key in keys)
+
+
+# Tables without phrase keys: character keys only, or no entries at all.
+char_only_table = st.lists(st.tuples(st.sampled_from(_KEY_ALPHABET), _output_text),
+                           max_size=6).map(ConversionTable.from_pairs)
+small_text = st.text(_KEY_ALPHABET + "E", max_size=20)
 
 
 @PROPERTY
@@ -91,8 +112,14 @@ def test_to_simplified_matches_width_loop(text):
 
 
 @PROPERTY
-@given(small_table, st.text("ABCDE", max_size=20))
+@given(small_table(), small_text)
 def test_to_simplified_matches_width_loop_on_small_tables(table, text):
+    assert to_simplified(text, table) == width_loop_to_simplified(text, table)
+
+
+@PROPERTY
+@given(char_only_table, small_text)
+def test_to_simplified_matches_width_loop_without_phrase_keys(table, text):
     assert to_simplified(text, table) == width_loop_to_simplified(text, table)
 
 
@@ -213,6 +240,48 @@ def test_route_matches_per_edge_log_dp(lex, sentence):
     tokens, score = per_edge_log_routes(sentence, dag, lex)
     assert max_prob_route(sentence, dag, lex) == tokens
     assert route_score(sentence, dag, lex) == score
+
+
+def dag_everywhere_cut_han(run, lex, hmm):
+    """The earlier Han-run cut: the DAG and the route on every run, then
+    leftover single characters outside the lexicon to the HMM."""
+    tokens = max_prob_route(run, build_dag(run, lex), lex)
+    if hmm is None:
+        return tokens
+    out = []
+    buf = []
+
+    def flush():
+        if len(buf) == 1:
+            out.append(buf[0])
+        elif len(buf) > 1:
+            out.extend(hmm_segment("".join(buf), hmm))
+        buf.clear()
+
+    for tok in tokens:
+        if len(tok) == 1 and tok not in lex.entries:
+            buf.append(tok)
+        else:
+            flush()
+            out.append(tok)
+    flush()
+    return out
+
+
+# Small lexicons over five Han characters, single- and multi-character
+# words that overlap, and text over those characters, two Han characters
+# in no word and spaces, so that many runs hold no word start.
+han_lexicon = st.dictionaries(st.text("甲乙丙丁戊", min_size=1, max_size=3),
+                              st.integers(1, 3), min_size=1, max_size=8).map(build_lexicon)
+
+
+@PROPERTY
+@given(han_lexicon, st.text("甲乙丙丁戊己庚 ", max_size=16), st.booleans())
+def test_segment_matches_dag_on_every_run(lex, text, with_hmm):
+    hmm = RESOURCES.hmm if with_hmm else None
+    # every whitespace chunk of this text is one Han run
+    want = [t for run in text.split() for t in dag_everywhere_cut_han(run, lex, hmm)]
+    assert segment(text, lex, hmm) == want
 
 
 def exhaustive_baseline1(query_terms, train, k):

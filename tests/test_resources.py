@@ -56,3 +56,12 @@ def test_stopwords_path_wired_through(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("的\n", encoding="utf-8")
     assert load_resources(stopwords=path).stopwords == frozenset({"的"})
+
+
+def test_stopwords_take_token_form(tmp_path):
+    # tokens are converted before stopword removal, so the stopwords are too
+    path = tmp_path / "stop.txt"
+    path.write_text("國家\n的\n", encoding="utf-8")
+    res = load_resources(stopwords=path)
+    assert res.stopwords == frozenset({"國家", "的"})
+    assert res.token_stopwords == frozenset({"国家", "的"})

@@ -22,12 +22,17 @@ class TestFromPairs:
         t = table_from(("發", "发"), ("頭髮", "头发"))
         assert t.char_map == {"發": "发"}
         assert t.phrase_map == {"頭髮": "头发"}
-        assert t.phrase_prefixes == frozenset({"頭", "頭髮"})
+        assert to_simplified("頭髮發", t) == "头发发"
 
     def test_empty_table(self):
         t = table_from()
-        assert t.phrase_prefixes == frozenset()
+        assert t.phrase_map == {} and t.char_map == {}
         assert to_simplified("abc", t) == "abc"
+
+    def test_empty_key_rejected(self):
+        # an empty alternative would match the empty string everywhere
+        with pytest.raises(ConversionTableError, match="empty key"):
+            table_from(("", "x"), ("頭髮", "头发"))
 
 
 class TestWordEnds:
