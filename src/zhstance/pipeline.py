@@ -241,15 +241,16 @@ class Pipeline:
         self._top_terms: dict[AccountRecord, frozenset[str]] = {}
 
     def account_tokens(self, account: AccountRecord) -> list[str]:
+        """The account's tokens, tweet after tweet. The tweets are converted
+        and segmented as one text joined with newlines: no conversion key
+        holds one, and segmentation splits on whitespace first."""
         cached = self._tokens.get(account)
         if cached is None:
-            cached = []
+            res = self.resources
+            text = to_simplified("\n".join(tweet.text for tweet in account.tweets), res.table)
             intern = self._interned.setdefault
-            for tweet in account.tweets:
-                simplified = to_simplified(tweet.text, self.resources.table)
-                cached.extend(intern(t, t) for t in segment(
-                    simplified, self.resources.lexicon, self.resources.hmm, self.config.clean))
-            self._tokens[account] = cached
+            cached = self._tokens[account] = [
+                intern(t, t) for t in segment(text, res.lexicon, res.hmm, self.config.clean)]
         return cached
 
     def top_terms(self, account: AccountRecord) -> frozenset[str]:

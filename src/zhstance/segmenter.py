@@ -1,10 +1,10 @@
 """Chinese word segmentation: prefix-dictionary DAG routing with an HMM fallback.
 
-A sentence (a run of Chinese characters) is segmented by building the DAG
-of all dictionary-consistent words and picking the max-log-probability
-path. Runs of leftover single characters that are not dictionary words
-themselves can be re-segmented by a four-state (B/M/E/S) character-tagging
-HMM decoded with Viterbi, which recovers out-of-vocabulary words.
+A sentence (a run of Chinese characters) is segmented by picking the
+max-log-probability path through the DAG of its dictionary words. Stretches
+of leftover single characters that are not dictionary words themselves can
+be re-segmented by a four-state (B/M/E/S) character-tagging HMM decoded
+with Viterbi, which recovers out-of-vocabulary words.
 """
 
 from __future__ import annotations
@@ -147,45 +147,43 @@ def build_dag(sentence: str, lex: Lexicon) -> dict[int, list[int]]:
     sentence[i..j], always including j = i as the single-character fallback.
 
     Scanning from i stops as soon as the fragment leaves the prefix set.
+    The route scans with the same word_ends and builds no DAG.
     """
-    return dict(enumerate(word_ends(sentence, lex.entries, lex.prefix_set)))
+    return {i: [i, *word_ends(sentence, i, lex.entries, lex.prefix_set)]
+            for i in range(len(sentence))}
 
 
-def _best_routes(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> list[tuple[float, int]]:
-    """Right-to-left dynamic programming over the DAG.
+def max_prob_route(sentence: str, lex: Lexicon) -> TokenStream:
+    """Best segmentation, by right-to-left dynamic programming.
 
-    best[i] = (score, j): the best route through sentence[i:] has log-probability
-    score and starts with the word i..j; score = max over DAG edges (i, j) of
-    logp(word i..j) + best[j+1].score. Score ties go to the longer word.
+    score[i] is the log-probability of the best route through sentence[i:]:
+    the max over words sentence[i..j] of logp(word) + score[j+1]; score ties
+    go to the longer word. Every character is a word on its own (scored
+    ln(1/total) outside the lexicon); only a first character of a
+    multi-character word starts a scan for longer ones.
     """
     n = len(sentence)
-    word_logp, oov_logp = lex._logp  # oov: single-character fallbacks
-    best = [(0.0, n)] * (n + 1)
+    word_logp, oov_logp = lex._logp
+    entries, prefixes, starts = lex.entries, lex.prefix_set, lex._word_starts
+    score = [0.0] * (n + 1)
+    end = list(range(n))  # the last index of the best route's first word from i
     for i in range(n - 1, -1, -1):
-        choice = None
-        for j in dag[i]:
-            score = word_logp.get(sentence[i:j + 1], oov_logp) + best[j + 1][0]
-            if choice is None or score > choice[0] or (score == choice[0] and j > choice[1]):
-                choice = (score, j)
-        best[i] = choice
-    return best
-
-
-def max_prob_route(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> TokenStream:
-    """Best segmentation: the words along the DP's backpointers."""
-    best = _best_routes(sentence, dag, lex)
+        ch = sentence[i]
+        best = word_logp.get(ch, oov_logp) + score[i + 1]
+        if ch in starts:
+            for j in word_ends(sentence, i, entries, prefixes):
+                s = word_logp[sentence[i:j + 1]] + score[j + 1]
+                if s >= best:  # ends ascend, so a tie goes to the longer word
+                    best = s
+                    end[i] = j
+        score[i] = best
     tokens = []
     i = 0
-    while i < len(sentence):
-        j = best[i][1]
-        tokens.append(sentence[i:j + 1])
-        i = j + 1
+    while i < n:
+        j = end[i] + 1
+        tokens.append(sentence[i:j])
+        i = j
     return tokens
-
-
-def route_score(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> float:
-    """Log-probability of the best route (the DP's optimum value)."""
-    return _best_routes(sentence, dag, lex)[0][0]
 
 
 def load_hmm(path) -> HmmModel:
@@ -320,30 +318,31 @@ def hmm_segment(span: str, hmm: HmmModel) -> TokenStream:
 
 def _cut_han(run: str, lex: Lexicon, hmm: HmmModel | None) -> TokenStream:
     if lex._word_starts.isdisjoint(run):
-        # no multi-character word can start in the run: every DAG node has
-        # only its single-character edge, so the route is forced
+        # no multi-character word can start in the run: the route is forced
         tokens = list(run)
     else:
-        tokens = max_prob_route(run, build_dag(run, lex), lex)
+        tokens = max_prob_route(run, lex)
     if hmm is None:
         return tokens
+    # run[start:end] is the stretch of single characters outside the
+    # lexicon since the last other token; the HMM cuts one of 2 or more
+    entries = lex.entries
     out: TokenStream = []
-    buf: list[str] = []
-
-    def flush():
-        if len(buf) == 1:
-            out.append(buf[0])
-        elif len(buf) > 1:
-            out.extend(hmm_segment("".join(buf), hmm))
-        buf.clear()
-
+    start = end = 0
     for tok in tokens:
-        if len(tok) == 1 and tok not in lex.entries:
-            buf.append(tok)
-        else:
-            flush()
-            out.append(tok)
-    flush()
+        if len(tok) == 1 and tok not in entries:
+            end += 1
+            continue
+        if end - start > 1:
+            out.extend(hmm_segment(run[start:end], hmm))
+        elif end > start:
+            out.append(run[start])
+        out.append(tok)
+        start = end = end + len(tok)
+    if end - start > 1:
+        out.extend(hmm_segment(run[start:end], hmm))
+    elif end > start:
+        out.append(run[start])
     return out
 
 

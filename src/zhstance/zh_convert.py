@@ -10,7 +10,7 @@ Conversion runs at C speed: one compiled alternation of the phrase keys,
 longest first, finds the phrases, and ``str.translate`` maps the stretches
 between them character by character. Both are built once per table, on
 its first conversion. ``word_ends`` and ``prefix_closure`` are the
-prefix-dictionary scan the segmenter builds its DAG with.
+prefix-dictionary scan the segmenter's route and DAG share.
 """
 
 from __future__ import annotations
@@ -29,25 +29,21 @@ def prefix_closure(words) -> frozenset[str]:
     return frozenset(w[:i] for w in words for i in range(1, len(w) + 1))
 
 
-def word_ends(text: str, words, prefixes) -> list[list[int]]:
-    """For each start i, i itself (the single-character fallback) followed
-    by the ascending inclusive ends j > i where text[i:j+1] is in words.
+def word_ends(text: str, start: int, words, prefixes) -> list[int]:
+    """The ascending inclusive ends j > start where text[start:j+1] is in
+    words.
 
     prefixes must hold every prefix of every word (see prefix_closure);
-    the scan from i stops at the first fragment that is not in it.
+    the scan stops at the first fragment that is not in it.
     """
-    n = len(text)
-    spans = []
-    for i in range(n):
-        ends = [i]
-        for j in range(i + 2, n + 1):
-            frag = text[i:j]
-            if frag not in prefixes:
-                break
-            if frag in words:
-                ends.append(j - 1)
-        spans.append(ends)
-    return spans
+    ends = []
+    for j in range(start + 2, len(text) + 1):
+        frag = text[start:j]
+        if frag not in prefixes:
+            break
+        if frag in words:
+            ends.append(j - 1)
+    return ends
 
 
 @dataclass(frozen=True)
@@ -62,6 +58,9 @@ class ConversionTable:
         for key, value in pairs:
             if not key:
                 raise ConversionTableError("empty key")
+            if "\n" in key:
+                # the pipeline converts an account's tweets joined with "\n"
+                raise ConversionTableError(f"key {key!r} holds a newline")
             if len(key) == 1:
                 char_map[key] = value
             else:

@@ -31,7 +31,6 @@ from zhstance.segmenter import (
     load_hmm,
     load_lexicon,
     max_prob_route,
-    route_score,
     segment,
     viterbi,
 )
@@ -77,6 +76,17 @@ def oracle_best_cut_score(sentence, lex):
         if best is None or score > best:
             best = score
     return best
+
+
+def route_score(sentence, lex):
+    """The chosen route's score: its words' log-probabilities added right
+    to left, in the DP's order, so it compares exactly with the oracle."""
+    log_total = math.log(lex.total)
+    score = 0.0
+    for tok in reversed(max_prob_route(sentence, lex)):
+        freq = lex.entries.get(tok)
+        score = ((math.log(freq) if freq is not None else 0.0) - log_total) + score
+    return score
 
 
 def oracle_viterbi_score(observations, hmm):
@@ -237,7 +247,7 @@ class TestMaxProbRoute:
     @staticmethod
     def route(sentence, entries):
         lex = build_lexicon(entries)
-        return max_prob_route(sentence, build_dag(sentence, lex), lex)
+        return max_prob_route(sentence, lex)
 
     def test_prefers_frequent_word(self):
         assert self.route("ABC", {"AB": 10, "A": 1, "B": 1, "BC": 1, "C": 1}) == ["AB", "C"]
@@ -256,30 +266,25 @@ class TestMaxProbRoute:
         rng = random.Random(100)
         for _ in range(50):
             lex, sentence = random_lexicon_and_sentence(rng)
-            tokens = max_prob_route(sentence, build_dag(sentence, lex), lex)
+            tokens = max_prob_route(sentence, lex)
             assert "".join(tokens) == sentence
 
     def test_score_matches_exhaustive_search(self):
         rng = random.Random(200)
         for _ in range(60):
             lex, sentence = random_lexicon_and_sentence(rng)
-            dag = build_dag(sentence, lex)
-            assert route_score(sentence, dag, lex) == oracle_best_cut_score(sentence, lex)
+            assert route_score(sentence, lex) == oracle_best_cut_score(sentence, lex)
 
     def test_route_score_matches_chosen_route(self):
         lex = build_lexicon({"AB": 3, "A": 2, "B": 1, "C": 5})
-        dag = build_dag("ABC", lex)
-        tokens = max_prob_route("ABC", dag, lex)
+        assert max_prob_route("ABC", lex) == ["AB", "C"]
         log_total = math.log(lex.total)
-        score = 0.0
-        for tok in reversed(tokens):
-            freq = lex.entries.get(tok)
-            score = ((math.log(freq) if freq else 0.0) - log_total) + score
-        assert score == route_score("ABC", dag, lex)
+        assert route_score("ABC", lex) == (math.log(3) - log_total) + ((math.log(5) - log_total) + 0.0)
+        assert route_score("ABC", lex) == oracle_best_cut_score("ABC", lex)
 
     def test_empty_sentence(self):
         lex = build_lexicon({"A": 1})
-        assert max_prob_route("", {}, lex) == []
+        assert max_prob_route("", lex) == []
 
 
 # ----------------------------------------------------------------------

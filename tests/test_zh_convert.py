@@ -34,20 +34,29 @@ class TestFromPairs:
         with pytest.raises(ConversionTableError, match="empty key"):
             table_from(("", "x"), ("頭髮", "头发"))
 
+    @pytest.mark.parametrize("key", ["\n", "頭\n髮", "頭髮\n"])
+    def test_newline_key_rejected(self, key):
+        # an account's tweets are converted as one text joined with "\n",
+        # so a key holding one could map a separator or match across tweets
+        with pytest.raises(ConversionTableError, match="newline"):
+            table_from((key, "x"))
+
 
 class TestWordEnds:
     def test_fallback_then_ascending_word_ends(self):
         words = {"AB", "ABC", "BC"}
-        assert word_ends("ABCA", words, prefix_closure(words)) == [[0, 1, 2], [1, 2], [2], [3]]
+        prefixes = prefix_closure(words)
+        # no fallback end: the caller has the single character itself
+        assert [word_ends("ABCA", i, words, prefixes) for i in range(4)] == [[1, 2], [2], [], []]
 
     def test_scan_stops_at_first_non_prefix(self):
         # "AX" is left out of the prefixes, so the scan from 0 stops there
         # and never reaches the word "AXB"
         words = {"AXB"}
-        assert word_ends("AXB", words, frozenset({"A", "AXB"})) == [[0], [1], [2]]
+        assert word_ends("AXB", 0, words, frozenset({"A", "AXB"})) == []
 
     def test_empty_text(self):
-        assert word_ends("", {"AB"}, prefix_closure({"AB"})) == []
+        assert word_ends("", 0, {"AB"}, prefix_closure({"AB"})) == []
 
     def test_prefix_closure(self):
         assert prefix_closure(["ABC", "B"]) == frozenset({"A", "AB", "ABC", "B"})
