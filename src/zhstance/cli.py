@@ -216,12 +216,19 @@ def _load_pipeline(config: PipelineConfig) -> tuple[Pipeline, Corpus]:
 
 
 def _read_ids(path) -> frozenset[str]:
+    """One account id per line; blank lines and # comments are ignored. A
+    line holding whitespace inside it, or an id given twice, is rejected."""
     ids = set()
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             value = line.strip()
-            if value and not value.startswith("#"):
-                ids.add(value)
+            if not value or value.startswith("#"):
+                continue
+            if len(value.split()) > 1:
+                raise ConfigError(f"{path}: line {lineno}: account id {value!r} contains whitespace")
+            if value in ids:
+                raise ConfigError(f"{path}: line {lineno}: duplicate account id {value!r}")
+            ids.add(value)
     if not ids:
         raise ConfigError(f"no account ids found in {path}")
     return frozenset(ids)

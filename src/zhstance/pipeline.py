@@ -250,7 +250,7 @@ class Pipeline:
             text = to_simplified("\n".join(tweet.text for tweet in account.tweets), res.table)
             intern = self._interned.setdefault
             cached = self._tokens[account] = [
-                intern(t, t) for t in segment(text, res.lexicon, res.hmm, self.config.clean)]
+                intern(t, t) for t in segment(text, res.token_lexicon, res.hmm, self.config.clean)]
         return cached
 
     def top_terms(self, account: AccountRecord) -> frozenset[str]:

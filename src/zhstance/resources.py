@@ -12,7 +12,7 @@ from functools import cached_property
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .segmenter import HmmModel, Lexicon, load_hmm, load_lexicon
+from .segmenter import HmmModel, Lexicon, build_lexicon, load_hmm, load_lexicon
 from .zh_convert import ConversionTable, load_conversion_table, to_simplified
 
 BUNDLED_TABLE = "t2s.tsv"
@@ -47,7 +47,7 @@ def load_stopwords(path) -> frozenset[str]:
 @dataclass(frozen=True)
 class Resources:
     table: ConversionTable
-    lexicon: Lexicon
+    lexicon: Lexicon  # as written in the file
     hmm: HmmModel | None
     stopwords: frozenset[str]  # as written in the file
 
@@ -57,6 +57,18 @@ class Resources:
         that 國家 removes the token 国家. Derived on first use, so that
         loading does not compile the table's phrase pattern."""
         return frozenset(to_simplified(word, self.table) for word in self.stopwords)
+
+    @cached_property
+    def token_lexicon(self) -> Lexicon:
+        """The lexicon as the converted text is: each word converted with
+        the table, so that 國家 matches 国家, and words that convert to the
+        same word add their frequencies. Derived on first use, like
+        token_stopwords."""
+        entries: dict[str, int] = {}
+        for word, freq in self.lexicon.entries.items():
+            word = to_simplified(word, self.table)
+            entries[word] = entries.get(word, 0) + freq
+        return build_lexicon(entries)
 
 
 def load_resources(

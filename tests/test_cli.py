@@ -261,6 +261,22 @@ class TestTestCommand:
                          *RELAXED, "--test-ids", str(ids))
         assert code == 1
 
+    @pytest.mark.parametrize("body, message", [
+        ("b2\n# held out\n\nb2\n", "line 4: duplicate account id 'b2'"),
+        ("b2\nd2 b1\n", "line 2: account id 'd2 b1' contains whitespace"),
+        ("b2\nd2\tb1\n", "line 2: account id 'd2\\tb1' contains whitespace"),
+    ])
+    @pytest.mark.parametrize("command", ["test", "crossval"])
+    def test_malformed_ids_file_exits_1_with_line(self, capsys, tmp_path, body, message, command):
+        ids = tmp_path / "ids.txt"
+        ids.write_text(body, encoding="utf-8")
+        extra = ["--folds", "2"] if command == "crossval" else []
+        code, out, err = run(capsys, command, "--corpus", str(corpus_file(tmp_path)),
+                             *RELAXED, *extra, "--test-ids", str(ids))
+        assert code == 1
+        assert out == ""
+        assert f"error: {ids}: {message}" in err
+
     def test_unknown_id_exits_1(self, capsys, tmp_path):
         ids = tmp_path / "ids.txt"
         ids.write_text("ghost\n", encoding="utf-8")

@@ -13,7 +13,8 @@ from zhstance.pipeline import (
     PipelineConfig,
     PipelineError,
 )
-from zhstance.resources import load_resources
+from zhstance.resources import Resources, load_resources
+from zhstance.segmenter import load_lexicon
 
 WHEN = parse_timestamp("2021-02-01T00:00:00Z")
 
@@ -215,6 +216,13 @@ class TestPredict:
         assert "国家" in plain.top_terms(acct)
         pipe = Pipeline(load_resources(stopwords=str(path)), PipelineConfig(model="baseline1"))
         assert pipe.top_terms(acct) == plain.top_terms(acct) - {"国家"}
+
+    def test_traditional_lexicon_word_segments_converted_text(self, resources, tmp_path):
+        path = tmp_path / "lexicon.txt"
+        path.write_text("國家 100\n", encoding="utf-8")
+        res = Resources(resources.table, load_lexicon(path), None, frozenset())
+        pipe = Pipeline(res, PipelineConfig())
+        assert pipe.account_tokens(account("a", "B", "我們的國家")) == ["我", "们", "的", "国家"]
 
 
 class TestCrossValidate:

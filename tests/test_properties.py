@@ -9,7 +9,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zhstance.classify import Neighbor, TermSetIndex, _vote, baseline1_predict  # noqa: E402
-from zhstance.resources import load_resources  # noqa: E402
+from zhstance.corpus import AccountRecord, Tweet, parse_timestamp  # noqa: E402
+from zhstance.pipeline import Pipeline, PipelineConfig  # noqa: E402
+from zhstance.resources import Resources, load_resources  # noqa: E402
 from zhstance.segmenter import (  # noqa: E402
     ALLOWED_TRANS,
     FINAL_STATES,
@@ -28,6 +30,7 @@ from zhstance.zh_convert import ConversionTable, to_simplified  # noqa: E402
 RESOURCES = load_resources()
 TABLE = RESOURCES.table
 LEX = RESOURCES.lexicon
+WHEN = parse_timestamp("2021-02-01T00:00:00Z")
 
 # Derandomized so that the suite gives the same verdict on every run.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -279,6 +282,54 @@ def test_segment_matches_dag_on_every_run(lex, text, with_hmm):
     # every whitespace chunk of this text is one Han run
     want = [t for run in text.split() for t in dag_everywhere_cut_han(run, lex, hmm)]
     assert segment(text, lex, hmm) == want
+
+
+def per_tweet_tokens(texts, resources, clean):
+    """The earlier account_tokens: each tweet converted and segmented on
+    its own."""
+    tokens = []
+    for text in texts:
+        tokens.extend(segment(to_simplified(text, resources.table), resources.token_lexicon,
+                              resources.hmm, clean))
+    return tokens
+
+
+# Platform clutter and separators, inside and around Han runs.
+_TWEET_PIECES = ["#", "甲#乙", "#丙丁", "@甲乙", "http://t.co/甲", "https://丙", " ", "\t",
+                 "\u3000", "，", "a"]
+
+
+@st.composite
+def han_account(draw):
+    """A small table over Han characters, a lexicon over them, and tweets
+    that open with a phrase key's tail and close with a key's head, so that
+    keys straddle the seams of the joined text; some tweets are empty or
+    whitespace only."""
+    pairs = draw(st.lists(st.tuples(st.text("甲乙丙丁", min_size=1, max_size=3),
+                                    st.text("甲乙丙丁戊", min_size=1, max_size=2)), max_size=6))
+    keys = [key for key, _ in pairs if len(key) > 1] or [""]
+    piece = st.one_of(st.text("甲乙丙丁戊己", min_size=1, max_size=4), st.sampled_from(_TWEET_PIECES))
+    texts = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            texts.append(draw(st.sampled_from(["", " ", "\t\u3000"])))
+            continue
+        head = draw(st.sampled_from(keys))
+        tail = draw(st.sampled_from(keys))
+        texts.append(head[draw(st.integers(0, len(head))):]
+                     + "".join(draw(st.lists(piece, max_size=4)))
+                     + tail[:draw(st.integers(0, len(tail)))])
+    return ConversionTable.from_pairs(pairs), draw(han_lexicon), texts
+
+
+@PROPERTY
+@given(han_account(), st.booleans(), st.booleans())
+def test_account_tokens_match_per_tweet_loop(case, clean, with_hmm):
+    table, lex, texts = case
+    res = Resources(table, lex, RESOURCES.hmm if with_hmm else None, frozenset())
+    account = AccountRecord("a", 0, None, tuple(Tweet(text, WHEN) for text in texts))
+    got = Pipeline(res, PipelineConfig(clean=clean)).account_tokens(account)
+    assert got == per_tweet_tokens(texts, res, clean)
 
 
 def exhaustive_baseline1(query_terms, train, k):

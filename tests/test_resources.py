@@ -65,3 +65,19 @@ def test_stopwords_take_token_form(tmp_path):
     res = load_resources(stopwords=path)
     assert res.stopwords == frozenset({"國家", "的"})
     assert res.token_stopwords == frozenset({"国家", "的"})
+
+
+def test_lexicon_takes_token_form(tmp_path):
+    # text is converted before segmentation, so the lexicon's words are too;
+    # 國家 and 国家 become one word with the summed frequency
+    path = tmp_path / "lexicon.txt"
+    path.write_text("國家 100\n国家 5\n發 3\n", encoding="utf-8")
+    res = load_resources(dictionary=path)
+    assert res.lexicon.entries == {"國家": 100, "国家": 5, "發": 3}
+    assert res.token_lexicon.entries == {"国家": 105, "发": 3}
+    assert res.token_lexicon.total == 108
+
+
+def test_bundled_lexicon_words_are_simplified():
+    res = load_resources()
+    assert res.token_lexicon == res.lexicon
