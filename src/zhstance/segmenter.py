@@ -324,8 +324,8 @@ def _cut_han(run: str, lex: Lexicon, hmm: HmmModel | None) -> TokenStream:
         tokens = max_prob_route(run, lex)
     if hmm is None:
         return tokens
-    # run[start:end] is the stretch of single characters outside the
-    # lexicon since the last other token; the HMM cuts one of 2 or more
+    # run[start:end] is the current stretch of single characters that are
+    # not lexicon entries; the HMM re-cuts a stretch of two or more
     entries = lex.entries
     out: TokenStream = []
     start = end = 0
