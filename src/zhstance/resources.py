@@ -63,11 +63,14 @@ class Resources:
         """The lexicon as the converted text is: each word converted with
         the table, so that 國家 matches 国家, and words that convert to the
         same word add their frequencies. Derived on first use, like
-        token_stopwords."""
+        token_stopwords. When conversion changes no entry, this is the
+        loaded lexicon itself, not a second copy of it."""
         entries: dict[str, int] = {}
         for word, freq in self.lexicon.entries.items():
             word = to_simplified(word, self.table)
             entries[word] = entries.get(word, 0) + freq
+        if entries == self.lexicon.entries:
+            return self.lexicon
         return build_lexicon(entries)
 
 

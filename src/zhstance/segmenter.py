@@ -329,7 +329,7 @@ def _cut_han(run: str, lex: Lexicon, hmm: HmmModel | None) -> TokenStream:
     entries = lex.entries
     out: TokenStream = []
     start = end = 0
-    for tok in tokens:
+    for tok in tokens + [""]:  # the empty last word flushes the last stretch
         if len(tok) == 1 and tok not in entries:
             end += 1
             continue
@@ -339,10 +339,7 @@ def _cut_han(run: str, lex: Lexicon, hmm: HmmModel | None) -> TokenStream:
             out.append(run[start])
         out.append(tok)
         start = end = end + len(tok)
-    if end - start > 1:
-        out.extend(hmm_segment(run[start:end], hmm))
-    elif end > start:
-        out.append(run[start])
+    out.pop()  # the empty last word
     return out
 
 

@@ -5,10 +5,11 @@ Runs `perfbench/run.py` for each workload twice, untraced (--trace 0, the
 end-to-end metrics) and traced (--trace 1, the per-layer metrics), and
 writes their last lines, the report sha256, the measured commit, the
 Python version and the CPU count to BENCH_<n>.json at the repository
-root. Untraced times are reference seconds (perfbench/speed.py); traced
-layer times are measured seconds.
+root. Every run is at seed 1, whose report sha256 values CI checks, for
+the benchmark's 36 seconds (BENCHMARK.json). Untraced times are reference
+seconds (perfbench/speed.py); traced layer times are measured seconds.
 
-Usage: python3 tools/bench_json.py --n 7 [--seed 1] [--seconds 36]
+Usage: python3 tools/bench_json.py --n 7
 
 Exits 1, writing nothing, when a run is not correct, fails operations, or
 the two runs of a workload give different report sha256 values.
@@ -29,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["workloads"]]
 SHA256 = re.compile(r"report sha256 ([0-9a-f]{64})$", re.MULTILINE)
+SEED = 1
+SECONDS = 36
 
 
 def _git(*args: str) -> str:
@@ -36,10 +39,10 @@ def _git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def measure(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
+def measure(workload: str, trace: int) -> tuple[dict, str]:
     """The last line of one run.py call, and the report sha256 it printed."""
-    cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     sha = SHA256.search(proc.stdout)
@@ -56,14 +59,12 @@ def measure(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict,
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True, help="the number in BENCH_<n>.json")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=36.0)
     args = parser.parse_args()
 
     workloads = {}
     for workload in WORKLOADS:
-        untraced, sha = measure(workload, args.seed, args.seconds, 0)
-        traced, traced_sha = measure(workload, args.seed, args.seconds, 1)
+        untraced, sha = measure(workload, 0)
+        traced, traced_sha = measure(workload, 1)
         if traced_sha != sha:
             raise SystemExit(f"{workload}: report sha256 {sha} untraced, {traced_sha} traced")
         workloads[workload] = {
@@ -82,9 +83,9 @@ def main() -> int:
         "source_clean": _git("status", "--porcelain", "--", "src", "perfbench") == "",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "command": "python3 perfbench/run.py --workload W --seed SEED --seconds SECONDS "
+        "seed": SEED,
+        "seconds": SECONDS,
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {SECONDS} "
                    "--trace 0|1",
         "units": "untraced times in reference seconds, traced layer times in measured seconds",
         "workloads": workloads,
