@@ -9,7 +9,6 @@ from .classify import (
     Neighbor,
     Prediction,
     baseline0_predict,
-    baseline1_distance,
     baseline1_predict,
     knn_predict,
     top_k_terms,
@@ -91,7 +90,6 @@ __all__ = [
     "Tweet",
     "add_word",
     "baseline0_predict",
-    "baseline1_distance",
     "baseline1_predict",
     "build_dag",
     "bundled_path",

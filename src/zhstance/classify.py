@@ -152,21 +152,15 @@ class KnnIndex:
         return [Neighbor(ids[i], self.labels[i], sim) for sim, i in scored[:k]]
 
 
-def knn_predict(
-    query: SparseVector,
-    train: KnnIndex | list[KnnExample],
-    k: int = 5,
-    weighting: str = "uniform",
-) -> Prediction:
+def knn_predict(query: SparseVector, index: KnnIndex, k: int = 5,
+                weighting: str = "uniform") -> Prediction:
     """Vote among the k training vectors most cosine-similar to the query.
 
-    `train` is a KnnIndex, or a list of examples to index first. Similarity
-    ties are broken by ascending account_id; vote ties by larger summed
-    similarity, then by the lexicographically smaller label.
+    Similarity ties are broken by ascending account_id; vote ties by
+    larger summed similarity, then by the lexicographically smaller label.
     """
     if weighting not in WEIGHTINGS:
         raise ClassifierError(f"unknown weighting {weighting!r}")
-    index = train if isinstance(train, KnnIndex) else KnnIndex(train)
     return _vote(index.nearest(query, k), weighting)
 
 
@@ -191,11 +185,6 @@ def top_k_terms(tokens: list[str], n: int, stopwords: frozenset[str] = frozenset
     counts = term_counts([t for t in tokens if t not in stopwords])
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(term for term, _ in ranked[:n])
-
-
-def baseline1_distance(a, b) -> int:
-    """Number of terms appearing in exactly one of the two lists."""
-    return len(frozenset(a) ^ frozenset(b))
 
 
 class TermSetIndex:
@@ -243,13 +232,11 @@ class TermSetIndex:
                 for d, i in (divmod(key, n) for key in keys)]
 
 
-def baseline1_predict(query_terms, train: TermSetIndex | list[SetExample], k: int = 5) -> Prediction:
+def baseline1_predict(query_terms, index: TermSetIndex, k: int = 5) -> Prediction:
     """Uniform vote among the k training accounts whose top-term lists are
     closest by symmetric difference (ties by ascending account_id).
 
-    `train` is a TermSetIndex, or a list of examples to index first. A
-    distance d is recorded as similarity 1/(1 + d) so the shared vote
+    A distance d is recorded as similarity 1/(1 + d) so the shared vote
     tie-break still favors the closer neighbors.
     """
-    index = train if isinstance(train, TermSetIndex) else TermSetIndex(train)
     return _vote(index.nearest(query_terms, k), "uniform")

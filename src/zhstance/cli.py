@@ -31,8 +31,17 @@ from .corpus import (
     load_corpus,
     split_corpus,
 )
-from .pipeline import MODELS, ConfigError, Pipeline, PipelineConfig, PipelineError
+from .pipeline import (
+    CONFIG_SCHEMA,
+    MODELS,
+    ConfigError,
+    Pipeline,
+    PipelineConfig,
+    PipelineError,
+    echo_shape,
+)
 from .report import (
+    ReportError,
     crossval_report,
     dumps_report,
     format_crossval_payload,
@@ -43,7 +52,8 @@ from .report import (
 )
 from .resources import BUNDLED_TABLE, bundled_path, load_resources
 from .segmenter import load_hmm, load_lexicon, segment
-from .vectorize import TF_MODES, fit_vectorizer
+from .textfile import read_json, read_lines
+from .vectorize import TF_MODES
 from .zh_convert import load_conversion_table, to_simplified
 
 SUPPRESS = argparse.SUPPRESS
@@ -58,42 +68,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resource_flags(parser):
-    parser.add_argument("--dict", default=SUPPRESS, metavar="PATH",
-                        help="segmentation lexicon (bundled default)")
-    parser.add_argument("--hmm", default=SUPPRESS, metavar="PATH",
-                        help="HMM parameter JSON (bundled default)")
-    parser.add_argument("--convert-table", default=SUPPRESS, metavar="PATH",
-                        help="traditional-to-simplified table (bundled default)")
-    parser.add_argument("--stopwords", default=SUPPRESS, metavar="PATH",
-                        help="optional stopword list for top-term sets")
-
-
-def _filter_flags(parser):
-    parser.add_argument("--min-followers", type=int, default=SUPPRESS, metavar="N",
-                        help="minimum follower count (default 10000)")
-    parser.add_argument("--min-tweets", type=int, default=SUPPRESS, metavar="N",
-                        help="minimum in-window tweet count (default 10)")
-    parser.add_argument("--window-start", default=SUPPRESS, metavar="DATE",
-                        help="first collection date, ISO format (default 2021-01-01)")
-    parser.add_argument("--window-end", default=SUPPRESS, metavar="DATE",
-                        help="last collection date, ISO format (default 2021-04-15)")
-
-
-def _model_flags(parser):
-    parser.add_argument("--model", choices=MODELS, default=SUPPRESS,
-                        help="predictor (default knn)")
-    parser.add_argument("--k", type=int, default=SUPPRESS,
-                        help="neighbor count (default 5)")
-    parser.add_argument("--weighting", choices=WEIGHTINGS, default=SUPPRESS,
-                        help="k-NN vote weighting (default uniform)")
-    parser.add_argument("--top-n", type=int, default=SUPPRESS, metavar="N",
-                        help="term-list size for baseline1 (default 25)")
-    parser.add_argument("--tf", choices=TF_MODES, default=SUPPRESS,
-                        help="term-frequency variant (default raw)")
-
-
-def _run_flags(parser):
+def _pipeline_flags(parser):
+    """The flags of the commands that run the pipeline."""
     parser.add_argument("--corpus", default=SUPPRESS, metavar="PATH",
                         help="JSONL corpus file")
     parser.add_argument("--config", default=SUPPRESS, metavar="PATH",
@@ -104,6 +80,32 @@ def _run_flags(parser):
                         help="write JSON here instead of stdout")
     parser.add_argument("--no-clean", action="store_true", default=SUPPRESS,
                         help="keep URLs, mentions, and # characters")
+    parser.add_argument("--dict", default=SUPPRESS, metavar="PATH",
+                        help="segmentation lexicon (bundled default)")
+    parser.add_argument("--hmm", default=SUPPRESS, metavar="PATH",
+                        help="HMM parameter JSON (bundled default)")
+    parser.add_argument("--convert-table", default=SUPPRESS, metavar="PATH",
+                        help="traditional-to-simplified table (bundled default)")
+    parser.add_argument("--stopwords", default=SUPPRESS, metavar="PATH",
+                        help="optional stopword list for top-term sets")
+    parser.add_argument("--min-followers", type=int, default=SUPPRESS, metavar="N",
+                        help="minimum follower count (default 10000)")
+    parser.add_argument("--min-tweets", type=int, default=SUPPRESS, metavar="N",
+                        help="minimum in-window tweet count (default 10)")
+    parser.add_argument("--window-start", default=SUPPRESS, metavar="DATE",
+                        help="first collection date, ISO format (default 2021-01-01)")
+    parser.add_argument("--window-end", default=SUPPRESS, metavar="DATE",
+                        help="last collection date, ISO format (default 2021-04-15)")
+    parser.add_argument("--model", choices=MODELS, default=SUPPRESS,
+                        help="predictor (default knn)")
+    parser.add_argument("--k", type=int, default=SUPPRESS,
+                        help="neighbor count (default 5)")
+    parser.add_argument("--weighting", choices=WEIGHTINGS, default=SUPPRESS,
+                        help="k-NN vote weighting (default uniform)")
+    parser.add_argument("--top-n", type=int, default=SUPPRESS, metavar="N",
+                        help="term-list size for baseline1 (default 25)")
+    parser.add_argument("--tf", choices=TF_MODES, default=SUPPRESS,
+                        help="term-frequency variant (default raw)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,20 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_segment)
 
     p = sub.add_parser("vectorize", help="dump per-account TF-IDF weights")
-    for add in (_run_flags, _resource_flags, _filter_flags, _model_flags):
-        add(p)
+    _pipeline_flags(p)
     p.set_defaults(handler=cmd_vectorize)
 
     p = sub.add_parser("classify", help="classify query accounts")
-    for add in (_run_flags, _resource_flags, _filter_flags, _model_flags):
-        add(p)
+    _pipeline_flags(p)
     p.add_argument("--queries", required=True, metavar="PATH",
                    help="JSONL corpus of accounts to classify")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("crossval", help="k-fold cross-validation")
-    for add in (_run_flags, _resource_flags, _filter_flags, _model_flags):
-        add(p)
+    _pipeline_flags(p)
     p.add_argument("--folds", type=int, default=SUPPRESS,
                    help="number of folds (default 5)")
     p.add_argument("--test-ids", default=SUPPRESS, metavar="PATH",
@@ -143,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_crossval)
 
     p = sub.add_parser("test", help="evaluate a held-out test set")
-    for add in (_run_flags, _resource_flags, _filter_flags, _model_flags):
-        add(p)
+    _pipeline_flags(p)
     p.add_argument("--test-ids", required=True, metavar="PATH",
                    help="test account ids, one per line")
     p.set_defaults(handler=cmd_test)
@@ -156,53 +154,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the argparse destinations not named after their config field
+_FLAG_FIELDS = {"dict": "dictionary", "convert_table": "table"}
+
+
 def _flag_overrides(args) -> dict:
-    overrides: dict = {}
-    paths = {
-        key: getattr(args, attr)
-        for attr, key in (("corpus", "corpus"), ("dict", "dictionary"), ("hmm", "hmm"),
-                          ("convert_table", "table"), ("stopwords", "stopwords"))
-        if hasattr(args, attr)
-    }
-    if paths:
-        overrides["paths"] = paths
-    filters = {}
-    for attr in ("min_followers", "min_tweets"):
-        if hasattr(args, attr):
-            filters[attr] = getattr(args, attr)
-    window = {}
-    if hasattr(args, "window_start"):
-        window["start"] = args.window_start
-    if hasattr(args, "window_end"):
-        window["end"] = args.window_end
+    values = {_FLAG_FIELDS.get(dest, dest): value for dest, value in vars(args).items()
+              if _FLAG_FIELDS.get(dest, dest) in CONFIG_SCHEMA}
+    window = {key: getattr(args, f"window_{key}") for key in ("start", "end")
+              if hasattr(args, f"window_{key}")}
     if window:
-        filters["window"] = window
-    if filters:
-        overrides["filters"] = filters
-    model = {}
-    if hasattr(args, "model"):
-        model["kind"] = args.model
-    for attr in ("k", "weighting", "top_n", "tf"):
-        if hasattr(args, attr):
-            model[attr] = getattr(args, attr)
-    if model:
-        overrides["model"] = model
-    for attr in ("folds", "seed"):
-        if hasattr(args, attr):
-            overrides[attr] = getattr(args, attr)
+        values["window"] = window
     if getattr(args, "no_clean", False):
-        overrides["clean"] = False
-    return overrides
+        values["clean"] = False
+    return echo_shape(values)
 
 
 def _resolve_config(args) -> PipelineConfig:
     config = PipelineConfig()
     if hasattr(args, "config"):
-        with open(args.config, encoding="utf-8") as f:
-            data = json.load(f)
-        if not isinstance(data, dict):
-            raise ConfigError("config file must contain a JSON object")
-        config = config.merged(data)
+        config = config.merged(read_json(args.config, ConfigError))
     return config.merged(_flag_overrides(args))
 
 
@@ -219,16 +190,15 @@ def _read_ids(path) -> frozenset[str]:
     """One account id per line; blank lines and # comments are ignored. A
     line holding whitespace inside it, or an id given twice, is rejected."""
     ids = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            value = line.strip()
-            if not value or value.startswith("#"):
-                continue
-            if len(value.split()) > 1:
-                raise ConfigError(f"{path}: line {lineno}: account id {value!r} contains whitespace")
-            if value in ids:
-                raise ConfigError(f"{path}: line {lineno}: duplicate account id {value!r}")
-            ids.add(value)
+    for lineno, line in read_lines(path, ConfigError):
+        value = line.strip()
+        if not value or value.startswith("#"):
+            continue
+        if len(value.split()) > 1:
+            raise ConfigError(f"{path}: line {lineno}: account id {value!r} contains whitespace")
+        if value in ids:
+            raise ConfigError(f"{path}: line {lineno}: duplicate account id {value!r}")
+        ids.add(value)
     if not ids:
         raise ConfigError(f"no account ids found in {path}")
     return frozenset(ids)
@@ -264,12 +234,10 @@ def cmd_segment(args) -> int:
 def cmd_vectorize(args) -> int:
     config = _resolve_config(args)
     pipe, corpus = _load_pipeline(config)
-    docs = {a.account_id: pipe.account_tokens(a) for a in corpus.accounts}
-    vectorizer = fit_vectorizer(list(docs.values()), tf_mode=config.tf)
+    _, vectors = pipe.fit_transform(corpus)
     lines = [
-        json.dumps({"account_id": account_id, "weights": vectorizer.transform(docs[account_id]).weights},
-                   ensure_ascii=False, sort_keys=True)
-        for account_id in sorted(docs)
+        json.dumps({"account_id": a.account_id, "weights": v.weights}, ensure_ascii=False, sort_keys=True)
+        for a, v in sorted(zip(corpus.accounts, vectors), key=lambda av: av[0].account_id)
     ]
     _emit(args, "\n".join(lines) + "\n", None)
     return 0
@@ -313,9 +281,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.path, encoding="utf-8") as f:
-        payload = json.load(f)
-    print(format_payload(payload))
+    print(format_payload(read_json(args.path, ReportError)))
     return 0
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 
 from .rng import shuffled
+from .textfile import read_lines
 
 
 class CorpusError(ValueError):
@@ -47,12 +48,6 @@ class Corpus:
     @property
     def account_ids(self) -> list[str]:
         return [a.account_id for a in self.accounts]
-
-    def by_id(self, account_id: str) -> AccountRecord:
-        for a in self.accounts:
-            if a.account_id == account_id:
-                return a
-        raise KeyError(account_id)
 
 
 @dataclass(frozen=True)
@@ -136,26 +131,25 @@ def load_corpus(path) -> Corpus:
     declared: tuple[str, ...] | None = None
     accounts: list[AccountRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
-            if lineno == 1 and isinstance(obj, dict) and "label_set" in obj and "account_id" not in obj:
-                labels = obj["label_set"]
-                if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
-                        or len(set(labels)) != len(labels)):
-                    raise CorpusError(f"{path}: line 1: label_set must be a list of distinct strings")
-                declared = tuple(labels)
-                continue
-            record = _parse_account(obj, f"{path}: line {lineno}", declared)
-            if record.account_id in seen:
-                raise CorpusError(f"{path}: line {lineno}: duplicate account_id {record.account_id!r}")
-            seen.add(record.account_id)
-            accounts.append(record)
+    for lineno, line in read_lines(path, CorpusError):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
+        if lineno == 1 and isinstance(obj, dict) and "label_set" in obj and "account_id" not in obj:
+            labels = obj["label_set"]
+            if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+                    or len(set(labels)) != len(labels)):
+                raise CorpusError(f"{path}: line 1: label_set must be a list of distinct strings")
+            declared = tuple(labels)
+            continue
+        record = _parse_account(obj, f"{path}: line {lineno}", declared)
+        if record.account_id in seen:
+            raise CorpusError(f"{path}: line {lineno}: duplicate account_id {record.account_id!r}")
+        seen.add(record.account_id)
+        accounts.append(record)
     if declared is not None:
         label_set = declared
     else:
@@ -198,25 +192,22 @@ def split_corpus(c: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
 def kfold_splits(c: Corpus, k: int, seed: int) -> list[tuple[Corpus, Corpus]]:
     """Deterministic k-fold split: k (train, validation) pairs.
 
-    Account ids are sorted, shuffled with the seeded SplitMix64 generator,
-    and dealt round-robin into k folds. When every account is labeled the
-    deal runs label group by label group (continuing the round-robin
-    counter across groups), which stratifies folds by label while keeping
-    overall fold sizes within one of each other.
+    Every account must be labeled. Account ids are sorted, shuffled with
+    the seeded SplitMix64 generator, and dealt round-robin into k folds,
+    label group by label group (continuing the round-robin counter across
+    groups), which stratifies folds by label while keeping overall fold
+    sizes within one of each other.
     """
     if k < 2:
         raise CorpusError(f"folds must be >= 2, got {k}")
     if k > len(c):
         raise CorpusError(f"cannot make {k} folds from {len(c)} accounts")
-
     labels = {a.account_id: a.label for a in c.accounts}
+    if None in labels.values():
+        raise CorpusError("cannot stratify folds over unlabeled accounts")
     all_ids = sorted(labels)
-    if all(v is not None for v in labels.values()):
-        order = list(c.label_set) + sorted({v for v in labels.values()} - set(c.label_set))
-        groups = [[i for i in all_ids if labels[i] == lab] for lab in order]
-        groups = [g for g in groups if g]
-    else:
-        groups = [all_ids]
+    order = list(c.label_set) + sorted(set(labels.values()) - set(c.label_set))
+    groups = [[i for i in all_ids if labels[i] == lab] for lab in order]
 
     fold_ids: list[set[str]] = [set() for _ in range(k)]
     counter = 0

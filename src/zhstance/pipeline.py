@@ -27,14 +27,35 @@ from .corpus import AccountRecord, Corpus, DateWindow, kfold_splits
 from .evaluate import ConfusionMatrix, MetricReport, confusion_matrix, mean_std, metric_report
 from .resources import Resources
 from .segmenter import segment
-from .vectorize import TF_MODES, fit_vectorizer
+from .vectorize import TF_MODES, SparseVector, TfidfVectorizer, fit_vectorizer
 from .zh_convert import to_simplified
 
 MODELS = ("knn", "baseline0", "baseline1")
 
 DEFAULT_WINDOW = DateWindow(date(2021, 1, 1), date(2021, 4, 15))
 
-_PATH_KEYS = ("corpus", "dictionary", "hmm", "table", "stopwords")
+# Each config field and its place in the config echo, which is also the
+# shape of a config file; the window's value there is {"start", "end"}.
+CONFIG_SCHEMA = {
+    "corpus": ("paths", "corpus"),
+    "dictionary": ("paths", "dictionary"),
+    "hmm": ("paths", "hmm"),
+    "table": ("paths", "table"),
+    "stopwords": ("paths", "stopwords"),
+    "min_followers": ("filters", "min_followers"),
+    "min_tweets": ("filters", "min_tweets"),
+    "window": ("filters", "window"),
+    "clean": ("clean",),
+    "model": ("model", "kind"),
+    "k": ("model", "k"),
+    "weighting": ("model", "weighting"),
+    "top_n": ("model", "top_n"),
+    "tf": ("model", "tf"),
+    "folds": ("folds",),
+    "seed": ("seed",),
+}
+_FIELD_AT = {place: name for name, place in CONFIG_SCHEMA.items()}
+_SECTIONS = {place[:-1] for place in _FIELD_AT if len(place) > 1}
 
 
 class ConfigError(ValueError):
@@ -71,9 +92,9 @@ class PipelineConfig:
             raise ConfigError(f"unknown weighting {self.weighting!r} (choose from {WEIGHTINGS})")
         if self.tf not in TF_MODES:
             raise ConfigError(f"unknown tf variant {self.tf!r} (choose from {TF_MODES})")
-        for name in _PATH_KEYS:
+        for name, (section, *_) in CONFIG_SCHEMA.items():
             value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
+            if section == "paths" and value is not None and not isinstance(value, str):
                 raise ConfigError(f"path {name} must be a string or null, got {value!r}")
         for name in ("min_followers", "min_tweets", "k", "top_n", "folds", "seed"):
             value = getattr(self, name)
@@ -93,90 +114,61 @@ class PipelineConfig:
     def to_echo(self) -> dict:
         """The config as the nested JSON shape embedded in every report;
         the same shape is accepted back as a config file."""
-        return {
-            "paths": {
-                "corpus": self.corpus,
-                "dictionary": self.dictionary,
-                "hmm": self.hmm,
-                "table": self.table,
-                "stopwords": self.stopwords,
-            },
-            "filters": {
-                "min_followers": self.min_followers,
-                "min_tweets": self.min_tweets,
-                "window": {
-                    "start": self.window.start.isoformat(),
-                    "end": self.window.end.isoformat(),
-                },
-            },
-            "clean": self.clean,
-            "model": {
-                "kind": self.model,
-                "k": self.k,
-                "weighting": self.weighting,
-                "top_n": self.top_n,
-                "tf": self.tf,
-            },
-            "folds": self.folds,
-            "seed": self.seed,
-        }
+        values = {name: getattr(self, name) for name in CONFIG_SCHEMA}
+        values["window"] = {"start": self.window.start.isoformat(),
+                            "end": self.window.end.isoformat()}
+        return echo_shape(values)
 
     def merged(self, overrides: dict) -> "PipelineConfig":
         """A new config with the echo-shaped overrides applied; unknown
         keys are rejected rather than ignored."""
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        for section, value in overrides.items():
-            if section == "paths":
-                for key, path in _items(section, value):
-                    if key not in _PATH_KEYS:
-                        raise ConfigError(f"unknown config key paths.{key}")
-                    fields[key] = path
-            elif section == "filters":
-                for key, v in _items(section, value):
-                    if key == "window":
-                        fields["window"] = _merge_window(fields["window"], v)
-                    elif key in ("min_followers", "min_tweets"):
-                        fields[key] = v
-                    else:
-                        raise ConfigError(f"unknown config key filters.{key}")
-            elif section == "model":
-                for key, v in _items(section, value):
-                    if key == "kind":
-                        fields["model"] = v
-                    elif key in ("k", "weighting", "top_n", "tf"):
-                        fields[key] = v
-                    else:
-                        raise ConfigError(f"unknown config key model.{key}")
-            elif section in ("clean", "folds", "seed"):
-                fields[section] = value
-            else:
-                raise ConfigError(f"unknown config key {section!r}")
+
+        def apply(section: tuple, value):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{'.'.join(('config', *section))} must be a JSON object")
+            for key, v in value.items():
+                place = (*section, key)
+                name = _FIELD_AT.get(place)
+                if name == "window":
+                    fields[name] = _merge_window(fields[name], v)
+                elif name is not None:
+                    fields[name] = v
+                elif place in _SECTIONS:
+                    apply(place, v)
+                else:
+                    raise ConfigError(f"unknown config key {'.'.join(place)}")
+
+        apply((), overrides)
         return PipelineConfig(**fields)
 
 
-def _items(section: str, value) -> list:
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    return list(value.items())
+def echo_shape(values: dict) -> dict:
+    """Config field values, keyed by field name, placed as CONFIG_SCHEMA
+    places them in the config echo."""
+    echo: dict = {}
+    for name, value in values.items():
+        *sections, key = CONFIG_SCHEMA[name]
+        node = echo
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+    return echo
 
 
 def _merge_window(current: DateWindow, value: dict) -> DateWindow:
     if not isinstance(value, dict):
-        raise ConfigError("config key filters.window must be an object")
-    start, end = current.start, current.end
+        raise ConfigError("config.filters.window must be a JSON object")
+    dates = {"start": current.start, "end": current.end}
     for key, raw in value.items():
-        if key not in ("start", "end"):
+        if key not in dates:
             raise ConfigError(f"unknown config key filters.window.{key}")
         try:
-            parsed = date.fromisoformat(raw)
+            dates[key] = date.fromisoformat(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"invalid date {raw!r} for filters.window.{key}") from None
-        if key == "start":
-            start = parsed
-        else:
-            end = parsed
     try:
-        return DateWindow(start, end)
+        return DateWindow(**dates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -261,33 +253,35 @@ class Pipeline:
                 self.account_tokens(account), self.config.top_n, self.resources.token_stopwords))
         return cached
 
+    def fit_transform(self, corpus: Corpus) -> tuple[TfidfVectorizer, list[SparseVector]]:
+        """TF-IDF fitted on the corpus's accounts, and each of their
+        vectors under it, in corpus order."""
+        docs = [self.account_tokens(a) for a in corpus.accounts]
+        vectorizer = fit_vectorizer(docs, tf_mode=self.config.tf)
+        return vectorizer, [vectorizer.transform(doc) for doc in docs]
+
     def predict(self, train: Corpus, queries: Corpus) -> tuple[list[AccountPrediction], frozenset[str]]:
         """Train the configured model on `train` and predict every query
         account, returned sorted by account_id along with the vocabulary
         the model was fitted on."""
         _require_labeled(train, "training")
         cfg = self.config
-        ordered = sorted(queries.accounts, key=lambda a: a.account_id)
         if cfg.model == "baseline0":
             shared = baseline0_predict([a.label for a in train.accounts])
-            return [self._wrap(q, shared) for q in ordered], frozenset()
-        if cfg.model == "baseline1":
-            index = TermSetIndex(
-                (a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
-            out = [self._wrap(q, baseline1_predict(self.top_terms(q), index, cfg.k))
-                   for q in ordered]
-            return out, frozenset(index.term_bits)
-        docs = [self.account_tokens(a) for a in train.accounts]
-        vectorizer = fit_vectorizer(docs, tf_mode=cfg.tf)
-        index = KnnIndex(
-            (a.account_id, a.label, vectorizer.transform(doc))
-            for a, doc in zip(train.accounts, docs)
-        )
-        out = []
-        for q in ordered:
-            query_vec = vectorizer.transform(self.account_tokens(q))
-            out.append(self._wrap(q, knn_predict(query_vec, index, cfg.k, cfg.weighting)))
-        return out, vectorizer.vocabulary
+            score = lambda q: shared
+            vocabulary = frozenset()
+        elif cfg.model == "baseline1":
+            index = TermSetIndex((a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
+            score = lambda q: baseline1_predict(self.top_terms(q), index, cfg.k)
+            vocabulary = frozenset(index.term_bits)
+        else:
+            vectorizer, vectors = self.fit_transform(train)
+            index = KnnIndex((a.account_id, a.label, v) for a, v in zip(train.accounts, vectors))
+            score = lambda q: knn_predict(vectorizer.transform(self.account_tokens(q)),
+                                          index, cfg.k, cfg.weighting)
+            vocabulary = vectorizer.vocabulary
+        return [self._wrap(q, score(q))
+                for q in sorted(queries.accounts, key=lambda a: a.account_id)], vocabulary
 
     @staticmethod
     def _wrap(account: AccountRecord, pred: Prediction) -> AccountPrediction:

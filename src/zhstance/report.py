@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-from .evaluate import MetricReport, round_half_up
+from .evaluate import round_half_up
 from .pipeline import (
     AccountPrediction,
     CrossValResult,
@@ -43,25 +43,22 @@ def prediction_dict(p: AccountPrediction) -> dict:
     }
 
 
-def _metric_dicts(report: MetricReport) -> tuple[dict, dict]:
-    per_label = {
-        label: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-        for label, m in report.per_label.items()
+def _scored_dict(result: FoldResult | TestResult) -> dict:
+    """The confusion, metrics and predictions of a fold or a test run."""
+    return {
+        "confusion": [list(row) for row in result.confusion.counts],
+        "accuracy": result.report.accuracy,
+        "per_label": {
+            label: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
+            for label, m in result.report.per_label.items()
+        },
+        "support": dict(result.report.support),
+        "predictions": [prediction_dict(p) for p in result.predictions],
     }
-    return per_label, dict(report.support)
 
 
 def fold_dict(f: FoldResult) -> dict:
-    per_label, support = _metric_dicts(f.report)
-    return {
-        "fold": f.fold,
-        "validation_ids": list(f.validation_ids),
-        "confusion": [list(row) for row in f.confusion.counts],
-        "accuracy": f.report.accuracy,
-        "per_label": per_label,
-        "support": support,
-        "predictions": [prediction_dict(p) for p in f.predictions],
-    }
+    return {"fold": f.fold, "validation_ids": list(f.validation_ids), **_scored_dict(f)}
 
 
 def crossval_report(result: CrossValResult, config: PipelineConfig) -> dict:
@@ -74,16 +71,7 @@ def crossval_report(result: CrossValResult, config: PipelineConfig) -> dict:
 
 
 def test_report(result: TestResult, config: PipelineConfig) -> dict:
-    per_label, support = _metric_dicts(result.report)
-    return {
-        "config": config.to_echo(),
-        "label_set": list(result.label_set),
-        "confusion": [list(row) for row in result.confusion.counts],
-        "accuracy": result.report.accuracy,
-        "per_label": per_label,
-        "support": support,
-        "predictions": [prediction_dict(p) for p in result.predictions],
-    }
+    return {"config": config.to_echo(), "label_set": list(result.label_set), **_scored_dict(result)}
 
 
 def _get(payload: dict, key: str):

@@ -13,6 +13,7 @@ from importlib import resources as importlib_resources
 from pathlib import Path
 
 from .segmenter import HmmModel, Lexicon, build_lexicon, load_hmm, load_lexicon
+from .textfile import read_lines
 from .zh_convert import ConversionTable, load_conversion_table, to_simplified
 
 BUNDLED_TABLE = "t2s.tsv"
@@ -33,14 +34,13 @@ def load_stopwords(path) -> frozenset[str]:
     line holding whitespace inside it is rejected: segmentation never
     emits a token with whitespace, so such an entry could never match."""
     words = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            if len(word.split()) > 1:
-                raise StopwordError(f"{path}: line {lineno}: stopword {word!r} contains whitespace")
-            words.add(word)
+    for lineno, line in read_lines(path, StopwordError):
+        word = line.strip()
+        if not word or word.startswith("#"):
+            continue
+        if len(word.split()) > 1:
+            raise StopwordError(f"{path}: line {lineno}: stopword {word!r} contains whitespace")
+        words.add(word)
     return frozenset(words)
 
 
@@ -66,8 +66,10 @@ class Resources:
         token_stopwords. When conversion changes no entry, this is the
         loaded lexicon itself, not a second copy of it."""
         entries: dict[str, int] = {}
-        for word, freq in self.lexicon.entries.items():
-            word = to_simplified(word, self.table)
+        # One conversion over all the words: they hold no whitespace, and no
+        # table key or value holds a newline, so the lines stay the words.
+        converted = to_simplified("\n".join(self.lexicon.entries), self.table).split("\n")
+        for word, freq in zip(converted, self.lexicon.entries.values()):
             entries[word] = entries.get(word, 0) + freq
         if entries == self.lexicon.entries:
             return self.lexicon

@@ -9,11 +9,11 @@ with Viterbi, which recovers out-of-vocabulary words.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 
+from .textfile import read_json, read_lines
 from .zh_convert import prefix_closure, word_ends
 
 NEG_INF = float("-inf")
@@ -101,9 +101,12 @@ class HmmModel:
 
 
 def build_lexicon(entries: dict[str, int]) -> Lexicon:
+    """A lexicon of the entries. A word must be non-empty and hold no
+    whitespace: segmentation splits on whitespace first, so such a word
+    could never match."""
     for word, freq in entries.items():
-        if not word:
-            raise LexiconError("empty word")
+        if word.split() != [word]:
+            raise LexiconError(f"word {word!r} is empty or holds whitespace")
         if not isinstance(freq, int) or isinstance(freq, bool) or freq <= 0:
             raise LexiconError(f"word {word!r}: frequency must be a positive integer, got {freq!r}")
     return Lexicon(dict(entries), sum(entries.values()), prefix_closure(entries))
@@ -112,34 +115,27 @@ def build_lexicon(entries: dict[str, int]) -> Lexicon:
 def load_lexicon(path) -> Lexicon:
     """Load a ``word freq [tag]`` lexicon file; the tag column is ignored."""
     entries: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise LexiconError(f"{path}: line {lineno}: expected 'word freq [tag]'")
-            word = parts[0]
-            try:
-                freq = int(parts[1])
-            except ValueError:
-                raise LexiconError(f"{path}: line {lineno}: non-numeric frequency {parts[1]!r}") from None
-            if freq <= 0:
-                raise LexiconError(f"{path}: line {lineno}: non-positive frequency for {word!r}")
-            entries[word] = freq
+    for lineno, line in read_lines(path, LexiconError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise LexiconError(f"{path}: line {lineno}: expected 'word freq [tag]'")
+        word = parts[0]
+        try:
+            freq = int(parts[1])
+        except ValueError:
+            raise LexiconError(f"{path}: line {lineno}: non-numeric frequency {parts[1]!r}") from None
+        if freq <= 0:
+            raise LexiconError(f"{path}: line {lineno}: non-positive frequency for {word!r}")
+        entries[word] = freq
     return build_lexicon(entries)
 
 
 def add_word(lex: Lexicon, word: str, freq: int) -> Lexicon:
     """Return a new lexicon with the word inserted or its frequency replaced."""
-    if not word:
-        raise LexiconError("empty word")
-    if freq <= 0:
-        raise LexiconError(f"word {word!r}: frequency must be positive")
-    entries = dict(lex.entries)
-    entries[word] = freq
-    return build_lexicon(entries)
+    return build_lexicon({**lex.entries, word: freq})
 
 
 def build_dag(sentence: str, lex: Lexicon) -> dict[int, list[int]]:
@@ -192,8 +188,7 @@ def load_hmm(path) -> HmmModel:
     ("floor" is accepted as its older name). Unknown keys, non-numeric and
     non-finite values, and start probabilities on M or E are rejected;
     absent transitions are structural zeros."""
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = read_json(path, HmmModelError)
 
     def fail(msg: str):
         raise HmmModelError(f"{path}: {msg}")

@@ -1,0 +1,34 @@
+"""Reading the package's input files, so that a malformed file always
+ends in its loader's own error, naming the file."""
+
+from __future__ import annotations
+
+import json
+
+
+def read_lines(path, error: type[ValueError]):
+    """(line number, line) for each line of a UTF-8 text file, its line
+    end removed. Lines end at \\n, \\r\\n or \\r, as in text mode. Each line
+    is decoded on its own, so bytes that are not UTF-8 raise `error` with
+    the path and the line number."""
+    lineno = 0
+    with open(path, "rb") as f:
+        for chunk in f:  # a chunk ends at \n; splitlines also ends lines at \r
+            for raw in chunk.splitlines():
+                lineno += 1
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from None
+                yield lineno, line
+
+
+def read_json(path, error: type[ValueError]):
+    """The JSON document in a UTF-8 file; malformed JSON, or bytes that
+    are not UTF-8, raise `error` naming the file."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{path}: {exc}") from None

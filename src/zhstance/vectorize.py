@@ -32,9 +32,6 @@ class SparseVector:
     def __len__(self):
         return len(self.weights)
 
-    def get(self, term: str) -> float:
-        return self.weights.get(term, 0.0)
-
 
 def dot(u: SparseVector, v: SparseVector) -> float:
     """Added left to right over the shorter vector's terms. The loop is
@@ -94,10 +91,6 @@ class TfidfVectorizer:
     def vocabulary(self) -> frozenset[str]:
         return frozenset(self.document_frequency)
 
-    def idf(self, term: str) -> float:
-        """log(corpus_size / document_frequency); 0 for unknown terms."""
-        return self._idf.get(term, 0.0)
-
     def transform(self, tokens: list[str]) -> SparseVector:
         counts = term_counts(tokens)
         total = sum(counts.values())
@@ -120,8 +113,6 @@ def fit_vectorizer(
     log_base: float | None = None,
 ) -> TfidfVectorizer:
     """Collect document frequencies from the training token streams."""
-    if not documents:
-        raise VectorizerError("vectorizer fit on an empty corpus")
     df: dict[str, int] = {}
     for tokens in documents:
         for term in set(tokens):

@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
+from .textfile import read_lines
+
 
 class ConversionTableError(ValueError):
     """Raised for malformed conversion table files."""
@@ -58,9 +60,9 @@ class ConversionTable:
         for key, value in pairs:
             if not key:
                 raise ConversionTableError("empty key")
-            if "\n" in key:
-                # the pipeline converts an account's tweets joined with "\n"
-                raise ConversionTableError(f"key {key!r} holds a newline")
+            if "\n" in key + value:
+                # tweets, and lexicon words, are converted joined with "\n"
+                raise ConversionTableError(f"pair {key!r}: {value!r} holds a newline")
             if len(key) == 1:
                 char_map[key] = value
             else:
@@ -87,18 +89,18 @@ def load_conversion_table(path) -> ConversionTable:
     """Load a tab-separated conversion table; single-character keys go to
     char_map, longer keys to phrase_map."""
     pairs = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise ConversionTableError(f"{path}: line {lineno}: missing tab separator")
-            key, _, value = line.partition("\t")
-            value = value.split(" ")[0].strip()
-            if not key or not value:
-                raise ConversionTableError(f"{path}: line {lineno}: empty mapping side")
-            pairs.append((key, value))
+    for lineno, line in read_lines(path, ConversionTableError):
+        if not line.strip() or line.startswith("#"):
+            continue
+        if "\t" not in line:
+            raise ConversionTableError(f"{path}: line {lineno}: missing tab separator")
+        key, _, value = line.partition("\t")
+        value = value.split(" ")[0].strip()
+        if not key or not value:
+            raise ConversionTableError(f"{path}: line {lineno}: empty mapping side")
+        if len(value.split()) > 1:
+            raise ConversionTableError(f"{path}: line {lineno}: value {value!r} holds whitespace")
+        pairs.append((key, value))
     return ConversionTable.from_pairs(pairs)
 
 

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from zhstance.classify import knn_predict, vote_weight
+from zhstance.classify import KnnIndex, knn_predict, vote_weight
 from zhstance.cli import main
 from zhstance.corpus import (
     AccountRecord,
@@ -298,7 +298,7 @@ def test_criterion_5_knn_oracle():
     rng = random.Random(55)
     for _ in range(150):
         query, train, k, weighting = random_knn_instance(rng)
-        pred = knn_predict(query, train, k, weighting)
+        pred = knn_predict(query, KnnIndex(train), k, weighting)
         want_label, want_ids, want_votes = oracle_knn(query, train, k, weighting)
         assert pred.label == want_label
         assert [n.account_id for n in pred.neighbors] == want_ids
@@ -309,7 +309,7 @@ def test_criterion_5_knn_oracle():
         # training order must not matter
         shuffled_train = train[:]
         rng.shuffle(shuffled_train)
-        again = knn_predict(query, shuffled_train, k, weighting)
+        again = knn_predict(query, KnnIndex(shuffled_train), k, weighting)
         assert again.label == pred.label
         assert again.neighbors == pred.neighbors
         assert again.votes == pred.votes

@@ -15,8 +15,8 @@ from zhstance.classify import (
     KnnIndex,
     Neighbor,
     Prediction,
+    TermSetIndex,
     baseline0_predict,
-    baseline1_distance,
     baseline1_predict,
     knn_predict,
     top_k_terms,
@@ -84,7 +84,7 @@ class TestKnnPredict:
     ]
 
     def test_basic(self):
-        p = knn_predict(vec(a=1), self.TRAIN, k=2)
+        p = knn_predict(vec(a=1), KnnIndex(self.TRAIN), k=2)
         assert p.label == "X"
         assert [nb.account_id for nb in p.neighbors] == ["a1", "a2"]
         assert p.neighbors[0].similarity == pytest.approx(1.0)
@@ -92,7 +92,7 @@ class TestKnnPredict:
 
     def test_similarity_tie_broken_by_id(self):
         train = [("z9", "X", vec(a=1)), ("a1", "Y", vec(a=2))]
-        p = knn_predict(vec(a=1), train, k=2)
+        p = knn_predict(vec(a=1), KnnIndex(train), k=2)
         assert [nb.account_id for nb in p.neighbors] == ["a1", "z9"]
 
     def test_vote_tie_prefers_larger_summed_similarity(self):
@@ -100,13 +100,13 @@ class TestKnnPredict:
         # and Y winning shows the similarity tier fires before the
         # lexicographic one
         train = [("a1", "X", vec(a=1)), ("a2", "Y", vec(b=1))]
-        p = knn_predict(vec(a=1, b=2), train, k=2)
+        p = knn_predict(vec(a=1, b=2), KnnIndex(train), k=2)
         assert p.votes == {"X": 1.0, "Y": 1.0}
         assert p.label == "Y"
 
     def test_full_tie_prefers_smaller_label(self):
         train = [("a1", "Y", vec(a=1)), ("a2", "X", vec(b=1))]
-        p = knn_predict(vec(a=1, b=1), train, k=2)
+        p = knn_predict(vec(a=1, b=1), KnnIndex(train), k=2)
         assert p.neighbors[0].similarity == pytest.approx(p.neighbors[1].similarity)
         assert p.label == "X"
 
@@ -117,24 +117,24 @@ class TestKnnPredict:
             ("a3", "Y", vec(c=1, b=9)),
         ]
         q = vec(a=9, b=1)
-        assert knn_predict(q, train, k=3, weighting="uniform").label == "Y"
-        assert knn_predict(q, train, k=3, weighting="inverse").label == "X"
+        assert knn_predict(q, KnnIndex(train), k=3, weighting="uniform").label == "Y"
+        assert knn_predict(q, KnnIndex(train), k=3, weighting="inverse").label == "X"
 
     def test_k_bounds(self):
         with pytest.raises(ClassifierError):
-            knn_predict(vec(a=1), self.TRAIN, k=0)
+            knn_predict(vec(a=1), KnnIndex(self.TRAIN), k=0)
         with pytest.raises(ClassifierError):
-            knn_predict(vec(a=1), self.TRAIN, k=4)
+            knn_predict(vec(a=1), KnnIndex(self.TRAIN), k=4)
 
     def test_unknown_weighting(self):
         with pytest.raises(ClassifierError):
-            knn_predict(vec(a=1), self.TRAIN, k=1, weighting="softmax")
+            knn_predict(vec(a=1), KnnIndex(self.TRAIN), k=1, weighting="softmax")
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(500)
         for _ in range(100):
             q, train, k, weighting = random_knn_instance(rng)
-            p = knn_predict(q, train, k=k, weighting=weighting)
+            p = knn_predict(q, KnnIndex(train), k=k, weighting=weighting)
             label, neighbor_ids, votes = oracle_knn(q, train, k, weighting)
             assert p.label == label
             assert [nb.account_id for nb in p.neighbors] == neighbor_ids
@@ -144,17 +144,17 @@ class TestKnnPredict:
         rng = random.Random(600)
         for _ in range(50):
             q, train, k, _ = random_knn_instance(rng)
-            p = knn_predict(q, train, k=k, weighting="uniform")
+            p = knn_predict(q, KnnIndex(train), k=k, weighting="uniform")
             assert sum(p.votes.values()) == float(k)
 
     def test_invariant_under_training_permutation(self):
         rng = random.Random(700)
         for _ in range(50):
             q, train, k, weighting = random_knn_instance(rng)
-            p1 = knn_predict(q, train, k=k, weighting=weighting)
+            p1 = knn_predict(q, KnnIndex(train), k=k, weighting=weighting)
             shuffled_train = list(train)
             rng.shuffle(shuffled_train)
-            p2 = knn_predict(q, shuffled_train, k=k, weighting=weighting)
+            p2 = knn_predict(q, KnnIndex(shuffled_train), k=k, weighting=weighting)
             assert p1.label == p2.label
             assert p1.neighbors == p2.neighbors
             assert p1.votes == p2.votes
@@ -177,7 +177,7 @@ def assert_exact(query, train, k):
     for weighting in ("uniform", "inverse"):
         label, _, votes = oracle_knn(query, train, k, weighting)
         for order in (train, train[::-1]):
-            p = knn_predict(query, order, k, weighting)
+            p = knn_predict(query, KnnIndex(order), k, weighting)
             assert list(p.neighbors) == want
             assert p.label == label
             assert p.votes == votes
@@ -241,7 +241,7 @@ class TestKnnIndexEdgeCases:
         with pytest.raises(ClassifierError):
             KnnIndex([("a", "X", vec(p=-1))])
         with pytest.raises(ClassifierError):
-            knn_predict(vec(p=-1), [("a", "X", vec(p=1))], k=1)
+            knn_predict(vec(p=-1), KnnIndex([("a", "X", vec(p=1))]), k=1)
 
 
 class TestBaseline0:
@@ -281,27 +281,20 @@ class TestTopKTerms:
 
 
 class TestBaseline1:
-    def test_distance(self):
-        assert baseline1_distance(("a", "b"), ("b", "c")) == 2
-        assert baseline1_distance(("a",), ("a",)) == 0
-        assert baseline1_distance((), ("a", "b")) == 2
-        # duplicate terms collapse before comparison
-        assert baseline1_distance(("a", "a", "b"), ("b",)) == 1
-
     def test_predict_orders_by_distance_then_id(self):
         train = [
             ("a3", "X", frozenset({"p", "q"})),
             ("a1", "Y", frozenset({"p", "q", "r", "s"})),
             ("a2", "X", frozenset({"p", "q"})),
         ]
-        p = baseline1_predict(("p", "q"), train, k=2)
+        p = baseline1_predict(("p", "q"), TermSetIndex(train), k=2)
         assert [nb.account_id for nb in p.neighbors] == ["a2", "a3"]
         assert p.label == "X"
         assert p.neighbors[0].similarity == 1.0  # distance 0
 
     def test_similarity_is_reciprocal_distance(self):
         train = [("a1", "X", frozenset({"p", "q", "r"}))]
-        p = baseline1_predict(("p",), train, k=1)
+        p = baseline1_predict(("p",), TermSetIndex(train), k=1)
         assert p.neighbors[0].similarity == pytest.approx(1.0 / 3.0)
 
     def test_vote_tie_prefers_closer_neighbor(self):
@@ -309,13 +302,13 @@ class TestBaseline1:
             ("a1", "Y", frozenset({"p"})),
             ("a2", "X", frozenset({"p", "q", "r"})),
         ]
-        p = baseline1_predict(("p",), train, k=2)
+        p = baseline1_predict(("p",), TermSetIndex(train), k=2)
         assert p.votes == {"Y": 1.0, "X": 1.0}
         assert p.label == "Y"  # distance 0 beats distance 2
 
     def test_k_bounds(self):
         train = [("a1", "X", frozenset({"p"}))]
         with pytest.raises(ClassifierError):
-            baseline1_predict(("p",), train, k=0)
+            baseline1_predict(("p",), TermSetIndex(train), k=0)
         with pytest.raises(ClassifierError):
-            baseline1_predict(("p",), train, k=2)
+            baseline1_predict(("p",), TermSetIndex(train), k=2)

@@ -399,6 +399,19 @@ class TestReportCommand:
             main(["report", str(report)])
 
 
+@pytest.mark.parametrize("body", [b"{'k': 3}", b'{"k": "\xff"}'])
+@pytest.mark.parametrize("flag", ["--hmm", "--config", "report"])
+def test_malformed_json_file_exits_1_naming_it(capsys, tmp_path, body, flag):
+    path = tmp_path / "in.json"
+    path.write_bytes(body)
+    argv = (["report", str(path)] if flag == "report" else
+            ["crossval", "--corpus", str(corpus_file(tmp_path)), *RELAXED, flag, str(path)])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
 @pytest.mark.parametrize("model", ["knn", "baseline1"])
 def test_crossval_bytes_independent_of_hash_seed(synthetic_corpus_path, model):
     """Criterion 8 reruns within one interpreter; set and dict order under

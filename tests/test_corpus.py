@@ -94,8 +94,8 @@ class TestLoadCorpus:
         c = load_corpus(path)
         assert c.label_set == ("Beijing", "Democracy")
         assert c.account_ids == ["a1", "a2", "a3"]
-        assert c.by_id("a2").tweets[1].text == "two"
-        assert c.by_id("a3").label is None
+        assert c.accounts[1].tweets[1].text == "two"
+        assert c.accounts[2].label is None
         assert len(c) == 3
 
     def test_label_set_inferred_when_missing(self, tmp_path):
@@ -196,7 +196,7 @@ class TestFilterAccounts:
         outside = Tweet("out", parse_timestamp("2021-03-10T00:00:00Z"))
         c = Corpus((), (AccountRecord("a", 20000, None, (inside, outside)),))
         kept = filter_accounts(c, 0, 1, self.WINDOW)
-        assert [t.text for t in kept.by_id("a").tweets] == ["in"]
+        assert [t.text for t in kept.accounts[0].tweets] == ["in"]
 
     def test_label_set_preserved(self):
         c = Corpus(("X", "Y"), ())
@@ -274,11 +274,12 @@ class TestKfoldSplits:
                      for _, v in kfold_splits(c, 2, seed=s)}
         assert len(different) > 2
 
-    def test_unlabeled_accounts_disable_stratification(self):
+    def test_unlabeled_account_rejected(self):
+        # folds are stratified by label, so every account needs one
         c = Corpus(("B",), (make_account("a1", "B"), make_account("a2", None),
                             make_account("a3", "B")))
-        folds = kfold_splits(c, 3, seed=0)
-        assert sorted(i for _, v in folds for i in v.account_ids) == ["a1", "a2", "a3"]
+        with pytest.raises(CorpusError, match="unlabeled"):
+            kfold_splits(c, 3, seed=0)
 
     def test_bad_k_rejected(self):
         c = self.balanced_corpus()

@@ -373,4 +373,4 @@ def test_baseline1_index_matches_exhaustive_sort(train, query):
         # Prediction equality compares label, votes and the neighbours
         # with their similarities, in order
         assert baseline1_predict(query, index, k) == want
-        assert baseline1_predict(query, train, k) == want
+        assert baseline1_predict(query, TermSetIndex(train[::-1]), k) == want

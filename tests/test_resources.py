@@ -13,6 +13,7 @@ from zhstance.resources import (
     load_resources,
     load_stopwords,
 )
+from zhstance.zh_convert import to_simplified
 
 
 def test_bundled_files_exist():
@@ -76,6 +77,21 @@ def test_lexicon_takes_token_form(tmp_path):
     assert res.lexicon.entries == {"國家": 100, "国家": 5, "發": 3}
     assert res.token_lexicon.entries == {"国家": 105, "发": 3}
     assert res.token_lexicon.total == 108
+
+
+def test_lexicon_converts_as_word_by_word(tmp_path):
+    # one conversion over the joined words gives each word's own conversion
+    table = load_resources().table
+    words = sorted({*table.phrase_map, *list(table.char_map)[:500], "頭髮頭", "國", "民主"})
+    path = tmp_path / "lexicon.txt"
+    path.write_text("".join(f"{w} {i + 1}\n" for i, w in enumerate(words)), encoding="utf-8")
+    res = load_resources(dictionary=path)
+    expected: dict[str, int] = {}
+    for word, freq in res.lexicon.entries.items():
+        word = to_simplified(word, table)
+        expected[word] = expected.get(word, 0) + freq
+    assert res.token_lexicon.entries == expected
+    assert len(expected) < len(words)  # some words merged
 
 
 def test_bundled_lexicon_words_are_simplified():

@@ -174,6 +174,10 @@ class TestLexicon:
         {"中": -2},
         {"中": True},
         {"中": 1.5},
+        # segmentation splits on whitespace first, so such a word never matches
+        {"中 国": 1},
+        {"中\n": 1},
+        {"\u3000": 1},
     ])
     def test_invalid_entries_rejected(self, entries):
         with pytest.raises(LexiconError):

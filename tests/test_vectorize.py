@@ -35,8 +35,6 @@ class TestSparseVector:
         v = SparseVector({"a": 3.0, "b": 4.0})
         assert v.norm == 5.0
         assert len(v) == 2
-        assert v.get("a") == 3.0
-        assert v.get("missing") == 0.0
 
     def test_zero_vector(self):
         assert SparseVector({}).norm == 0.0
@@ -114,19 +112,20 @@ class TestFitVectorizer:
 
 
 class TestIdf:
+    # a term seen once has weight 1 * idf under raw tf
     def test_values(self):
         vec = fit_vectorizer([["a"], ["a", "b"], ["c"], ["c"]])
-        assert vec.idf("a") == pytest.approx(math.log(4 / 2), abs=1e-15)
-        assert vec.idf("b") == pytest.approx(math.log(4 / 1), abs=1e-15)
-        assert vec.idf("missing") == 0.0
+        weights = vec.transform(["a", "b", "missing"]).weights
+        assert weights == pytest.approx({"a": math.log(4 / 2), "b": math.log(4 / 1)}, abs=1e-15)
 
     def test_log_base(self):
         vec = fit_vectorizer([["a"], ["b"]], log_base=10.0)
-        assert vec.idf("a") == pytest.approx(math.log10(2), abs=1e-15)
+        assert vec.transform(["a"]).weights["a"] == pytest.approx(math.log10(2), abs=1e-15)
 
     def test_universal_term_has_zero_idf(self):
+        # a zero weight is not stored
         vec = fit_vectorizer([["a", "b"], ["a"]])
-        assert vec.idf("a") == 0.0
+        assert vec.transform(["a", "b"]).weights == {"b": math.log(2)}
 
 
 class TestTransform:

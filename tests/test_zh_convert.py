@@ -41,6 +41,11 @@ class TestFromPairs:
         with pytest.raises(ConversionTableError, match="newline"):
             table_from((key, "x"))
 
+    def test_newline_value_rejected(self):
+        # lexicon words are converted as one text joined with "\n"
+        with pytest.raises(ConversionTableError, match="newline"):
+            table_from(("頭", "头\n"))
+
 
 class TestWordEnds:
     def test_fallback_then_ascending_word_ends(self):
@@ -80,6 +85,14 @@ class TestLoadConversionTable:
         path = tmp_path / "t.tsv"
         path.write_text("發 发\n", encoding="utf-8")
         with pytest.raises(ConversionTableError, match="line 1"):
+            load_conversion_table(path)
+
+    def test_value_with_inner_whitespace_rejected(self, tmp_path):
+        # the text is segmented after conversion, so such a value would cut
+        # a converted lexicon word in two
+        path = tmp_path / "t.tsv"
+        path.write_text("發\t发\t發\n", encoding="utf-8")
+        with pytest.raises(ConversionTableError, match="line 1: value .* holds whitespace"):
             load_conversion_table(path)
 
     def test_empty_side_rejected(self, tmp_path):
