@@ -52,7 +52,7 @@ from .report import (
 )
 from .resources import BUNDLED_TABLE, bundled_path, load_resources
 from .segmenter import load_hmm, load_lexicon, segment
-from .textfile import read_json, read_lines
+from .textfile import read_json, read_words
 from .vectorize import TF_MODES
 from .zh_convert import load_conversion_table, to_simplified
 
@@ -190,12 +190,7 @@ def _read_ids(path) -> frozenset[str]:
     """One account id per line; blank lines and # comments are ignored. A
     line holding whitespace inside it, or an id given twice, is rejected."""
     ids = set()
-    for lineno, line in read_lines(path, ConfigError):
-        value = line.strip()
-        if not value or value.startswith("#"):
-            continue
-        if len(value.split()) > 1:
-            raise ConfigError(f"{path}: line {lineno}: account id {value!r} contains whitespace")
+    for lineno, value in read_words(path, ConfigError, "account id"):
         if value in ids:
             raise ConfigError(f"{path}: line {lineno}: duplicate account id {value!r}")
         ids.add(value)

@@ -13,7 +13,7 @@ from importlib import resources as importlib_resources
 from pathlib import Path
 
 from .segmenter import HmmModel, Lexicon, build_lexicon, load_hmm, load_lexicon
-from .textfile import read_lines
+from .textfile import read_words
 from .zh_convert import ConversionTable, load_conversion_table, to_simplified
 
 BUNDLED_TABLE = "t2s.tsv"
@@ -33,15 +33,7 @@ def load_stopwords(path) -> frozenset[str]:
     """One stopword per line; blank lines and # comments are ignored. A
     line holding whitespace inside it is rejected: segmentation never
     emits a token with whitespace, so such an entry could never match."""
-    words = set()
-    for lineno, line in read_lines(path, StopwordError):
-        word = line.strip()
-        if not word or word.startswith("#"):
-            continue
-        if len(word.split()) > 1:
-            raise StopwordError(f"{path}: line {lineno}: stopword {word!r} contains whitespace")
-        words.add(word)
-    return frozenset(words)
+    return frozenset(word for _, word in read_words(path, StopwordError, "stopword"))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .textfile import read_json, read_lines
 from .zh_convert import prefix_closure, word_ends
@@ -80,9 +81,9 @@ class HmmModel:
 
     The decoder reads the start and emission tables of the four states and
     only the 8 allowed transitions (ALLOWED_TRANS); any other trans_logp key
-    is ignored. Starts, transitions and the per-state emission rows are
-    looked up once, when the model is built, so replacing them afterwards
-    has no effect.
+    is ignored. Starts, transitions and copies of the per-state emission
+    rows are taken once, when the model is built, so changing them
+    afterwards has no effect.
     """
 
     start_logp: dict[str, float]
@@ -92,12 +93,20 @@ class HmmModel:
     # (starts in B M E S order, allowed transitions in _TRANS_ORDER,
     # emission dicts in B M E S order); an absent start or transition is -inf
     _tables: tuple = field(init=False, repr=False, compare=False)
+    # the characters of the four emission rows
+    _emit_chars: frozenset[str] = field(init=False, repr=False, compare=False)
+    # stretch length -> (start, end) of each word of an all-unseen stretch
+    _unseen_cuts: dict[int, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        rows = tuple(dict(self.emit_logp.get(s, {})) for s in STATES)
         object.__setattr__(self, "_tables", (
             tuple(self.start_logp.get(s, NEG_INF) for s in STATES),
             tuple(self.trans_logp.get(t, NEG_INF) for t in _TRANS_ORDER),
-            tuple(self.emit_logp.get(s, {}) for s in STATES)))
+            rows))
+        object.__setattr__(self, "_emit_chars", frozenset().union(*rows))
+        object.__setattr__(self, "_unseen_cuts", {})
 
 
 def build_lexicon(entries: dict[str, int]) -> Lexicon:
@@ -185,9 +194,10 @@ def max_prob_route(sentence: str, lex: Lexicon) -> TokenStream:
 def load_hmm(path) -> HmmModel:
     """Load HMM parameters from a JSON object with start/trans/emit
     log-probability tables and an optional floor_logp for unseen emissions
-    ("floor" is accepted as its older name). Unknown keys, non-numeric and
-    non-finite values, and start probabilities on M or E are rejected;
-    absent transitions are structural zeros."""
+    ("floor" is accepted as its older name). Unknown keys, emission keys
+    that are not one character, non-numeric and non-finite values, and
+    start probabilities on M or E are rejected; absent transitions are
+    structural zeros."""
     raw = read_json(path, HmmModelError)
 
     def fail(msg: str):
@@ -232,8 +242,11 @@ def load_hmm(path) -> HmmModel:
     for state, row in table(raw["emit"], "emit").items():
         if state not in STATES:
             fail(f"unknown emission state {state!r}")
-        emit[state] = {ch: logp(value, f"emit.{state}.{ch}")
-                       for ch, value in table(row, f"emit.{state}").items()}
+        emit[state] = {}
+        for ch, value in table(row, f"emit.{state}").items():
+            if len(ch) != 1:
+                fail(f"emit.{state}: key {ch!r} is not one character")
+            emit[state][ch] = logp(value, f"emit.{state}.{ch}")
     floor = logp(raw.get("floor_logp", raw.get("floor", DEFAULT_FLOOR_LOGP)), "floor_logp")
     return HmmModel(start, trans, emit, floor)
 
@@ -300,14 +313,31 @@ def viterbi(observations: str, hmm: HmmModel) -> list[str]:
 
 
 def hmm_segment(span: str, hmm: HmmModel) -> TokenStream:
-    """Segment a span by Viterbi states: words end at E and S, and the
-    decoder always ends on one of them."""
+    """Segment a span by its Viterbi states: words end at E and S, and the
+    decoder always ends on one of them.
+
+    The decoder reads a character only through the emission rows, so a
+    character in none of them scores floor_logp in every state, and the
+    path of a span made only of such characters depends on the model and
+    the span's length alone. The first such span of each length is
+    decoded and its cuts kept on the model; later ones of that length are
+    sliced at the kept cuts. The memo holds one entry per distinct length,
+    so it is bounded by the longest Han run segmented.
+    """
+    unseen = hmm._emit_chars.isdisjoint(span)
+    if unseen:
+        cuts = hmm._unseen_cuts.get(len(span))
+        if cuts is not None:
+            return [span[i:j] for i, j in cuts]
     tokens = []
     start = 0
     for i, state in enumerate(viterbi(span, hmm)):
         if state in ("E", "S"):
             tokens.append(span[start:i + 1])
             start = i + 1
+    if unseen:
+        ends = list(accumulate(map(len, tokens), initial=0))
+        hmm._unseen_cuts[len(span)] = tuple(zip(ends, ends[1:]))
     return tokens
 
 

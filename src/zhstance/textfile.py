@@ -23,6 +23,20 @@ def read_lines(path, error: type[ValueError]):
                 yield lineno, line
 
 
+def read_words(path, error: type[ValueError], what: str):
+    """(line number, word) for each line of a one-word-per-line file; blank
+    lines and # comments are skipped. A line holding whitespace inside it
+    raises `error` with the path and the line number, naming the word as
+    `what`."""
+    for lineno, line in read_lines(path, error):
+        word = line.strip()
+        if not word or word.startswith("#"):
+            continue
+        if len(word.split()) > 1:
+            raise error(f"{path}: line {lineno}: {what} {word!r} contains whitespace")
+        yield lineno, word
+
+
 def read_json(path, error: type[ValueError]):
     """The JSON document in a UTF-8 file; malformed JSON, or bytes that
     are not UTF-8, raise `error` naming the file."""

@@ -412,6 +412,15 @@ def test_malformed_json_file_exits_1_naming_it(capsys, tmp_path, body, flag):
     assert err.startswith(f"error: {path}: ")
 
 
+def test_hmm_emission_key_of_two_characters_exits_1(capsys, tmp_path):
+    path = tmp_path / "hmm.json"
+    path.write_text('{"start": {}, "trans": {}, "emit": {"B": {"中国": -1.0}}}', encoding="utf-8")
+    code, out, err = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)), *RELAXED,
+                         "--hmm", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: emit.B: key '中国' is not one character")
+
+
 @pytest.mark.parametrize("model", ["knn", "baseline1"])
 def test_crossval_bytes_independent_of_hash_seed(synthetic_corpus_path, model):
     """Criterion 8 reruns within one interpreter; set and dict order under

@@ -206,6 +206,73 @@ def test_viterbi_matches_sixteen_transition_loop(hmm, observations):
     assert viterbi(observations, hmm) == sixteen_transition_viterbi(observations, hmm)
 
 
+def cut_at_final_states(span, hmm):
+    """A span cut by its Viterbi states: a word ends at every E and S."""
+    tokens = []
+    start = 0
+    for i, state in enumerate(viterbi(span, hmm)):
+        if state in FINAL_STATES:
+            tokens.append(span[start:i + 1])
+            start = i + 1
+    return tokens
+
+
+# x, y and z may have emission rows; a, b and c never do, so spans made of
+# them alone take hmm_segment's per-length memo.
+hmm_spans = st.text("xyzabc", min_size=1, max_size=8)
+_MEMO_TRANS = {("B", "E"): -0.5, ("E", "B"): -0.7, ("E", "S"): -0.7,
+               ("S", "B"): -0.7, ("S", "S"): -0.7, ("B", "M"): -1.2, ("M", "E"): -0.4}
+# Built once, so that their memos stay warm from one example to the next.
+MEMO_MODELS = [
+    HmmModel({"B": -0.7, "S": -0.7}, _MEMO_TRANS, {}),
+    HmmModel({"B": -0.7, "S": -0.7}, _MEMO_TRANS, {s: {} for s in STATES}, floor_logp=-2.0),
+    HmmModel({"B": -0.7, "S": -0.7}, _MEMO_TRANS, {"S": {"x": 0.0}, "B": {"y": -0.1}}, -5.0),
+    HmmModel({"B": -1.0, "S": -2.0}, {("S", "S"): -1.0, ("B", "E"): -1.0}, {"E": {"z": -1.0}}),
+]
+
+
+@PROPERTY
+@given(st.sampled_from(MEMO_MODELS), hmm_spans)
+def test_hmm_segment_is_the_viterbi_cut_on_warm_models(hmm, span):
+    assert hmm_segment(span, hmm) == cut_at_final_states(span, hmm)
+
+
+@PROPERTY
+@given(hmm_models, st.lists(hmm_spans, min_size=1, max_size=8))
+def test_hmm_segment_is_the_viterbi_cut_on_generated_models(hmm, spans):
+    # the spans share one model, so the later ones meet the earlier ones' memo
+    for span in spans:
+        assert hmm_segment(span, hmm) == cut_at_final_states(span, hmm)
+
+
+@PROPERTY
+@given(st.dictionaries(st.sampled_from(STATES), _POOL),
+       st.dictionaries(st.sampled_from(_ALLOWED), _POOL),
+       st.dictionaries(st.sampled_from(_ALLOWED), _POOL),
+       st.dictionaries(st.sampled_from(STATES), st.dictionaries(st.sampled_from("xyz"), _POOL)),
+       st.lists(st.text("abc", min_size=1, max_size=8), min_size=1, max_size=6))
+def test_models_differing_in_transitions_keep_their_own_cuts(start, trans1, trans2, emit, spans):
+    first, second = HmmModel(start, trans1, emit), HmmModel(start, trans2, emit)
+    for span in spans:
+        assert hmm_segment(span, first) == cut_at_final_states(span, first)
+        assert hmm_segment(span, second) == cut_at_final_states(span, second)
+
+
+def test_models_differing_in_transitions_cut_one_unseen_span_apart():
+    pairs = HmmModel({"B": 0.0}, {("B", "E"): 0.0, ("E", "B"): 0.0}, {})
+    singles = HmmModel({"B": 0.0}, {("B", "E"): 0.0, ("E", "S"): 0.0, ("S", "S"): 0.0}, {})
+    for _ in range(2):
+        assert hmm_segment("abcd", pairs) == ["ab", "cd"]
+        assert hmm_segment("abcd", singles) == ["ab", "c", "d"]
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(MEMO_MODELS), hmm_models), st.sampled_from("xyzabc"))
+def test_one_character_span_is_one_word(hmm, ch):
+    assert hmm_segment(ch, hmm) == [ch]
+    assert hmm_segment(ch, hmm) == [ch]
+
+
 def per_edge_log_routes(sentence, dag, lex):
     """The earlier route DP over a whole DAG, taking math.log of the
     frequency on every edge."""

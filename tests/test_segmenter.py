@@ -360,6 +360,8 @@ class TestLoadHmm:
         ('{"start": {"B": NaN}, "trans": {}, "emit": {}}', "finite number"),
         ('{"start": {}, "trans": {"B": {"E": -Infinity}}, "emit": {}}', "finite number"),
         ('{"start": {}, "trans": {}, "emit": {"S": {"x": Infinity}}}', "finite number"),
+        ('{"start": {}, "trans": {}, "emit": {"B": {"中国": -1.0}}}', "hmm.json: emit.B: key '中国'"),
+        ('{"start": {}, "trans": {}, "emit": {"S": {"x": -1.0, "": -2.0}}}', "hmm.json: emit.S: key ''"),
         ('{"start": {}, "trans": {}, "emit": {}, "floor_logp": NaN}', "finite number"),
         ('{"start": {"B": -0.7, "M": -0.7}, "trans": {}, "emit": {}}', "forbidden start state M"),
         ('{"start": {"E": -0.7, "S": -0.7}, "trans": {}, "emit": {}}', "forbidden start state E"),
