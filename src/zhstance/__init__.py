@@ -47,7 +47,6 @@ from .rng import SplitMix64, shuffled
 from .segmenter import (
     HmmModel,
     Lexicon,
-    add_word,
     build_dag,
     hmm_segment,
     load_hmm,
@@ -88,7 +87,6 @@ __all__ = [
     "TestResult",
     "TfidfVectorizer",
     "Tweet",
-    "add_word",
     "baseline0_predict",
     "baseline1_predict",
     "build_dag",

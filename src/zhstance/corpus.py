@@ -6,7 +6,7 @@ The corpus file is UTF-8 JSON-lines, one account per line:
      "tweets": [{"text": str, "timestamp": "RFC3339"}]}
 
 An optional first line ``{"label_set": [...]}`` declares the allowed labels;
-account labels outside a declared set are rejected.
+account labels outside a declared set, and keys not shown here, are rejected.
 """
 
 from __future__ import annotations
@@ -87,12 +87,18 @@ def parse_timestamp(raw: str) -> datetime:
     return ts
 
 
+_ACCOUNT_KEYS = frozenset({"account_id", "follower_count", "label", "tweets"})
+_TWEET_KEYS = frozenset({"text", "timestamp"})
+
+
 def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> AccountRecord:
     def fail(msg: str):
         raise CorpusError(f"{where}: {msg}")
 
     if not isinstance(obj, dict):
         fail("account line is not a JSON object")
+    if not _ACCOUNT_KEYS.issuperset(obj):
+        fail(f"unknown key(s) {sorted(obj.keys() - _ACCOUNT_KEYS)}")
     account_id = obj.get("account_id")
     if not isinstance(account_id, str) or not account_id:
         fail("missing or empty account_id")
@@ -111,6 +117,8 @@ def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> A
     for i, t in enumerate(raw_tweets):
         if not isinstance(t, dict):
             fail(f"account {account_id!r}: tweet {i} is not an object")
+        if not _TWEET_KEYS.issuperset(t):
+            fail(f"account {account_id!r}: tweet {i}: unknown key(s) {sorted(t.keys() - _TWEET_KEYS)}")
         text = t.get("text")
         if not isinstance(text, str) or not text.strip():
             fail(f"account {account_id!r}: tweet {i} has empty text")
@@ -125,8 +133,8 @@ def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> A
 def load_corpus(path) -> Corpus:
     """Load and validate a JSONL corpus file.
 
-    Raises CorpusError with the path and line number for malformed lines,
-    duplicate account ids, or labels outside a declared label set.
+    Raises CorpusError with the path and line number for malformed lines
+    and unknown keys, duplicate ids, or labels outside a declared label set.
     """
     declared: tuple[str, ...] | None = None
     accounts: list[AccountRecord] = []
@@ -139,6 +147,8 @@ def load_corpus(path) -> Corpus:
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
         if lineno == 1 and isinstance(obj, dict) and "label_set" in obj and "account_id" not in obj:
+            if len(obj) > 1:
+                raise CorpusError(f"{path}: line 1: unknown key(s) {sorted(obj.keys() - {'label_set'})}")
             labels = obj["label_set"]
             if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
                     or len(set(labels)) != len(labels)):

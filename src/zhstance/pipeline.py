@@ -235,7 +235,7 @@ class Pipeline:
     def account_tokens(self, account: AccountRecord) -> list[str]:
         """The account's tokens, tweet after tweet. The tweets are converted
         and segmented as one text joined with newlines: no conversion key
-        holds one, and segmentation splits on whitespace first."""
+        holds one, and no segmentation piece crosses whitespace."""
         cached = self._tokens.get(account)
         if cached is None:
             res = self.resources

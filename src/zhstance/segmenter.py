@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .textfile import read_json, read_lines
-from .zh_convert import prefix_closure, word_ends
 
 NEG_INF = float("-inf")
 
@@ -36,7 +35,11 @@ DEFAULT_FLOOR_LOGP = math.log(1e-12)
 
 # Han ideographs: CJK Unified Ideographs and Extension A, the compatibility
 # ideographs, and Extensions B-H with their supplement (planes 2 and 3).
-_HAN_RUN = re.compile("[\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff\U00020000-\U000323af]+")
+_HAN = "\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff\U00020000-\U000323af"
+# a Han run (group 1), or a run of other characters that are not whitespace
+_PIECE = re.compile(f"([{_HAN}]+)|[^\\s{_HAN}]+")
+# a URL or @-mention chunk: whitespace or the text's start comes before it
+_CLUTTER = re.compile(r"(?<!\S)(?:https?://|@)\S*")
 
 TokenStream = list[str]
 
@@ -51,26 +54,24 @@ class HmmModelError(ValueError):
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Word frequencies, their total and the prefix closure of the words.
-
-    Each word's log-probability ln(freq / total) and the first characters
-    of the multi-character words are derived once, when the lexicon is
-    built; routes do not follow later changes to entries.
-    """
+    """Word frequencies and their total. The private fields are derived
+    once, when the lexicon is built, so routes do not follow later changes
+    to entries. The route dictionary is laid out like jieba's."""
 
     entries: dict[str, int]
     total: int
-    prefix_set: frozenset[str]
-    # (log-probability per word, ln(1/total) for characters outside entries)
-    _logp: tuple[dict[str, float], float] = field(init=False, repr=False, compare=False)
+    # (route dictionary, ln(1/total) for characters outside entries): the
+    # dictionary maps each word to ln(freq / total) and each proper prefix
+    # that is not a word, of two or more characters, to -inf
+    _routes: tuple[dict[str, float], float] = field(init=False, repr=False, compare=False)
     # first characters of the multi-character words
     _word_starts: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         log_total = math.log(self.total) if self.total > 0 else 0.0
-        object.__setattr__(self, "_logp", (
-            {word: math.log(freq) - log_total for word, freq in self.entries.items()},
-            -log_total))
+        routes = {word[:i]: NEG_INF for word in self.entries for i in range(2, len(word))}
+        routes.update((word, math.log(freq) - log_total) for word, freq in self.entries.items())
+        object.__setattr__(self, "_routes", (routes, -log_total))
         object.__setattr__(self, "_word_starts",
                            frozenset(word[0] for word in self.entries if len(word) > 1))
 
@@ -111,14 +112,14 @@ class HmmModel:
 
 def build_lexicon(entries: dict[str, int]) -> Lexicon:
     """A lexicon of the entries. A word must be non-empty and hold no
-    whitespace: segmentation splits on whitespace first, so such a word
-    could never match."""
+    whitespace: segmentation cuts text at whitespace, so such a word could
+    never match."""
     for word, freq in entries.items():
         if word.split() != [word]:
             raise LexiconError(f"word {word!r} is empty or holds whitespace")
         if not isinstance(freq, int) or isinstance(freq, bool) or freq <= 0:
             raise LexiconError(f"word {word!r}: frequency must be a positive integer, got {freq!r}")
-    return Lexicon(dict(entries), sum(entries.values()), prefix_closure(entries))
+    return Lexicon(dict(entries), sum(entries.values()))
 
 
 def load_lexicon(path) -> Lexicon:
@@ -142,20 +143,23 @@ def load_lexicon(path) -> Lexicon:
     return build_lexicon(entries)
 
 
-def add_word(lex: Lexicon, word: str, freq: int) -> Lexicon:
-    """Return a new lexicon with the word inserted or its frequency replaced."""
-    return build_lexicon({**lex.entries, word: freq})
-
-
 def build_dag(sentence: str, lex: Lexicon) -> dict[int, list[int]]:
     """Map each start index i to the sorted end indices j of dictionary words
     sentence[i..j], always including j = i as the single-character fallback.
 
-    Scanning from i stops as soon as the fragment leaves the prefix set.
-    The route scans with the same word_ends and builds no DAG.
+    Scanning from i stops at the first fragment that is absent from the
+    route dictionary. The route scans the same dictionary and builds no DAG.
     """
-    return {i: [i, *word_ends(sentence, i, lex.entries, lex.prefix_set)]
-            for i in range(len(sentence))}
+    dag = {}
+    for i in range(len(sentence)):
+        dag[i] = ends = [i]
+        for j in range(i + 2, len(sentence) + 1):
+            logp = lex._routes[0].get(sentence[i:j])
+            if logp is None:
+                break
+            if logp != NEG_INF:
+                ends.append(j - 1)
+    return dag
 
 
 def max_prob_route(sentence: str, lex: Lexicon) -> TokenStream:
@@ -165,22 +169,25 @@ def max_prob_route(sentence: str, lex: Lexicon) -> TokenStream:
     the max over words sentence[i..j] of logp(word) + score[j+1]; score ties
     go to the longer word. Every character is a word on its own (scored
     ln(1/total) outside the lexicon); only a first character of a
-    multi-character word starts a scan for longer ones.
+    multi-character word starts a scan for longer ones. A prefix that is
+    not a word scores -inf, which never reaches the finite best.
     """
     n = len(sentence)
-    word_logp, oov_logp = lex._logp
-    entries, prefixes, starts = lex.entries, lex.prefix_set, lex._word_starts
+    (routes, oov_logp), starts = lex._routes, lex._word_starts
     score = [0.0] * (n + 1)
     end = list(range(n))  # the last index of the best route's first word from i
     for i in range(n - 1, -1, -1):
         ch = sentence[i]
-        best = word_logp.get(ch, oov_logp) + score[i + 1]
+        best = routes.get(ch, oov_logp) + score[i + 1]
         if ch in starts:
-            for j in word_ends(sentence, i, entries, prefixes):
-                s = word_logp[sentence[i:j + 1]] + score[j + 1]
+            for j in range(i + 2, n + 1):
+                logp = routes.get(sentence[i:j])
+                if logp is None:
+                    break
+                s = logp + score[j]
                 if s >= best:  # ends ascend, so a tie goes to the longer word
                     best = s
-                    end[i] = j
+                    end[i] = j - 1
         score[i] = best
     tokens = []
     i = 0
@@ -368,36 +375,24 @@ def _cut_han(run: str, lex: Lexicon, hmm: HmmModel | None) -> TokenStream:
     return out
 
 
-def _cut_chunk(chunk: str, lex: Lexicon, hmm: HmmModel | None) -> TokenStream:
-    tokens: TokenStream = []
-    pos = 0
-    for m in _HAN_RUN.finditer(chunk):
-        if m.start() > pos:
-            tokens.append(chunk[pos:m.start()])
-        tokens.extend(_cut_han(m.group(), lex, hmm))
-        pos = m.end()
-    if pos < len(chunk):
-        tokens.append(chunk[pos:])
-    return tokens
-
-
 def segment(text: str, lex: Lexicon, hmm: HmmModel | None = None, clean: bool = True) -> TokenStream:
-    """Tokenize mixed text.
+    """Tokenize mixed text in one pass.
 
-    Chinese runs go through the DAG router (plus the HMM fallback when a
-    model is given); other runs are split on whitespace and kept as
-    literal tokens. With clean on (the default), URL and @-mention chunks
-    are dropped and ``#`` is stripped from hashtags before segmentation,
-    since those are platform artifacts rather than lexical evidence.
+    Each Han run goes through the router (plus the HMM fallback when a
+    model is given); each run of other non-whitespace characters is one
+    literal token. With clean on (the default), whitespace-delimited chunks
+    that start with a URL scheme or ``@`` are dropped, then every ``#`` is
+    removed (so ``#http://x`` is kept as ``http://x``); these are platform
+    artifacts, not lexical evidence. ``re``'s ``\\s`` matches exactly the
+    characters that ``str.split()`` splits on.
     """
+    if clean:
+        text = _CLUTTER.sub("", text).replace("#", "")
     tokens: TokenStream = []
-    for chunk in text.split():
-        if clean:
-            if chunk.startswith(("http://", "https://")) or chunk.startswith("@"):
-                continue
-            if "#" in chunk:
-                chunk = chunk.replace("#", "")
-                if not chunk:
-                    continue
-        tokens.extend(_cut_chunk(chunk, lex, hmm))
+    for m in _PIECE.finditer(text):
+        run = m.group(1)
+        if run is None:
+            tokens.append(m.group())
+        else:
+            tokens.extend(_cut_han(run, lex, hmm))
     return tokens

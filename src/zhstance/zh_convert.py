@@ -9,8 +9,7 @@ author, not this engine.
 Conversion runs at C speed: one compiled alternation of the phrase keys,
 longest first, finds the phrases, and ``str.translate`` maps the stretches
 between them character by character. Both are built once per table, on
-its first conversion. ``word_ends`` and ``prefix_closure`` are the
-prefix-dictionary scan the segmenter's route and DAG share.
+its first conversion.
 """
 
 from __future__ import annotations
@@ -24,28 +23,6 @@ from .textfile import read_lines
 
 class ConversionTableError(ValueError):
     """Raised for malformed conversion table files."""
-
-
-def prefix_closure(words) -> frozenset[str]:
-    """Every non-empty prefix of every word, the words included."""
-    return frozenset(w[:i] for w in words for i in range(1, len(w) + 1))
-
-
-def word_ends(text: str, start: int, words, prefixes) -> list[int]:
-    """The ascending inclusive ends j > start where text[start:j+1] is in
-    words.
-
-    prefixes must hold every prefix of every word (see prefix_closure);
-    the scan stops at the first fragment that is not in it.
-    """
-    ends = []
-    for j in range(start + 2, len(text) + 1):
-        frag = text[start:j]
-        if frag not in prefixes:
-            break
-        if frag in words:
-            ends.append(j - 1)
-    return ends
 
 
 @dataclass(frozen=True)

@@ -421,6 +421,16 @@ def test_hmm_emission_key_of_two_characters_exits_1(capsys, tmp_path):
     assert err.startswith(f"error: {path}: emit.B: key '中国' is not one character")
 
 
+def test_unknown_corpus_key_exits_1(capsys, tmp_path):
+    path = corpus_file(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"label"', '"lable"')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "crossval", "--corpus", str(path), *RELAXED)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: line 3: unknown key(s) ['lable']")
+
+
 @pytest.mark.parametrize("model", ["knn", "baseline1"])
 def test_crossval_bytes_independent_of_hash_seed(synthetic_corpus_path, model):
     """Criterion 8 reruns within one interpreter; set and dict order under

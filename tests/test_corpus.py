@@ -154,6 +154,22 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 1"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("lines, key", [
+        # a misspelt label would otherwise load as an unlabeled account
+        ([{"label_set": ["Beijing"]}, {**account_line("a1", None), "lable": "Beijing"}], "lable"),
+        ([{**account_line("a1", None), "tweets": [
+            {"text": "x", "timestamp": "2021-01-01T00:00:00Z", "retweets": 3}]}], "retweets"),
+        ([{"label_set": ["Beijing"], "labels": ["Democracy"]}], "labels"),
+        ([account_line("a1", None), {"label_set": ["Beijing"]}], "label_set"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, lines, key):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, lines)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert str(info.value).startswith(f"{path}: line {len(lines)}: ")
+        assert str(info.value).endswith(f"unknown key(s) [{key!r}]")
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "absent.jsonl")

@@ -2,6 +2,8 @@
 baseline (Hypothesis)."""
 
 import math
+import re
+import sys
 
 import pytest
 
@@ -123,6 +125,17 @@ def test_to_simplified_matches_width_loop_on_small_tables(table, text):
 @given(char_only_table, small_text)
 def test_to_simplified_matches_width_loop_without_phrase_keys(table, text):
     assert to_simplified(text, table) == width_loop_to_simplified(text, table)
+
+
+# Every whitespace character and the pieces that cleaning acts on, so that
+# "#" lands before URLs and mentions and "@" inside chunks.
+_WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+_CLUTTER = ["#", "@", "@x", "http://", "https://t.co/甲", "http:/", "https", "a@b", "中国#"]
+clutter_text = st.lists(st.one_of(
+    mixed_text,
+    st.sampled_from(_WHITESPACE),
+    st.sampled_from(_CLUTTER),
+), max_size=12).map("".join)
 
 
 @PROPERTY
@@ -273,6 +286,14 @@ def test_one_character_span_is_one_word(hmm, ch):
     assert hmm_segment(ch, hmm) == [ch]
 
 
+def brute_force_dag(sentence, entries):
+    """Each start i mapped to i and every j with sentence[i..j] in the
+    entries, trying every span."""
+    n = len(sentence)
+    return {i: [i] + [j for j in range(i + 1, n) if sentence[i:j + 1] in entries]
+            for i in range(n)}
+
+
 def per_edge_log_routes(sentence, dag, lex):
     """The earlier route DP over a whole DAG, taking math.log of the
     frequency on every edge."""
@@ -304,15 +325,22 @@ small_lexicon = st.dictionaries(st.text("abc", min_size=1, max_size=3),
 
 
 @PROPERTY
+@given(small_lexicon, st.text("abcd", max_size=10))
+def test_dag_matches_brute_force(lex, sentence):
+    assert build_dag(sentence, lex) == brute_force_dag(sentence, lex.entries)
+
+
+@PROPERTY
 @given(small_lexicon, st.text("abcd", min_size=1, max_size=10))
 def test_route_matches_per_edge_log_dp(lex, sentence):
-    assert max_prob_route(sentence, lex) == per_edge_log_routes(sentence, build_dag(sentence, lex), lex)
+    want = per_edge_log_routes(sentence, brute_force_dag(sentence, lex.entries), lex)
+    assert max_prob_route(sentence, lex) == want
 
 
 def dag_everywhere_cut_han(run, lex, hmm):
     """The earlier Han-run cut: the DAG and the route on every run, then
     leftover single characters outside the lexicon to the HMM."""
-    tokens = per_edge_log_routes(run, build_dag(run, lex), lex)
+    tokens = per_edge_log_routes(run, brute_force_dag(run, lex.entries), lex)
     if hmm is None:
         return tokens
     out = []
@@ -349,6 +377,37 @@ def test_segment_matches_dag_on_every_run(lex, text, with_hmm):
     # every whitespace chunk of this text is one Han run
     want = [t for run in text.split() for t in dag_everywhere_cut_han(run, lex, hmm)]
     assert segment(text, lex, hmm) == want
+
+
+_HAN_RUN = re.compile("[\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff\U00020000-\U000323af]+")
+
+
+def per_chunk_segment(text, lex, hmm, clean):
+    """The earlier segment: split on whitespace; with clean, drop URL and
+    @-mention chunks and strip "#" from the rest; then cut each Han run of
+    a chunk and keep the stretches between runs as tokens."""
+    tokens = []
+    for chunk in text.split():
+        if clean:
+            if chunk.startswith(("http://", "https://", "@")):
+                continue
+            chunk = chunk.replace("#", "")
+        pos = 0
+        for m in _HAN_RUN.finditer(chunk):
+            if m.start() > pos:
+                tokens.append(chunk[pos:m.start()])
+            tokens.extend(dag_everywhere_cut_han(m.group(), lex, hmm))
+            pos = m.end()
+        if pos < len(chunk):
+            tokens.append(chunk[pos:])
+    return tokens
+
+
+@PROPERTY
+@given(clutter_text, st.booleans(), st.booleans())
+def test_segment_matches_per_chunk_loop(text, clean, with_hmm):
+    hmm = RESOURCES.hmm if with_hmm else None
+    assert segment(text, LEX, hmm, clean) == per_chunk_segment(text, LEX, hmm, clean)
 
 
 def per_tweet_tokens(texts, resources, clean):

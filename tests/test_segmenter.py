@@ -10,6 +10,8 @@ compare exactly, not just within tolerance.
 import itertools
 import math
 import random
+import re
+import sys
 
 import pytest
 
@@ -24,7 +26,6 @@ from zhstance.segmenter import (
     HmmModelError,
     Lexicon,
     LexiconError,
-    add_word,
     build_dag,
     build_lexicon,
     hmm_segment,
@@ -34,6 +35,21 @@ from zhstance.segmenter import (
     segment,
     viterbi,
 )
+
+
+# Every character that str.isspace accepts: str.split() splits on these.
+EVERY_CHARACTER = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = [ch for ch in EVERY_CHARACTER if ch.isspace()]
+
+
+def test_re_whitespace_is_str_whitespace():
+    # segment finds its pieces with re's \s, where the earlier code split
+    # on str.split(); they must agree on every code point. A Unicode
+    # database difference between interpreters would show here.
+    assert re.findall(r"\s", EVERY_CHARACTER) == WHITESPACE
+    assert len(WHITESPACE) > 20
+    for ch in WHITESPACE:
+        assert f"a{ch}b".split() == ["a", "b"], hex(ord(ch))
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +182,7 @@ class TestLexicon:
     def test_build(self):
         lex = build_lexicon({"中国": 5, "中": 2, "国": 3})
         assert lex.total == 10
-        assert lex.prefix_set == frozenset({"中", "国", "中国"})
+        assert build_dag("中国国", lex) == {0: [0, 1], 1: [1], 2: [2]}
 
     @pytest.mark.parametrize("entries", [
         {"": 1},
@@ -203,20 +219,6 @@ class TestLexicon:
         with pytest.raises(LexiconError) as info:
             load_lexicon(path)
         assert str(info.value).startswith(f"{path}: line 2: ")
-
-    def test_add_word(self):
-        lex = build_lexicon({"中": 2})
-        lex2 = add_word(lex, "中国", 7)
-        assert lex2.entries == {"中": 2, "中国": 7}
-        assert lex2.total == 9
-        assert "中国" in lex2.prefix_set
-        assert lex.entries == {"中": 2}  # original untouched
-
-    def test_add_word_replaces(self):
-        lex = add_word(build_lexicon({"中": 2}), "中", 9)
-        assert lex.entries == {"中": 9}
-        with pytest.raises(LexiconError):
-            add_word(lex, "国", 0)
 
 
 # ----------------------------------------------------------------------
@@ -488,6 +490,19 @@ class TestSegment:
 
     def test_cleanup_strips_hashtag_marks(self, bundled_lexicon):
         assert segment("#民主 #", bundled_lexicon) == ["民主"]
+
+    def test_cleanup_tests_chunk_starts_before_stripping_hashtag_marks(self, bundled_lexicon):
+        # a chunk is a URL or a mention only by its own first characters:
+        # "#http://x" and "a@b" are kept, with the "#" stripped
+        text = "#http://x #@a a@b 民主#自由\thttp://y\n@z"
+        assert segment(text, bundled_lexicon) == ["http://x", "@a", "a@b", "民主", "自由"]
+
+    def test_every_whitespace_character_ends_a_piece(self, bundled_lexicon):
+        for ch in WHITESPACE:
+            text = f"a{ch}@b{ch}民主{ch}http://c{ch}中国"
+            assert segment(text, bundled_lexicon) == ["a", "民主", "中国"], hex(ord(ch))
+            assert segment(text, bundled_lexicon, clean=False) == [
+                "a", "@b", "民主", "http://c", "中国"], hex(ord(ch))
 
     def test_clean_off_keeps_everything(self, bundled_lexicon):
         text = "@friend #民主 https://t.co/abc"

@@ -7,9 +7,7 @@ from zhstance.zh_convert import (
     ConversionTable,
     ConversionTableError,
     load_conversion_table,
-    prefix_closure,
     to_simplified,
-    word_ends,
 )
 
 
@@ -45,27 +43,6 @@ class TestFromPairs:
         # lexicon words are converted as one text joined with "\n"
         with pytest.raises(ConversionTableError, match="newline"):
             table_from(("頭", "头\n"))
-
-
-class TestWordEnds:
-    def test_fallback_then_ascending_word_ends(self):
-        words = {"AB", "ABC", "BC"}
-        prefixes = prefix_closure(words)
-        # no fallback end: the caller has the single character itself
-        assert [word_ends("ABCA", i, words, prefixes) for i in range(4)] == [[1, 2], [2], [], []]
-
-    def test_scan_stops_at_first_non_prefix(self):
-        # "AX" is left out of the prefixes, so the scan from 0 stops there
-        # and never reaches the word "AXB"
-        words = {"AXB"}
-        assert word_ends("AXB", 0, words, frozenset({"A", "AXB"})) == []
-
-    def test_empty_text(self):
-        assert word_ends("", 0, {"AB"}, prefix_closure({"AB"})) == []
-
-    def test_prefix_closure(self):
-        assert prefix_closure(["ABC", "B"]) == frozenset({"A", "AB", "ABC", "B"})
-        assert prefix_closure([]) == frozenset()
 
 
 class TestLoadConversionTable:
