@@ -31,7 +31,6 @@ from .evaluate import (
     MetricReport,
     confusion_matrix,
     metric_report,
-    metrics,
     round_half_up,
 )
 from .pipeline import (
@@ -106,7 +105,6 @@ __all__ = [
     "load_resources",
     "max_prob_route",
     "metric_report",
-    "metrics",
     "round_half_up",
     "segment",
     "shuffled",

@@ -5,8 +5,9 @@ The corpus file is UTF-8 JSON-lines, one account per line:
     {"account_id": str, "follower_count": int, "label": str|null,
      "tweets": [{"text": str, "timestamp": "RFC3339"}]}
 
-An optional first line ``{"label_set": [...]}`` declares the allowed labels;
-account labels outside a declared set, and keys not shown here, are rejected.
+An optional header ``{"label_set": [...]}`` on the first non-blank line
+declares the allowed labels; account labels outside a declared set, and
+keys not shown here, are rejected.
 """
 
 from __future__ import annotations
@@ -146,13 +147,15 @@ def load_corpus(path) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
-        if lineno == 1 and isinstance(obj, dict) and "label_set" in obj and "account_id" not in obj:
+        first = declared is None and not accounts  # the first non-blank line
+        if first and isinstance(obj, dict) and "label_set" in obj and "account_id" not in obj:
+            where = f"{path}: line {lineno}"
             if len(obj) > 1:
-                raise CorpusError(f"{path}: line 1: unknown key(s) {sorted(obj.keys() - {'label_set'})}")
+                raise CorpusError(f"{where}: unknown key(s) {sorted(obj.keys() - {'label_set'})}")
             labels = obj["label_set"]
             if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
                     or len(set(labels)) != len(labels)):
-                raise CorpusError(f"{path}: line 1: label_set must be a list of distinct strings")
+                raise CorpusError(f"{where}: label_set must be a list of distinct strings")
             declared = tuple(labels)
             continue
         record = _parse_account(obj, f"{path}: line {lineno}", declared)

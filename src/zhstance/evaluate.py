@@ -1,8 +1,9 @@
 """Confusion matrices and classification metrics.
 
 Rows of a confusion matrix are key (true) labels, columns are output
-(predicted) labels. Per-label metrics are computed one-vs-rest; any
-metric whose denominator vanishes is defined as 0.
+(predicted) labels. A label's precision divides its diagonal count by its
+column sum, and its recall by its row sum; any metric whose denominator
+vanishes is defined as 0.
 """
 
 from __future__ import annotations
@@ -28,23 +29,6 @@ class ConfusionMatrix:
     @property
     def trace(self) -> int:
         return sum(self.counts[i][i] for i in range(len(self.labels)))
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise EvaluationError(f"label {label!r} not in matrix labels {self.labels}") from None
-
-    def support(self, label: str) -> int:
-        return sum(self.counts[self.index(label)])
-
-
-@dataclass(frozen=True)
-class Metrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
 
 
 @dataclass(frozen=True)
@@ -76,43 +60,22 @@ def confusion_matrix(keys: list[str], outputs: list[str], label_set) -> Confusio
     return ConfusionMatrix(labels, tuple(tuple(row) for row in counts))
 
 
-def binary_counts(m: ConfusionMatrix, positive: str) -> tuple[int, int, int, int]:
-    """One-vs-rest (TP, FP, FN, TN) for the chosen positive label."""
-    p = m.index(positive)
-    tp = m.counts[p][p]
-    fp = sum(m.counts[i][p] for i in range(len(m.labels)) if i != p)
-    fn = sum(m.counts[p][j] for j in range(len(m.labels)) if j != p)
-    tn = m.total - tp - fp - fn
-    return tp, fp, fn, tn
-
-
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den else 0.0
-
-
-def metrics(m: ConfusionMatrix, positive: str) -> Metrics:
-    """Accuracy, precision, recall, and F1 with `positive` as the positive
-    class; zero-denominator cases yield 0."""
+def metric_report(m: ConfusionMatrix) -> MetricReport:
+    """Accuracy, and each label's precision, recall, F1 and support (row sum)."""
     total = m.total
     if total == 0:
         raise EvaluationError("metrics on an empty matrix")
-    tp, fp, fn, tn = binary_counts(m, positive)
-    precision = _safe_div(tp, tp + fp)
-    recall = _safe_div(tp, tp + fn)
-    f1 = _safe_div(2.0 * precision * recall, precision + recall)
-    return Metrics((tp + tn) / total, precision, recall, f1)
-
-
-def metric_report(m: ConfusionMatrix) -> MetricReport:
-    if m.total == 0:
-        raise EvaluationError("metrics on an empty matrix")
     per_label = {}
     support = {}
-    for label in m.labels:
-        scores = metrics(m, label)
-        per_label[label] = LabelMetrics(scores.precision, scores.recall, scores.f1)
-        support[label] = m.support(label)
-    return MetricReport(m.trace / m.total, per_label, support)
+    for p, label in enumerate(m.labels):
+        tp = m.counts[p][p]
+        predicted = sum(row[p] for row in m.counts)
+        actual = support[label] = sum(m.counts[p])
+        precision = tp / predicted if predicted else 0.0
+        recall = tp / actual if actual else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_label[label] = LabelMetrics(precision, recall, f1)
+    return MetricReport(m.trace / total, per_label, support)
 
 
 def round_half_up(value: float, places: int = 2) -> float:

@@ -10,7 +10,6 @@ half up, the way the metrics are usually quoted.
 from __future__ import annotations
 
 import json
-import math
 
 from .evaluate import round_half_up
 from .pipeline import (
@@ -82,19 +81,20 @@ def _get(payload: dict, key: str):
 
 
 def _number(payload: dict, key: str) -> str:
-    """payload[key], required to be a finite int or float (not a bool),
-    rounded half up to two decimals."""
+    """payload[key], required to be an int or float (not a bool) in [0, 1],
+    as every score and its fold mean and std are; rounded half up to two
+    decimals."""
     value = _get(payload, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ReportError(f"{key} must be a finite number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise ReportError(f"{key} must be a finite number in [0, 1], got {value!r}")
     return f"{round_half_up(value):.2f}"
 
 
 def _count(payload: dict, key: str) -> int:
-    """payload[key], required to be an int (not a bool)."""
+    """payload[key], required to be a non-negative int (not a bool)."""
     value = _get(payload, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ReportError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ReportError(f"{key} must be an integer >= 0, got {value!r}")
     return value
 
 

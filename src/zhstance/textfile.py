@@ -37,12 +37,21 @@ def read_words(path, error: type[ValueError], what: str):
         yield lineno, word
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json(path, error: type[ValueError]):
-    """The JSON document in a UTF-8 file; malformed JSON, or bytes that
-    are not UTF-8, raise `error` naming the file."""
+    """The JSON document in a UTF-8 file; malformed JSON, an object with a
+    duplicate key, or bytes that are not UTF-8 raise `error` naming the file."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, duplicate keys
         raise error(f"{path}: {exc}") from None

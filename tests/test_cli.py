@@ -368,6 +368,15 @@ class TestReportCommand:
         ("crossval", "aggregate.accuracy.mean", False, "mean must be a finite number"),
         ("crossval", "aggregate.accuracy.std", None, "std must be a finite number"),
         ("crossval", "aggregate.per_label.Democracy.f1.mean", [1.0], "mean must be a finite number"),
+        # every rendered score lies in [0, 1] and every support is >= 0
+        ("test", "accuracy", 1e30, "accuracy must be a finite number in [0, 1], got 1e+30"),
+        ("test", "accuracy", 1.5, "accuracy must be a finite number in [0, 1], got 1.5"),
+        ("test", "accuracy", float("nan"), "accuracy must be a finite number in [0, 1], got nan"),
+        ("test", "per_label.Beijing.precision", -0.1, "precision must be a finite number in [0, 1]"),
+        ("test", "support.Democracy", -3, "Democracy must be an integer >= 0, got -3"),
+        ("crossval", "folds.0.accuracy", 1e30, "accuracy must be a finite number in [0, 1]"),
+        ("crossval", "aggregate.accuracy.std", -0.1, "std must be a finite number in [0, 1]"),
+        ("crossval", "aggregate.accuracy.mean", 2, "mean must be a finite number in [0, 1]"),
     ])
     def test_malformed_label_set_or_folds_exits_1(self, capsys, tmp_path, command, key, value, msg):
         ids = tmp_path / "ids.txt"
@@ -386,6 +395,7 @@ class TestReportCommand:
         out_path.write_text(json.dumps(payload), encoding="utf-8")
         code, _, err = run(capsys, "report", str(out_path))
         assert code == 1
+        assert err.startswith("error: ")
         assert msg in err
 
     def test_programming_key_error_is_not_a_user_error(self, tmp_path, monkeypatch):
@@ -410,6 +420,21 @@ def test_malformed_json_file_exits_1_naming_it(capsys, tmp_path, body, flag):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("flag, body, key", [
+    ("--hmm", '{"start": {}, "trans": {}, "emit": {"B": {}, "B": {}}}', "B"),
+    ("--config", '{"model": {"k": 3, "k": 7}}', "k"),
+    ("report", '{"label_set": ["Beijing"], "accuracy": 1.0, "accuracy": 0.5}', "accuracy"),
+])
+def test_duplicate_json_key_exits_1_naming_file_and_key(capsys, tmp_path, flag, body, key):
+    path = tmp_path / "in.json"
+    path.write_text(body, encoding="utf-8")
+    argv = (["report", str(path)] if flag == "report" else
+            ["crossval", "--corpus", str(corpus_file(tmp_path)), *RELAXED, flag, str(path)])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: duplicate key {key!r}\n"
 
 
 def test_hmm_emission_key_of_two_characters_exits_1(capsys, tmp_path):

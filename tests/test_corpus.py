@@ -135,6 +135,15 @@ class TestLoadCorpus:
         path.write_text(f"\n{body}\n\n", encoding="utf-8")
         assert load_corpus(path).account_ids == ["a1"]
 
+    def test_header_on_first_non_blank_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        header = json.dumps({"label_set": ["Beijing", "Democracy"]})
+        body = json.dumps(account_line("a1", "Beijing"))
+        path.write_text(f"\n \n{header}\n{body}\n", encoding="utf-8")
+        corpus = load_corpus(path)
+        assert corpus.label_set == ("Beijing", "Democracy")
+        assert corpus.account_ids == ["a1"]
+
     @pytest.mark.parametrize("mutate", [
         lambda obj: obj.pop("account_id"),
         lambda obj: obj.update(account_id=""),

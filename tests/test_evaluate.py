@@ -1,17 +1,17 @@
 """Tests for confusion matrices, metrics, rounding, and aggregation."""
 
 import math
+import random
 
 import pytest
 
 from zhstance.evaluate import (
     ConfusionMatrix,
     EvaluationError,
-    binary_counts,
+    LabelMetrics,
     confusion_matrix,
     mean_std,
     metric_report,
-    metrics,
     round_half_up,
 )
 
@@ -50,54 +50,64 @@ class TestConfusionMatrix:
         with pytest.raises(EvaluationError):
             confusion_matrix(["A"], [], ("A",))
 
-    def test_support_and_index(self):
-        assert THREE_CLASS.support("B") == 6
-        assert THREE_CLASS.index("C") == 2
-        with pytest.raises(EvaluationError):
-            THREE_CLASS.index("Z")
+
+def reference_binary_counts(m, p):
+    """One-vs-rest (TP, FP, FN, TN) with the label at position p positive."""
+    tp = m.counts[p][p]
+    fp = sum(m.counts[i][p] for i in range(len(m.labels)) if i != p)
+    fn = sum(m.counts[p][j] for j in range(len(m.labels)) if j != p)
+    tn = m.total - tp - fp - fn
+    return tp, fp, fn, tn
 
 
-class TestBinaryCounts:
-    def test_one_vs_rest(self):
-        assert binary_counts(THREE_CLASS, "B") == (3, 1, 3, 9)
-        assert binary_counts(THREE_CLASS, "A") == (5, 2, 1, 8)
-        assert binary_counts(THREE_CLASS, "C") == (4, 1, 0, 11)
-
-    def test_counts_sum_to_total(self):
-        for label in THREE_CLASS.labels:
-            assert sum(binary_counts(THREE_CLASS, label)) == THREE_CLASS.total
+def reference_metrics(m, p):
+    """Precision, recall and F1 by the one-vs-rest formulas, each 0 where
+    its denominator is 0: the oracle for metric_report."""
+    tp, fp, fn, _ = reference_binary_counts(m, p)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return LabelMetrics(precision, recall, f1)
 
 
 class TestMetrics:
     def test_values(self):
-        got = metrics(THREE_CLASS, "B")
+        got = metric_report(THREE_CLASS).per_label["B"]
         assert got.precision == pytest.approx(3 / 4)
         assert got.recall == pytest.approx(3 / 6)
         assert got.f1 == pytest.approx(2 * 0.75 * 0.5 / 1.25)
-        assert got.accuracy == pytest.approx(12 / 16)
-
-    def test_binary_accuracy_equals_trace_ratio(self):
-        m = ConfusionMatrix(("X", "Y"), ((7, 2), (3, 9)))
-        for label in m.labels:
-            assert metrics(m, label).accuracy == pytest.approx(m.trace / m.total)
 
     def test_zero_denominators_yield_zero(self):
         # nothing predicted as X and nothing truly X
         m = ConfusionMatrix(("X", "Y"), ((0, 0), (0, 5)))
-        got = metrics(m, "X")
-        assert (got.precision, got.recall, got.f1) == (0.0, 0.0, 0.0)
+        assert metric_report(m).per_label["X"] == LabelMetrics(0.0, 0.0, 0.0)
 
     def test_zero_recall_with_nonzero_precision_denominator(self):
         m = ConfusionMatrix(("X", "Y"), ((0, 3), (2, 1)))
-        got = metrics(m, "X")
+        got = metric_report(m).per_label["X"]
         assert got.precision == 0.0
         assert got.recall == 0.0
         assert got.f1 == 0.0
 
-    def test_empty_matrix_rejected(self):
-        m = ConfusionMatrix(("X",), ((0,),))
-        with pytest.raises(EvaluationError):
-            metrics(m, "X")
+    def test_bit_equal_to_one_vs_rest_oracle(self):
+        rng = random.Random(20211)
+        checked = 0
+        while checked < 2000:
+            size = rng.randint(1, 5)
+            # most cells are 0, so whole rows and columns often are too
+            counts = tuple(tuple(rng.choice((0, 0, 0, rng.randint(1, 9))) for _ in range(size))
+                           for _ in range(size))
+            m = ConfusionMatrix(tuple("ABCDE"[:size]), counts)
+            if m.total == 0:
+                continue
+            report = metric_report(m)
+            assert report.accuracy == m.trace / m.total
+            assert report.per_label == {label: reference_metrics(m, p)
+                                        for p, label in enumerate(m.labels)}
+            assert report.support == {label: sum(row) for label, row in zip(m.labels, counts)}
+            assert all(0.0 <= x <= 1.0 for scores in report.per_label.values()
+                       for x in (scores.precision, scores.recall, scores.f1))
+            checked += 1
 
 
 class TestMetricReport:

@@ -123,7 +123,7 @@ def test_loader_raises_only_its_own_error(scratch, lines, junk, at, loader):
         pass
 
 
-@pytest.mark.parametrize("body", [b"{'k': 3}", b'{"k": "\xff"}', b""])
+@pytest.mark.parametrize("body", [b"{'k': 3}", b'{"k": "\xff"}', b"", b'{"a": [{"k": 3, "k": 7}]}'])
 def test_read_json_raises_the_given_error(tmp_path, body):
     path = tmp_path / "in.json"
     path.write_bytes(body)
