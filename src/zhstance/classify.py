@@ -9,13 +9,18 @@ so shuffling the training list never changes a prediction.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
+from math import isqrt
 
 from .vectorize import SparseVector, cosine_similarity, term_counts
 
 WEIGHTINGS = ("uniform", "inverse")
 EPSILON = 1e-9
+_BITS = 30  # a unit weight becomes about 2**30 in the k-NN lanes
+_LANES = 56  # keeps each k-NN accumulator within CPython's 512-byte small objects
+_MIN_NORM = 2.0 ** -450
 
 KnnExample = tuple[str, str, SparseVector]  # (account_id, label, vector)
 SetExample = tuple[str, str, frozenset[str]]
@@ -69,19 +74,22 @@ def _vote(neighbors: list[Neighbor], weighting: str) -> Prediction:
     return Prediction(min(tied), tuple(neighbors), votes)
 
 
-def _check_non_negative(vec: SparseVector):
+def _check_vector(vec: SparseVector):
     if vec.weights and min(vec.weights.values()) < 0.0:
         raise ClassifierError("k-NN vectors must have non-negative weights")
+    if vec.norm and not _MIN_NORM <= vec.norm <= 1.0 / _MIN_NORM:
+        raise ClassifierError(f"k-NN vector norm {vec.norm!r} is outside [2**-450, 2**450]")
 
 
 class KnnIndex:
     """Training vectors in account_id order plus an inverted index over
     them: term -> [position, weight, position, weight, ...], one flat list
-    per term, built once per training set.
+    per term (the vectors' own floats), built once per training set.
 
-    Weights must be non-negative, as TF-IDF weights are. Accounts with a
-    zero-norm vector are left out of the postings: their cosine with any
-    query is exactly 0.0, like that of an account sharing no term with it.
+    Weights must be non-negative, as TF-IDF weights are, and a nonzero
+    norm must lie in [2**-450, 2**450], which keeps under- and overflow
+    out of the bounds below. Zero weights and zero-norm vectors are left
+    out of the postings: they add nothing to any dot product.
     """
 
     def __init__(self, train: Iterable[KnnExample]):
@@ -89,79 +97,107 @@ class KnnIndex:
         self.ids = [account_id for account_id, _, _ in examples]
         self.labels = [label for _, label, _ in examples]
         self.vectors = [vec for _, _, vec in examples]
-        self.norms = [vec.norm for vec in self.vectors]
+        self.scales = [2.0 ** _BITS / vec.norm if vec.norm else 0.0 for vec in self.vectors]
         self.postings: dict[str, list] = {}
         for i, vec in enumerate(self.vectors):
-            _check_non_negative(vec)
+            _check_vector(vec)
             if vec.norm == 0.0:
                 continue
             for term, w in vec.weights.items():
-                entry = self.postings.get(term)
-                if entry is None:
-                    self.postings[term] = [i, w]
-                else:
-                    entry.append(i)
-                    entry.append(w)
+                if w:
+                    entry = self.postings.get(term)
+                    if entry is None:
+                        self.postings[term] = [i, w]
+                    else:
+                        entry += (i, w)
 
     def nearest(self, query: SparseVector, k: int) -> list[Neighbor]:
-        """The first k accounts by (-cosine_similarity(query, vec), account_id).
+        """The first k accounts by (-cosine_similarity(query, vec), account_id)."""
+        return self.nearest_many([query], k)[0]
 
-        Accumulating over the postings of the query's terms gives every
-        account an approximate score. It adds the same non-negative
-        products q_t * w_t as the exact dot product, in another order, and
-        divides by the same |q| * |v|. Barring underflow, each of the two
-        sums is within gamma_n * P of the true sum P of the n <= len(query)
-        products, where u = 2**-53 and gamma_n = n*u / (1 - n*u); that holds
-        for any order of addition, and for compensated summation such as
-        the sum() of Python 3.12+. By Cauchy-Schwarz P <= |q| * |v|, so
-        after the division the two scores differ by at most
-        (2 * gamma_n + 2u) * (1 + 2**-28), the last factor for the
-        rounding of the stored norms. That is below
-        margin = (n + 2) * 2**-50.
+    def nearest_many(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
+        """nearest(query, k) for each query, scored together, at most
+        _LANES per pass over the postings; no queries need no valid k.
 
-        An account whose approximate score is more than 2 * margin below
-        the k-th best has k accounts whose exact scores beat its own, so
-        only the accounts above that line are re-scored exactly, with
-        cosine_similarity, and sorted on (-similarity, account_id). A zero
-        sum means every product was zero: such an account, including one
-        sharing no term with the query, scores exactly 0.0 without a
-        re-score. Every reported similarity, and so the order, is the one
-        the exhaustive sort gives, bit for bit.
+        With B = 30 and u = 2**-53, a positive weight w of a vector of norm
+        N becomes U = floor(w * (2**B / N)) + 1 >= 1, both operations
+        rounded, so a * 2**B * (1 - 2u) <= U <= a * 2**B * (1 + 3u) + 1 for
+        a = w / N. Each query's V sits in its own 64-bit lane of one int
+        per term, and one pass over a term's postings adds U * lanes[term]
+        to each account's int; lane j of account i is L = sum U * V over
+        their n' <= n = len(query) shared terms. Let r = sum a * b there.
+        For vectors of under 2**40 terms the norms are within 2**-13 of
+        exact, so sum a**2 <= 1 + 2**-11, and by Cauchy-Schwarz
+        L <= (2**B * (1 + 2**-11) + sqrt(n'))**2 < 2**61: no lane carries.
+        Likewise r * (1 - 4u) <= L / 2**2B <= r * (1 + 7u)
+        + 2 * sqrt(n) * (1 + 2**-11) * 2**-B + n * 2**-2B, r <= 1 + 2**-11,
+        and cosine_similarity's c adds the same products: |c - r| <=
+        (n + 2) * 2**-51. In lane units, slack = (2 * isqrt(n) + 3) * 2**B
+        + (n + 4) * 2**21 exceeds both lane errors plus twice that, so an
+        account whose lane is more than slack below the k-th best has k
+        accounts with a larger c. The rest are re-scored with
+        cosine_similarity and sorted on (-c, account_id), except that a
+        zero lane (no shared term positive on both sides) scores exactly
+        0.0. So every similarity, and the order, is the exhaustive sort's.
         """
+        if not queries:
+            return []
         _check_k(k, len(self.ids))
-        _check_non_negative(query)
-        acc = [0.0] * len(self.ids)
-        qnorm = query.norm
-        if qnorm != 0.0:
-            postings = self.postings
+        for query in queries:
+            _check_vector(query)
+        m = len(queries)
+        step = -(-m // -(-m // _LANES))  # passes of equal size, none above _LANES
+        found = []
+        for start in range(0, m, step):
+            found += self._pass(queries[start:start + step], k)
+        return found
+
+    def _pass(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
+        m, n_train = len(queries), len(self.ids)
+        postings, scales = self.postings, self.scales
+        lanes: dict[str, int] = {}
+        for j, query in enumerate(queries):
+            if query.norm == 0.0:
+                continue
+            # cast("Q") below reads each 8-byte lane in the native byte order
+            shift = 64 * (j if sys.byteorder == "little" else m - 1 - j)
+            r = 2.0 ** _BITS / query.norm
             for term, qw in query.weights.items():
-                entry = postings.get(term)
-                if entry is not None:
-                    it = iter(entry)
-                    for i, w in zip(it, it):
-                        acc[i] += qw * w
-        norms = self.norms
-        approx = [s / (qnorm * norms[i]) if s else 0.0 for i, s in enumerate(acc)]
-        margin = (len(query) + 2) * 2.0 ** -50
-        floor = sorted(approx, reverse=True)[k - 1] - 2.0 * margin
-        vectors = self.vectors
-        scored = [(cosine_similarity(query, vectors[i]) if acc[i] else 0.0, i)
-                  for i, a in enumerate(approx) if a >= floor]
-        ids = self.ids
-        scored.sort(key=lambda si: (-si[0], ids[si[1]]))
-        return [Neighbor(ids[i], self.labels[i], sim) for sim, i in scored[:k]]
+                if qw and term in postings:
+                    lanes[term] = lanes.get(term, 0) | (int(qw * r) + 1) << shift
+        acc = [0] * n_train
+        for term, lane in lanes.items():
+            it = iter(postings[term])
+            for i, w in zip(it, it):
+                acc[i] += (int(w * scales[i]) + 1) * lane
+        del lanes
+        view = memoryview(b"".join([a.to_bytes(8 * m, sys.byteorder) for a in acc])).cast("Q")
+        del acc
+        found = []
+        for j, query in enumerate(queries):
+            col = view[j::m].tolist()
+            n = len(query)
+            line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 21))
+            scored = sorted(((cosine_similarity(query, self.vectors[i]) if lane else 0.0, i)
+                             for i, lane in enumerate(col) if lane >= line),
+                            key=lambda si: (-si[0], si[1]))
+            found.append([Neighbor(self.ids[i], self.labels[i], sim) for sim, i in scored[:k]])
+        return found
 
 
-def knn_predict(query: SparseVector, index: KnnIndex, k: int = 5,
-                weighting: str = "uniform") -> Prediction:
-    """Vote among the k training vectors most cosine-similar to the query.
+def knn_predict(query: SparseVector | list[SparseVector], index: KnnIndex, k: int = 5,
+                weighting: str = "uniform") -> Prediction | list[Prediction]:
+    """Vote among the k training vectors most cosine-similar to the query;
+    for a list of queries, score them together and give one Prediction each.
 
     Similarity ties are broken by ascending account_id; vote ties by
     larger summed similarity, then by the lexicographically smaller label.
     """
     if weighting not in WEIGHTINGS:
         raise ClassifierError(f"unknown weighting {weighting!r}")
-    return _vote(index.nearest(query, k), weighting)
+    if isinstance(query, SparseVector):
+        return _vote(index.nearest(query, k), weighting)
+    return [_vote(neighbors, weighting) for neighbors in index.nearest_many(query, k)]
 
 
 def baseline0_predict(train_labels: list[str]) -> Prediction:

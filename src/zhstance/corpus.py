@@ -37,6 +37,9 @@ class AccountRecord:
     label: str | None
     tweets: tuple[Tweet, ...]
 
+    def __hash__(self) -> int:  # equal records share an id; hashing tweets costs far more
+        return hash(self.account_id)
+
 
 @dataclass(frozen=True)
 class Corpus:

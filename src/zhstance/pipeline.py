@@ -15,7 +15,6 @@ from datetime import date
 from .classify import (
     KnnIndex,
     Neighbor,
-    Prediction,
     TermSetIndex,
     baseline0_predict,
     baseline1_predict,
@@ -266,27 +265,22 @@ class Pipeline:
         the model was fitted on."""
         _require_labeled(train, "training")
         cfg = self.config
+        ordered = sorted(queries.accounts, key=lambda a: a.account_id)
         if cfg.model == "baseline0":
-            shared = baseline0_predict([a.label for a in train.accounts])
-            score = lambda q: shared
+            preds = [baseline0_predict([a.label for a in train.accounts])] * len(ordered)
             vocabulary = frozenset()
         elif cfg.model == "baseline1":
             index = TermSetIndex((a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
-            score = lambda q: baseline1_predict(self.top_terms(q), index, cfg.k)
+            preds = [baseline1_predict(self.top_terms(q), index, cfg.k) for q in ordered]
             vocabulary = frozenset(index.term_bits)
         else:
             vectorizer, vectors = self.fit_transform(train)
             index = KnnIndex((a.account_id, a.label, v) for a, v in zip(train.accounts, vectors))
-            score = lambda q: knn_predict(vectorizer.transform(self.account_tokens(q)),
-                                          index, cfg.k, cfg.weighting)
+            preds = knn_predict([vectorizer.transform(self.account_tokens(q)) for q in ordered],
+                                index, cfg.k, cfg.weighting)
             vocabulary = vectorizer.vocabulary
-        return [self._wrap(q, score(q))
-                for q in sorted(queries.accounts, key=lambda a: a.account_id)], vocabulary
-
-    @staticmethod
-    def _wrap(account: AccountRecord, pred: Prediction) -> AccountPrediction:
-        return AccountPrediction(account.account_id, account.label,
-                                 pred.label, pred.neighbors, dict(pred.votes))
+        return [AccountPrediction(q.account_id, q.label, p.label, p.neighbors, dict(p.votes))
+                for q, p in zip(ordered, preds)], vocabulary
 
     def cross_validate(self, corpus: Corpus) -> CrossValResult:
         """k-fold cross-validation; each fold's model (IDF and all) is

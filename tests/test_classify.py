@@ -244,6 +244,93 @@ class TestKnnIndexEdgeCases:
             knn_predict(vec(p=-1), KnnIndex([("a", "X", vec(p=1))]), k=1)
 
 
+def random_batch(rng):
+    """A training set and a batch of 1-40 queries mixing every edge the
+    lanes have: empty, zero-norm and disjoint queries, duplicates, weights
+    whose normalised value is subnormal, and near-ties inside the slack."""
+    vocab = [f"t{i}" for i in range(6)]
+    base = {f"t{i}": rng.uniform(0.1, 3.0) for i in range(rng.randrange(2, 6))}
+    train = []
+    for i in range(rng.randrange(1, 14)):
+        if rng.random() < 0.4:
+            # test_near_duplicates_straddling_the_margin's recipe
+            items = [(t, w if rng.random() < 0.5 else math.nextafter(w, 4.0 * rng.random()))
+                     for t, w in base.items()]
+            rng.shuffle(items)
+            weights = dict(items)
+        else:
+            weights = {t: rng.uniform(0.1, 3.0) for t in rng.sample(vocab, rng.randrange(0, 4))}
+        if rng.random() < 0.3:
+            weights[rng.choice(["tiny", "t0"])] = rng.randrange(1, 10**6) * 5e-324
+        if rng.random() < 0.1:
+            weights["zero"] = 0.0
+        train.append((f"a{rng.randrange(100):02d}{i}", rng.choice("XYZ"), SparseVector(weights)))
+    queries = []
+    for _ in range(rng.randrange(1, 41)):
+        kind = rng.randrange(8)
+        if kind == 0:
+            weights = rng.choice([{}, {"t0": 0.0}, {"t1": 1e-200}])  # norm 0
+        elif kind == 1:
+            weights = {"unseen": rng.uniform(0.1, 3.0)}
+        elif kind == 2 and queries:
+            queries.append(rng.choice(queries))
+            continue
+        elif kind == 3:
+            weights = {"tiny": rng.uniform(0.1, 3.0), rng.choice(vocab): rng.uniform(0.1, 3.0) * 1e-310}
+        elif kind in (4, 5):
+            weights = {**{t: rng.uniform(0.1, 3.0) for t in base}, "extra": 1.0}
+        else:
+            weights = {t: rng.uniform(0.1, 3.0) for t in rng.sample(vocab, rng.randrange(1, 5))}
+        queries.append(SparseVector(weights))
+    return train, queries
+
+
+class TestNearestMany:
+    def test_batches_match_the_oracle_and_single_queries(self):
+        rng = random.Random(1300)
+        for _ in range(40):
+            train, queries = random_batch(rng)
+            index = KnnIndex(train)
+            for k in range(1, len(train) + 1):
+                got = index.nearest_many(queries, k)
+                assert len(got) == len(queries)
+                for query, neighbors in zip(queries, got):
+                    want = oracle_neighbors(query, train, k)
+                    assert neighbors == want
+                    assert index.nearest(query, k) == want
+
+    def test_subnormal_normalised_weights_outrank_zero(self):
+        # The shared term's products are subnormal, but positive: each
+        # quantised weight is at least 1, so the lane is not zero.
+        train = [("a", "X", vec(p=1)), ("b", "Y", SparseVector({"q": 1.0, "r": 1e-310})),
+                 ("c", "X", SparseVector({"p": 1.0, "r": 5e-324}))]
+        got = KnnIndex(train).nearest_many([vec(r=1), SparseVector({"p": 1e-310, "s": 1.0})], 2)
+        assert [[nb.account_id for nb in nbs] for nbs in got] == [["b", "c"], ["a", "c"]]
+        assert 0.0 < got[0][0].similarity < 1e-300
+
+    def test_knn_predict_takes_a_batch(self):
+        train = [(f"a{i}", "XY"[i % 2], vec(**{f"t{i % 3}": i + 1})) for i in range(6)]
+        queries = [vec(t0=1), vec(), vec(t1=2, t2=1)]
+        index = KnnIndex(train)
+        for weighting in ("uniform", "inverse"):
+            assert knn_predict(queries, index, 3, weighting) == [
+                knn_predict(q, index, 3, weighting) for q in queries]
+
+    def test_empty_batch_checks_nothing(self):
+        index = KnnIndex([("a", "X", vec(p=1))])
+        assert index.nearest_many([], 1000) == []
+        assert knn_predict([], index, 1000) == []
+        with pytest.raises(ClassifierError):
+            index.nearest_many([vec(p=1)], 2)
+
+    def test_norms_outside_the_lane_range_rejected(self):
+        for weights in ({"p": 1e-160}, {"p": 1e140}):
+            with pytest.raises(ClassifierError, match="norm"):
+                KnnIndex([("a", "X", SparseVector(weights))])
+            with pytest.raises(ClassifierError, match="norm"):
+                KnnIndex([("a", "X", vec(p=1))]).nearest(SparseVector(weights), 1)
+
+
 class TestBaseline0:
     def test_majority(self):
         p = baseline0_predict(["X", "Y", "X"])

@@ -179,6 +179,33 @@ class TestClassify:
         assert row["account_id"] == "q_old"
         assert row["predicted"] in ("Beijing", "Democracy")
 
+    def test_empty_queries_give_no_predictions_whatever_k(self, capsys, synthetic_corpus_path, tmp_path):
+        # k is checked against the training set per scored query, so an
+        # empty batch never reaches the check
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        code, out, _ = run(capsys, "classify", "--corpus", str(synthetic_corpus_path),
+                           "--queries", str(empty), "--k", "1000")
+        assert code == 0
+        assert out.strip() == ""
+
+    def test_query_sharing_a_training_account_id_keeps_its_own_tweets(self, capsys, tmp_path):
+        # b0 is a Beijing training account; the query b0 tweets like d2
+        queries = tmp_path / "same_id.jsonl"
+        tweets = [{"text": t, "timestamp": WHEN} for t in ACCOUNT_TEXTS["d2"]]
+        write_jsonl(queries, [
+            {"account_id": "b0", "follower_count": 5, "label": None, "tweets": tweets},
+            {"account_id": "q0", "follower_count": 5, "label": None, "tweets": tweets},
+        ])
+        code, out, _ = run(capsys, "classify", "--corpus", str(corpus_file(tmp_path)),
+                           "--queries", str(queries), *RELAXED, "--k", "3")
+        assert code == 0
+        same, fresh = (json.loads(line) for line in out.strip().split("\n"))
+        assert (same["account_id"], fresh["account_id"]) == ("b0", "q0")
+        assert same["predicted"] == "Democracy"
+        del same["account_id"], fresh["account_id"]
+        assert same == fresh
+
     def test_no_labeled_train_exits_1(self, capsys, tmp_path):
         unlabeled = tmp_path / "unlabeled.jsonl"
         write_jsonl(unlabeled, [{
