@@ -78,13 +78,13 @@ def _pipeline_flags(parser):
                         help="seed for the fold shuffle (default 0)")
     parser.add_argument("--output", default=SUPPRESS, metavar="PATH",
                         help="write JSON here instead of stdout")
-    parser.add_argument("--no-clean", action="store_true", default=SUPPRESS,
+    parser.add_argument("--no-clean", action="store_false", dest="clean", default=SUPPRESS,
                         help="keep URLs, mentions, and # characters")
-    parser.add_argument("--dict", default=SUPPRESS, metavar="PATH",
+    parser.add_argument("--dict", dest="dictionary", default=SUPPRESS, metavar="PATH",
                         help="segmentation lexicon (bundled default)")
     parser.add_argument("--hmm", default=SUPPRESS, metavar="PATH",
                         help="HMM parameter JSON (bundled default)")
-    parser.add_argument("--convert-table", default=SUPPRESS, metavar="PATH",
+    parser.add_argument("--convert-table", dest="table", default=SUPPRESS, metavar="PATH",
                         help="traditional-to-simplified table (bundled default)")
     parser.add_argument("--stopwords", default=SUPPRESS, metavar="PATH",
                         help="optional stopword list for top-term sets")
@@ -114,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = sub.add_parser("convert", help="convert stdin to simplified characters")
-    p.add_argument("--convert-table", default=SUPPRESS, metavar="PATH")
+    p.add_argument("--convert-table", dest="table", default=SUPPRESS, metavar="PATH")
     p.set_defaults(handler=cmd_convert)
 
     p = sub.add_parser("segment", help="segment stdin lines into tokens")
-    p.add_argument("--dict", required=True, metavar="PATH")
+    p.add_argument("--dict", dest="dictionary", required=True, metavar="PATH")
     p.add_argument("--hmm", default=SUPPRESS, metavar="PATH")
-    p.add_argument("--no-clean", action="store_true", default=SUPPRESS)
+    p.add_argument("--no-clean", action="store_false", dest="clean", default=SUPPRESS)
     p.set_defaults(handler=cmd_segment)
 
     p = sub.add_parser("vectorize", help="dump per-account TF-IDF weights")
@@ -154,19 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the argparse destinations not named after their config field
-_FLAG_FIELDS = {"dict": "dictionary", "convert_table": "table"}
-
-
 def _flag_overrides(args) -> dict:
-    values = {_FLAG_FIELDS.get(dest, dest): value for dest, value in vars(args).items()
-              if _FLAG_FIELDS.get(dest, dest) in CONFIG_SCHEMA}
+    values = {dest: value for dest, value in vars(args).items() if dest in CONFIG_SCHEMA}
     window = {key: getattr(args, f"window_{key}") for key in ("start", "end")
               if hasattr(args, f"window_{key}")}
     if window:
         values["window"] = window
-    if getattr(args, "no_clean", False):
-        values["clean"] = False
     return echo_shape(values)
 
 
@@ -211,16 +204,16 @@ def _emit(args, text: str, human: str | None):
 
 
 def cmd_convert(args) -> int:
-    table = load_conversion_table(getattr(args, "convert_table", None) or bundled_path(BUNDLED_TABLE))
+    table = load_conversion_table(getattr(args, "table", None) or bundled_path(BUNDLED_TABLE))
     for line in sys.stdin:
         print(to_simplified(line.rstrip("\n"), table))
     return 0
 
 
 def cmd_segment(args) -> int:
-    lex = load_lexicon(args.dict)
+    lex = load_lexicon(args.dictionary)
     hmm = load_hmm(args.hmm) if hasattr(args, "hmm") else None
-    clean = not getattr(args, "no_clean", False)
+    clean = getattr(args, "clean", True)
     for line in sys.stdin:
         print(" ".join(segment(line.rstrip("\n"), lex, hmm, clean)))
     return 0
@@ -234,7 +227,7 @@ def cmd_vectorize(args) -> int:
         json.dumps({"account_id": a.account_id, "weights": v.weights}, ensure_ascii=False, sort_keys=True)
         for a, v in sorted(zip(corpus.accounts, vectors), key=lambda av: av[0].account_id)
     ]
-    _emit(args, "\n".join(lines) + "\n", None)
+    _emit(args, "".join(line + "\n" for line in lines), None)
     return 0
 
 
@@ -250,7 +243,7 @@ def cmd_classify(args) -> int:
     trimmed = filter_accounts(queries, 0, 0, config.window)
     preds, _ = pipe.predict(train, trimmed)
     lines = [json.dumps(prediction_dict(p), ensure_ascii=False, sort_keys=True) for p in preds]
-    _emit(args, "\n".join(lines) + "\n", None)
+    _emit(args, "".join(line + "\n" for line in lines), None)
     return 0
 
 

@@ -6,18 +6,18 @@ The corpus file is UTF-8 JSON-lines, one account per line:
      "tweets": [{"text": str, "timestamp": "RFC3339"}]}
 
 An optional header ``{"label_set": [...]}`` on the first non-blank line
-declares the allowed labels; account labels outside a declared set, and
-keys not shown here, are rejected.
+declares the allowed labels; account labels outside a declared set,
+keys not shown here, and a key repeated in one object are rejected.
 """
 
 from __future__ import annotations
 
-import json
+from json import JSONDecodeError
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 
 from .rng import shuffled
-from .textfile import read_lines
+from .textfile import JSON_DECODER, read_lines
 
 
 class CorpusError(ValueError):
@@ -137,8 +137,8 @@ def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> A
 def load_corpus(path) -> Corpus:
     """Load and validate a JSONL corpus file.
 
-    Raises CorpusError with the path and line number for malformed lines
-    and unknown keys, duplicate ids, or labels outside a declared label set.
+    Raises CorpusError with the path and line number for malformed lines,
+    unknown or repeated keys, duplicate ids, or labels outside a declared label set.
     """
     declared: tuple[str, ...] | None = None
     accounts: list[AccountRecord] = []
@@ -147,9 +147,11 @@ def load_corpus(path) -> Corpus:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = JSON_DECODER.decode(line)
+        except JSONDecodeError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # a repeated key, a huge integer, too deep
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
         first = declared is None and not accounts  # the first non-blank line
         if first and isinstance(obj, dict) and "label_set" in obj and "account_id" not in obj:
             where = f"{path}: line {lineno}"

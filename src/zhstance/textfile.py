@@ -38,20 +38,28 @@ def read_words(path, error: type[ValueError], what: str):
 
 
 def _unique_keys(pairs: list) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
+# Built once: json.loads(..., object_pairs_hook=...) builds a decoder per call,
+# which costs more than decoding a short corpus line.
+JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def read_json(path, error: type[ValueError]):
-    """The JSON document in a UTF-8 file; malformed JSON, an object with a
-    duplicate key, or bytes that are not UTF-8 raise `error` naming the file."""
+    """The JSON document in a UTF-8 file; malformed or too deeply nested
+    JSON, an object with a duplicate key, or bytes that are not UTF-8 raise
+    `error` naming the file."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, duplicate keys
+        return JSON_DECODER.decode(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, a repeated key
         raise error(f"{path}: {exc}") from None

@@ -13,6 +13,7 @@ import pytest
 import zhstance
 import zhstance.cli
 from zhstance.cli import main
+from zhstance.resources import BUNDLED_LEXICON, BUNDLED_TABLE, bundled_path
 
 WHEN = "2021-02-01T12:00:00Z"
 
@@ -181,13 +182,15 @@ class TestClassify:
 
     def test_empty_queries_give_no_predictions_whatever_k(self, capsys, synthetic_corpus_path, tmp_path):
         # k is checked against the training set per scored query, so an
-        # empty batch never reaches the check
+        # empty batch never reaches the check; no predictions write no bytes
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
-        code, out, _ = run(capsys, "classify", "--corpus", str(synthetic_corpus_path),
-                           "--queries", str(empty), "--k", "1000")
-        assert code == 0
-        assert out.strip() == ""
+        argv = ["classify", "--corpus", str(synthetic_corpus_path), "--queries", str(empty),
+                "--k", "1000"]
+        assert run(capsys, *argv) == (0, "", "")
+        out_path = tmp_path / "predictions.jsonl"
+        assert run(capsys, *argv, "--output", str(out_path)) == (0, "", "")
+        assert out_path.read_bytes() == b""
 
     def test_query_sharing_a_training_account_id_keeps_its_own_tweets(self, capsys, tmp_path):
         # b0 is a Beijing training account; the query b0 tweets like d2
@@ -538,6 +541,17 @@ class TestConfigResolution:
         code, out, _ = run(capsys, "crossval", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["aggregate"]["accuracy"]["mean"] == 1.0
+
+    def test_flags_named_apart_from_their_fields(self, capsys, tmp_path):
+        lexicon, table = bundled_path(BUNDLED_LEXICON), bundled_path(BUNDLED_TABLE)
+        code, out, _ = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)), *RELAXED,
+                           "--folds", "3", "--k", "3", "--no-clean",
+                           "--dict", str(lexicon), "--convert-table", str(table))
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["paths"]["dictionary"] == str(lexicon)
+        assert config["paths"]["table"] == str(table)
+        assert config["clean"] is False
 
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"

@@ -179,6 +179,22 @@ class TestLoadCorpus:
         assert str(info.value).startswith(f"{path}: line {len(lines)}: ")
         assert str(info.value).endswith(f"unknown key(s) [{key!r}]")
 
+    @pytest.mark.parametrize("lines, key", [
+        # without the check the last value wins: this account loads as "B"
+        ([account_line("a1", "A")], "label"),
+        ([account_line("a1", None, texts=("x",))], "text"),
+        ([{"label_set": ["A"]}], "label_set"),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, lines, key):
+        path = tmp_path / "c.jsonl"
+        text = "\n".join(json.dumps(obj) for obj in lines)
+        # repeat the last occurrence of the key with another value
+        at = text.rindex(f'"{key}": ')
+        path.write_text(text[:at] + f'"{key}": "B", ' + text[at:] + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}: line {len(lines)}: duplicate key {key!r}"
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "absent.jsonl")
@@ -188,6 +204,9 @@ class TestLoadCorpus:
         [json.dumps(account_line("a1", None)), "{oops"],
         [json.dumps(account_line("a1", None))] * 2,
         [json.dumps(account_line("a1", None)), json.dumps(account_line("a2", None, followers=-1))],
+        # errors of the JSON decoder that are not JSONDecodeError
+        ["[" * 100000],
+        ['{"follower_count": ' + "1" * 5000 + "}"],
     ])
     def test_error_names_the_file(self, tmp_path, lines):
         path = tmp_path / "c.jsonl"

@@ -123,7 +123,9 @@ def test_loader_raises_only_its_own_error(scratch, lines, junk, at, loader):
         pass
 
 
-@pytest.mark.parametrize("body", [b"{'k': 3}", b'{"k": "\xff"}', b"", b'{"a": [{"k": 3, "k": 7}]}'])
+@pytest.mark.parametrize("body", [b"{'k': 3}", b'{"k": "\xff"}', b"", b'{"a": [{"k": 3, "k": 7}]}',
+                                  pytest.param(b"[" * 100000, id="deep-nesting"),
+                                  pytest.param(b"9" * 5000, id="long-integer")])
 def test_read_json_raises_the_given_error(tmp_path, body):
     path = tmp_path / "in.json"
     path.write_bytes(body)
