@@ -81,6 +81,19 @@ def _check_vector(vec: SparseVector):
         raise ClassifierError(f"k-NN vector norm {vec.norm!r} is outside [2**-450, 2**450]")
 
 
+def _lanes(m: int, top: int):
+    """Query j's shift among m lanes of one int, each the narrowest of 1, 2,
+    4 or 8 bytes that holds `top`, in the byte order memoryview.cast reads;
+    and a reader that empties a list of such ints into per-query columns."""
+    width, fmt = next((w, f) for w, f in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if top < 256 ** w)
+
+    def columns(acc: list[int]):
+        view = memoryview(b"".join([a.to_bytes(width * m, sys.byteorder) for a in acc])).cast(fmt)
+        acc.clear()
+        return (view[j::m].tolist() for j in range(m))
+    return [8 * width * (j if sys.byteorder == "little" else m - 1 - j) for j in range(m)], columns
+
+
 class KnnIndex:
     """Training vectors in account_id order plus an inverted index over
     them: term -> [position, weight, position, weight, ...], one flat list
@@ -153,29 +166,24 @@ class KnnIndex:
         return found
 
     def _pass(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
-        m, n_train = len(queries), len(self.ids)
         postings, scales = self.postings, self.scales
+        shifts, columns = _lanes(len(queries), 2 ** 61)
         lanes: dict[str, int] = {}
-        for j, query in enumerate(queries):
+        for shift, query in zip(shifts, queries):
             if query.norm == 0.0:
                 continue
-            # cast("Q") below reads each 8-byte lane in the native byte order
-            shift = 64 * (j if sys.byteorder == "little" else m - 1 - j)
             r = 2.0 ** _BITS / query.norm
             for term, qw in query.weights.items():
                 if qw and term in postings:
                     lanes[term] = lanes.get(term, 0) | (int(qw * r) + 1) << shift
-        acc = [0] * n_train
+        acc = [0] * len(self.ids)
         for term, lane in lanes.items():
             it = iter(postings[term])
             for i, w in zip(it, it):
                 acc[i] += (int(w * scales[i]) + 1) * lane
         del lanes
-        view = memoryview(b"".join([a.to_bytes(8 * m, sys.byteorder) for a in acc])).cast("Q")
-        del acc
         found = []
-        for j, query in enumerate(queries):
-            col = view[j::m].tolist()
+        for query, col in zip(queries, columns(acc)):
             n = len(query)
             line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 21))
             scored = sorted(((cosine_similarity(query, self.vectors[i]) if lane else 0.0, i)
@@ -224,55 +232,52 @@ def top_k_terms(tokens: list[str], n: int, stopwords: frozenset[str] = frozenset
 
 
 class TermSetIndex:
-    """Training top-term sets in account_id order, each stored as an int bit
-    mask: every distinct training term gets one bit in `term_bits`.
-
-    The symmetric difference of two sets is then the popcount of the XOR of
-    their masks, exact integer arithmetic; a query term that no training
-    set holds adds exactly 1 to every distance.
-    """
+    """Training top-term sets in account_id order, and postings over them:
+    term -> the positions of the sets that hold it. Sets Q and M differ in
+    |Q| + |M| - 2|Q & M| terms, and lanes of 0/1 query vectors wide enough
+    for the largest |Q| count every |Q & M| exactly, with no carry."""
 
     def __init__(self, train: Iterable[SetExample]):
-        examples = sorted(train, key=lambda e: e[0])
+        examples = sorted(((a, label, frozenset(terms)) for a, label, terms in train), key=lambda e: e[0])
         self.ids = [account_id for account_id, _, _ in examples]
         self.labels = [label for _, label, _ in examples]
-        self.term_bits: dict[str, int] = {}
-        self.masks: list[int] = []
-        for _, _, terms in examples:
-            mask = 0
+        # |M| * n + position: with -2|Q & M| * n added, it orders by distance, then by account_id
+        self.base_keys = [len(terms) * len(examples) + i for i, (_, _, terms) in enumerate(examples)]
+        self.postings: dict[str, list[int]] = {}
+        for i, (_, _, terms) in enumerate(examples):
             for term in terms:
-                bit = self.term_bits.get(term)
-                if bit is None:
-                    bit = self.term_bits[term] = 1 << len(self.term_bits)
-                mask |= bit
-            self.masks.append(mask)
+                self.postings.setdefault(term, []).append(i)
 
-    def nearest(self, query_terms, k: int) -> list[Neighbor]:
-        """The first k accounts by (symmetric-difference distance, account_id),
-        each with similarity 1/(1 + distance)."""
+    def nearest_many(self, queries: list, k: int) -> list[list[Neighbor]]:
+        """For each query's terms, the first k accounts by (symmetric-difference
+        distance, account_id), each with similarity 1/(1 + distance), scored
+        together in one pass over the postings; no queries need no valid k."""
+        if not queries:
+            return []
         n = len(self.ids)
         _check_k(k, n)
-        query, outside = 0, 0
-        term_bits = self.term_bits
-        for term in frozenset(query_terms):
-            bit = term_bits.get(term)
-            if bit is None:
-                outside += 1
-            else:
-                query |= bit
-        # distance * n + position orders by distance, then by account_id
-        keys = heapq.nsmallest(k, [((query ^ mask).bit_count() + outside) * n + i
-                                   for i, mask in enumerate(self.masks)])
-        ids, labels = self.ids, self.labels
-        return [Neighbor(ids[i], labels[i], 1.0 / (1.0 + d))
-                for d, i in (divmod(key, n) for key in keys)]
+        sets = [frozenset(terms) for terms in queries]
+        shifts, columns = _lanes(len(sets), max(map(len, sets)))
+        postings, lanes, acc = self.postings, {}, [0] * n
+        for shift, terms in zip(shifts, sets):
+            for term in terms & postings.keys():
+                lanes[term] = lanes.get(term, 0) | 1 << shift
+        for term, lane in lanes.items():
+            for i in postings[term]:
+                acc[i] += lane
+        ids, labels, found = self.ids, self.labels, []
+        for terms, col in zip(sets, columns(acc)):
+            keys = heapq.nsmallest(k, [key - 2 * n * c for key, c in zip(self.base_keys, col)])
+            found.append([Neighbor(ids[i], labels[i], 1.0 / (1.0 + len(terms) + d))
+                          for d, i in (divmod(key, n) for key in keys)])
+        return found
 
 
-def baseline1_predict(query_terms, index: TermSetIndex, k: int = 5) -> Prediction:
+def baseline1_predict(query_terms, index: TermSetIndex, k: int = 5) -> Prediction | list[Prediction]:
     """Uniform vote among the k training accounts whose top-term lists are
-    closest by symmetric difference (ties by ascending account_id).
-
-    A distance d is recorded as similarity 1/(1 + d) so the shared vote
-    tie-break still favors the closer neighbors.
-    """
-    return _vote(index.nearest(query_terms, k), "uniform")
+    closest by symmetric difference, ties by ascending account_id; a list of
+    term collections is scored together, one Prediction each. A distance d
+    counts as similarity 1/(1 + d), so the vote tie-break favors the closer."""
+    if isinstance(query_terms, list):
+        return [_vote(neighbors, "uniform") for neighbors in index.nearest_many(query_terms, k)]
+    return baseline1_predict([query_terms], index, k)[0]

@@ -9,6 +9,7 @@ reproducible byte for byte from their embedded config echo.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from datetime import date
 
@@ -32,6 +33,7 @@ from .zh_convert import to_simplified
 MODELS = ("knn", "baseline0", "baseline1")
 
 DEFAULT_WINDOW = DateWindow(date(2021, 1, 1), date(2021, 4, 15))
+_WINDOW_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # date.fromisoformat takes more from 3.11 on
 
 # Each config field and its place in the config echo, which is also the
 # shape of a config file; the window's value there is {"start", "end"}.
@@ -163,7 +165,7 @@ def _merge_window(current: DateWindow, value: dict) -> DateWindow:
         if key not in dates:
             raise ConfigError(f"unknown config key filters.window.{key}")
         try:
-            dates[key] = date.fromisoformat(raw)
+            dates[key] = date.fromisoformat(raw if _WINDOW_DATE.fullmatch(raw) else "")
         except (TypeError, ValueError):
             raise ConfigError(f"invalid date {raw!r} for filters.window.{key}") from None
     try:
@@ -271,8 +273,8 @@ class Pipeline:
             vocabulary = frozenset()
         elif cfg.model == "baseline1":
             index = TermSetIndex((a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
-            preds = [baseline1_predict(self.top_terms(q), index, cfg.k) for q in ordered]
-            vocabulary = frozenset(index.term_bits)
+            preds = baseline1_predict([self.top_terms(q) for q in ordered], index, cfg.k)
+            vocabulary = frozenset(index.postings)
         else:
             vectorizer, vectors = self.fit_transform(train)
             index = KnnIndex((a.account_id, a.label, v) for a, v in zip(train.accounts, vectors))

@@ -132,13 +132,13 @@ def load_lexicon(path) -> Lexicon:
         parts = line.split()
         if len(parts) < 2:
             raise LexiconError(f"{path}: line {lineno}: expected 'word freq [tag]'")
-        word = parts[0]
+        word, digits = parts[0], parts[1]
         try:
-            freq = int(parts[1])
-        except ValueError:
-            raise LexiconError(f"{path}: line {lineno}: non-numeric frequency {parts[1]!r}") from None
+            freq = int(digits) if digits.isascii() and digits.isdigit() else 0
+        except ValueError:  # more digits than int() converts
+            freq = 0
         if freq <= 0:
-            raise LexiconError(f"{path}: line {lineno}: non-positive frequency for {word!r}")
+            raise LexiconError(f"{path}: line {lineno}: frequency {digits!r} is not a positive integer")
         entries[word] = freq
     return build_lexicon(entries)
 
@@ -200,11 +200,10 @@ def max_prob_route(sentence: str, lex: Lexicon) -> TokenStream:
 
 def load_hmm(path) -> HmmModel:
     """Load HMM parameters from a JSON object with start/trans/emit
-    log-probability tables and an optional floor_logp for unseen emissions
-    ("floor" is accepted as its older name). Unknown keys, emission keys
-    that are not one character, non-numeric and non-finite values, and
-    start probabilities on M or E are rejected; absent transitions are
-    structural zeros."""
+    log-probability tables and an optional floor_logp for unseen emissions.
+    Unknown keys, emission keys that are not one character, non-numeric and
+    non-finite values, and start probabilities on M or E are rejected;
+    absent transitions are structural zeros."""
     raw = read_json(path, HmmModelError)
 
     def fail(msg: str):
@@ -222,14 +221,12 @@ def load_hmm(path) -> HmmModel:
         return float(value)
 
     table(raw, "the HMM file")
-    unknown = sorted(set(raw) - {"start", "trans", "emit", "floor_logp", "floor"})
+    unknown = sorted(set(raw) - {"start", "trans", "emit", "floor_logp"})
     if unknown:
         fail(f"unknown key(s) {unknown}")
     for key in ("start", "trans", "emit"):
         if key not in raw:
             fail(f"missing {key!r} table")
-    if "floor" in raw and "floor_logp" in raw:
-        fail("both 'floor_logp' and its older name 'floor' given")
     start = {}
     for state, value in table(raw["start"], "start").items():
         if state not in STATES:
@@ -254,7 +251,7 @@ def load_hmm(path) -> HmmModel:
             if len(ch) != 1:
                 fail(f"emit.{state}: key {ch!r} is not one character")
             emit[state][ch] = logp(value, f"emit.{state}.{ch}")
-    floor = logp(raw.get("floor_logp", raw.get("floor", DEFAULT_FLOOR_LOGP)), "floor_logp")
+    floor = logp(raw.get("floor_logp", DEFAULT_FLOOR_LOGP), "floor_logp")
     return HmmModel(start, trans, emit, floor)
 
 

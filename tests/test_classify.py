@@ -399,3 +399,19 @@ class TestBaseline1:
             baseline1_predict(("p",), TermSetIndex(train), k=0)
         with pytest.raises(ClassifierError):
             baseline1_predict(("p",), TermSetIndex(train), k=2)
+
+    def test_empty_batch_checks_nothing(self):
+        index = TermSetIndex([("a1", "X", frozenset({"p"}))])
+        assert baseline1_predict([], index, 1000) == []
+        assert index.nearest_many([], 1000) == []
+
+    def test_counts_above_255_widen_the_lanes(self):
+        # 300 shared terms do not fit an 8-bit lane: a count that wrapped
+        # would give a distance above 0, and its carry would move the next
+        # query's count for the same account.
+        wide = frozenset(f"t{i}" for i in range(300))
+        index = TermSetIndex([("a1", "X", wide), ("a2", "Y", frozenset({"p", "q"}))])
+        p = baseline1_predict(wide, index, k=2)
+        assert [(nb.account_id, nb.similarity) for nb in p.neighbors] == [("a1", 1.0), ("a2", 1.0 / 303.0)]
+        alone = baseline1_predict(("p",), index, k=2)
+        assert baseline1_predict([wide, frozenset({"p"})], index, k=2) == [p, alone]

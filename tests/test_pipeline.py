@@ -128,6 +128,8 @@ class TestPipelineConfig:
         {"model": {"mystery": 1}},
         {"filters": {"window": {"mystery": "2021-01-01"}}},
         {"filters": {"window": {"start": "not a date"}}},
+        {"filters": {"window": {"start": "20210101"}}},
+        {"filters": {"window": {"end": "2021-W01-1"}}},
         {"filters": "not an object"},
         {"model": {"kind": "svm"}},
         {"model": {"k": 0}},

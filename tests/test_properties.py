@@ -490,13 +490,18 @@ def set_training(draw):
 
 
 # Query terms may repeat and may lie outside every training set (x, y).
+query_terms = st.lists(st.sampled_from("abcdxy"), max_size=8)
+
+
 @PROPERTY
-@given(set_training(), st.lists(st.sampled_from("abcdxy"), max_size=8))
-def test_baseline1_index_matches_exhaustive_sort(train, query):
+@given(set_training(), query_terms, st.lists(query_terms, max_size=6))
+def test_baseline1_index_matches_exhaustive_sort(train, query, batch):
     index = TermSetIndex(train)
     for k in range(1, len(train) + 1):
         want = exhaustive_baseline1(query, train, k)
         # Prediction equality compares label, votes and the neighbours
         # with their similarities, in order
-        assert baseline1_predict(query, index, k) == want
-        assert baseline1_predict(query, TermSetIndex(train[::-1]), k) == want
+        assert baseline1_predict(tuple(query), index, k) == want
+        assert baseline1_predict(tuple(query), TermSetIndex(train[::-1]), k) == want
+        # A list is a batch, scored together
+        assert baseline1_predict(batch, index, k) == [exhaustive_baseline1(q, train, k) for q in batch]

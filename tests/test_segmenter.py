@@ -206,7 +206,8 @@ class TestLexicon:
         assert lex.entries == {"中国": 5, "人民": 3}
         assert lex.total == 8
 
-    @pytest.mark.parametrize("line", ["中国", "中国 x", "中国 0", "中国 -3"])
+    @pytest.mark.parametrize("line", ["中国", "中国 x", "中国 0", "中国 -3",
+                                      "中国 1_000", "中国 ١٠", "中国 +5"])
     def test_load_rejects_bad_lines(self, tmp_path, line):
         path = tmp_path / "lex.txt"
         path.write_text(line + "\n", encoding="utf-8")
@@ -309,7 +310,7 @@ class TestLoadHmm:
         {"start": {"B": -0.3, "S": -1.2},
          "trans": {"B": {"E": -0.1}, "E": {"S": -0.5}},
          "emit": {"B": {"x": -1.0}},
-         "floor": -20.0}
+         "floor_logp": -20.0}
         """)
         hmm = load_hmm(path)
         assert hmm.start_logp == {"B": -0.3, "S": -1.2}
@@ -327,6 +328,7 @@ class TestLoadHmm:
         ('{"start": {}, "trans": {"B": {"S": -1}}, "emit": {}}', "forbidden"),
         ('{"start": {}, "trans": {"Q": {"B": -1}}, "emit": {}}', "unknown transition"),
         ('{"start": {}, "trans": {}, "emit": {"Q": {}}}', "unknown emission"),
+        ('{"start": {}, "trans": {}, "emit": {}, "floor": -20.0}', "hmm.json: unknown key.*'floor'"),
     ])
     def test_invalid_models_rejected(self, tmp_path, body, msg):
         with pytest.raises(HmmModelError, match=msg):
@@ -354,7 +356,7 @@ class TestLoadHmm:
     @pytest.mark.parametrize("body,msg", [
         ('[]', "must be an object"),
         ('{"start": {}, "trans": {}, "emit": {}, "flor_logp": -5}', "unknown key"),
-        ('{"start": {}, "trans": {}, "emit": {}, "floor": -5, "floor_logp": -5}', "both"),
+        ('{"start": {}, "trans": {}, "emit": {}, "floor": -5, "floor_logp": -5}', "unknown key.*'floor'"),
         ('{"start": [], "trans": {}, "emit": {}}', "start must be an object"),
         ('{"start": {}, "trans": {"B": 1}, "emit": {}}', "trans.B must be an object"),
         ('{"start": {"B": "-1"}, "trans": {}, "emit": {}}', "finite number"),
