@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt
 
-from .vectorize import SparseVector, cosine_similarity, term_counts
+from .vectorize import SparseVector, cosine_similarity
 
 WEIGHTINGS = ("uniform", "inverse")
 EPSILON = 1e-9
@@ -221,13 +221,13 @@ def baseline0_predict(train_labels: list[str]) -> Prediction:
     return Prediction(winner, (), counts)
 
 
-def top_k_terms(tokens: list[str], n: int, stopwords: frozenset[str] = frozenset()) -> tuple[str, ...]:
-    """The n most frequent terms, most frequent first; frequency ties break
-    lexicographically. Short documents yield all their distinct terms."""
+def top_k_terms(counts: dict[str, int], n: int, stopwords: frozenset[str] = frozenset()) -> tuple[str, ...]:
+    """The n most frequent terms of {term: count} outside the stopwords, most
+    frequent first, ties lexicographically: short documents yield them all."""
     if n < 1:
         raise ClassifierError(f"term-list size must be at least 1, got {n}")
-    counts = term_counts([t for t in tokens if t not in stopwords])
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    kept = [(term, count) for term, count in counts.items() if term not in stopwords]
+    ranked = sorted(kept, key=lambda kv: (-kv[1], kv[0]))
     return tuple(term for term, _ in ranked[:n])
 
 

@@ -12,6 +12,7 @@ keys not shown here, and a key repeated in one object are rejected.
 
 from __future__ import annotations
 
+import re
 from json import JSONDecodeError
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -77,18 +78,26 @@ class DateWindow:
         return self.start <= d <= self.end
 
 
+_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}"
+                        r"(\.[0-9]+)?([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")  # fraction, offset
+
+
 def parse_timestamp(raw: str) -> datetime:
-    """Parse an RFC3339 timestamp; naive values are taken as UTC."""
+    """Parse an RFC 3339 date-time; naive values are taken as UTC. The
+    fraction is cut or padded to 6 digits and Z written +00:00, as
+    datetime.fromisoformat needs before Python 3.11."""
     if not isinstance(raw, str):
         raise ValueError(f"timestamp must be a string, got {type(raw).__name__}")
-    text = raw.replace("Z", "+00:00") if raw.endswith("Z") else raw
+    m = _TIMESTAMP.fullmatch(raw)
     try:
-        ts = datetime.fromisoformat(text)
+        if m is None:
+            raise ValueError("not an RFC 3339 date-time")
+        fraction, offset = m.groups()
+        text = raw if fraction is None else raw[:19] + fraction[:7].ljust(7, "0") + (offset or "")
+        ts = datetime.fromisoformat(text[:-1] + "+00:00" if offset in ("Z", "z") else text)
     except ValueError as exc:
-        raise ValueError(f"invalid timestamp {raw!r}") from exc
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts
+        raise ValueError(f"invalid timestamp {raw!r}: {exc}") from None
+    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
 
 
 _ACCOUNT_KEYS = frozenset({"account_id", "follower_count", "label", "tweets"})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 
@@ -216,20 +217,20 @@ def _require_labeled(corpus: Corpus, role: str):
 
 
 class Pipeline:
-    """Caches per-account token streams and runs the configured predictor.
+    """Caches per-account term counts and runs the configured predictor.
 
-    Tokenization (conversion + segmentation) and an account's top-term set
-    (top_n and the stopwords are fixed per Pipeline) depend on that account
-    alone, so both caches are shared safely across folds; everything fitted
-    on data (the IDF model, the k-NN index, the top-term index) is rebuilt
-    per training set. Cached tokens are interned per Pipeline, so a term
-    repeated across tweets and accounts is one string object.
+    Term counts (conversion + segmentation + counting) and an account's
+    top-term set (top_n and the stopwords are fixed per Pipeline) depend on
+    that account alone, so both caches are shared safely across folds;
+    everything fitted on data (the IDF model, the k-NN index, the top-term
+    index) is rebuilt per training set. Counted terms are interned per
+    Pipeline, so a term shared across accounts is one string object.
     """
 
     def __init__(self, resources: Resources, config: PipelineConfig):
         self.resources = resources
         self.config = config
-        self._tokens: dict[AccountRecord, list[str]] = {}
+        self._counts: dict[AccountRecord, Counter[str]] = {}
         self._interned: dict[str, str] = {}
         self._top_terms: dict[AccountRecord, frozenset[str]] = {}
 
@@ -237,13 +238,17 @@ class Pipeline:
         """The account's tokens, tweet after tweet. The tweets are converted
         and segmented as one text joined with newlines: no conversion key
         holds one, and no segmentation piece crosses whitespace."""
-        cached = self._tokens.get(account)
+        res = self.resources
+        text = to_simplified("\n".join(tweet.text for tweet in account.tweets), res.table)
+        return segment(text, res.token_lexicon, res.hmm, self.config.clean)
+
+    def account_counts(self, account: AccountRecord) -> Counter[str]:
+        """{term: count} over the account's tokens in first-occurrence
+        order; each account is segmented once per Pipeline."""
+        cached = self._counts.get(account)
         if cached is None:
-            res = self.resources
-            text = to_simplified("\n".join(tweet.text for tweet in account.tweets), res.table)
-            intern = self._interned.setdefault
-            cached = self._tokens[account] = [
-                intern(t, t) for t in segment(text, res.token_lexicon, res.hmm, self.config.clean)]
+            tokens = self.account_tokens(account)
+            cached = self._counts[account] = Counter(map(self._interned.setdefault, tokens, tokens))
         return cached
 
     def top_terms(self, account: AccountRecord) -> frozenset[str]:
@@ -251,13 +256,13 @@ class Pipeline:
         cached = self._top_terms.get(account)
         if cached is None:
             cached = self._top_terms[account] = frozenset(top_k_terms(
-                self.account_tokens(account), self.config.top_n, self.resources.token_stopwords))
+                self.account_counts(account), self.config.top_n, self.resources.token_stopwords))
         return cached
 
     def fit_transform(self, corpus: Corpus) -> tuple[TfidfVectorizer, list[SparseVector]]:
         """TF-IDF fitted on the corpus's accounts, and each of their
         vectors under it, in corpus order."""
-        docs = [self.account_tokens(a) for a in corpus.accounts]
+        docs = [self.account_counts(a) for a in corpus.accounts]
         vectorizer = fit_vectorizer(docs, tf_mode=self.config.tf)
         return vectorizer, [vectorizer.transform(doc) for doc in docs]
 
@@ -278,7 +283,7 @@ class Pipeline:
         else:
             vectorizer, vectors = self.fit_transform(train)
             index = KnnIndex((a.account_id, a.label, v) for a, v in zip(train.accounts, vectors))
-            preds = knn_predict([vectorizer.transform(self.account_tokens(q)) for q in ordered],
+            preds = knn_predict([vectorizer.transform(self.account_counts(q)) for q in ordered],
                                 index, cfg.k, cfg.weighting)
             vocabulary = vectorizer.vocabulary
         return [AccountPrediction(q.account_id, q.label, p.label, p.neighbors, dict(p.votes))

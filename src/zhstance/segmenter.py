@@ -123,16 +123,18 @@ def build_lexicon(entries: dict[str, int]) -> Lexicon:
 
 
 def load_lexicon(path) -> Lexicon:
-    """Load a ``word freq [tag]`` lexicon file; the tag column is ignored."""
+    """Load a ``word freq [tag]`` lexicon file, one line per word; the tag is ignored."""
     entries: dict[str, int] = {}
     for lineno, line in read_lines(path, LexiconError):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) < 2:
+        if not 2 <= len(parts) <= 3:
             raise LexiconError(f"{path}: line {lineno}: expected 'word freq [tag]'")
         word, digits = parts[0], parts[1]
+        if word in entries:
+            raise LexiconError(f"{path}: line {lineno}: word {word!r} repeats an earlier line")
         try:
             freq = int(digits) if digits.isascii() and digits.isdigit() else 0
         except ValueError:  # more digits than int() converts

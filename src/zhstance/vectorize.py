@@ -1,8 +1,9 @@
 """TF-IDF document vectors and cosine similarity over sparse dicts.
 
-A vectorizer is fit on a training corpus of token streams and then maps
-any token stream to a sparse weight vector. Terms outside the fitted
-vocabulary are dropped; weights of zero are never stored.
+A vectorizer is fit on a training corpus of term counts, {term: count}
+per document, and then maps any such counts to a sparse weight vector.
+Terms outside the fitted vocabulary are dropped; weights of zero are
+never stored.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ def cosine_similarity(u: SparseVector, v: SparseVector) -> float:
     return dot(u, v) / (u.norm * v.norm)
 
 
-def term_counts(tokens: list[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for tok in tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    return counts
-
-
 @dataclass(frozen=True)
 class TfidfVectorizer:
     document_frequency: dict[str, int]
@@ -91,8 +85,7 @@ class TfidfVectorizer:
     def vocabulary(self) -> frozenset[str]:
         return frozenset(self.document_frequency)
 
-    def transform(self, tokens: list[str]) -> SparseVector:
-        counts = term_counts(tokens)
+    def transform(self, counts: dict[str, int]) -> SparseVector:
         total = sum(counts.values())
         relative = self.tf_mode == "relative"
         idf = self._idf
@@ -108,13 +101,13 @@ class TfidfVectorizer:
 
 
 def fit_vectorizer(
-    documents: list[list[str]],
+    documents: list[dict[str, int]],
     tf_mode: str = "raw",
     log_base: float | None = None,
 ) -> TfidfVectorizer:
-    """Collect document frequencies from the training token streams."""
+    """Collect document frequencies from the training term counts."""
     df: dict[str, int] = {}
-    for tokens in documents:
-        for term in set(tokens):
+    for counts in documents:
+        for term in counts:
             df[term] = df.get(term, 0) + 1
     return TfidfVectorizer(df, len(documents), tf_mode, log_base)

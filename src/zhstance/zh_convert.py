@@ -64,8 +64,8 @@ class ConversionTable:
 
 def load_conversion_table(path) -> ConversionTable:
     """Load a tab-separated conversion table; single-character keys go to
-    char_map, longer keys to phrase_map."""
-    pairs = []
+    char_map, longer keys to phrase_map. A key may appear on one line only."""
+    pairs: dict[str, str] = {}
     for lineno, line in read_lines(path, ConversionTableError):
         if not line.strip() or line.startswith("#"):
             continue
@@ -77,8 +77,10 @@ def load_conversion_table(path) -> ConversionTable:
             raise ConversionTableError(f"{path}: line {lineno}: empty mapping side")
         if len(value.split()) > 1:
             raise ConversionTableError(f"{path}: line {lineno}: value {value!r} holds whitespace")
-        pairs.append((key, value))
-    return ConversionTable.from_pairs(pairs)
+        if key in pairs:
+            raise ConversionTableError(f"{path}: line {lineno}: key {key!r} repeats an earlier line")
+        pairs[key] = value
+    return ConversionTable.from_pairs(pairs.items())
 
 
 def to_simplified(text: str, table: ConversionTable) -> str:

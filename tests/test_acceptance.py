@@ -11,6 +11,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -213,7 +214,7 @@ CONFIGS = (("raw", None), ("raw", 10.0), ("relative", None), ("relative", 10.0))
 
 
 def random_docs(rng, n_docs, vocab, max_len):
-    return [[rng.choice(vocab) for _ in range(rng.randrange(3, max_len + 1))]
+    return [Counter([rng.choice(vocab) for _ in range(rng.randrange(3, max_len + 1))])
             for _ in range(n_docs)]
 
 
@@ -233,8 +234,8 @@ def test_criterion_4_vector_invariances():
             assert 0.0 <= forward <= 1.0 + 1e-12
 
     # disjoint supports are exactly orthogonal
-    left = base.transform(["w0", "w1", "w2"])
-    right = base.transform(["w3", "w4", "w5"])
+    left = base.transform(Counter(["w0", "w1", "w2"]))
+    right = base.transform(Counter(["w3", "w4", "w5"]))
     assert not (set(left.weights) & set(right.weights))
     assert cosine_similarity(left, right) == 0.0
 

@@ -489,8 +489,9 @@ def test_unknown_corpus_key_exits_1(capsys, tmp_path):
 @pytest.mark.parametrize("model", ["knn", "baseline1"])
 def test_crossval_bytes_independent_of_hash_seed(synthetic_corpus_path, model):
     """Criterion 8 reruns within one interpreter; set and dict order under
-    different string hash seeds only shows across processes. baseline1's
-    index assigns term bits in set iteration order, so it is covered too."""
+    different string hash seeds only shows across processes. baseline1
+    builds its postings and query lanes in top-term set iteration order,
+    so it is covered too."""
     src = str(Path(zhstance.__file__).resolve().parents[1])
     blobs = []
     for hash_seed in ("1", "2"):

@@ -61,6 +61,43 @@ class TestParseTimestamp:
         with pytest.raises(ValueError):
             parse_timestamp(20210304)
 
+    # RFC 3339 date-times that datetime.fromisoformat reads only from
+    # Python 3.11 on, or only in other spellings
+    @pytest.mark.parametrize("raw, expected", [
+        ("2021-01-05T12:00:00.5+00:00", datetime(2021, 1, 5, 12, 0, 0, 500000, tzinfo=timezone.utc)),
+        ("2021-01-05T12:00:00.1234567+00:00", datetime(2021, 1, 5, 12, 0, 0, 123456, tzinfo=timezone.utc)),
+        ("2021-01-05T12:00:00.123Z", datetime(2021, 1, 5, 12, 0, 0, 123000, tzinfo=timezone.utc)),
+        ("2021-01-05t12:00:00z", datetime(2021, 1, 5, 12, 0, 0, tzinfo=timezone.utc)),
+        ("2021-01-05T12:00:00.000001-05:30",
+         datetime(2021, 1, 5, 17, 30, 0, 1, tzinfo=timezone.utc)),
+        ("2021-01-05T12:00:00+23:59", datetime(2021, 1, 4, 12, 1, 0, tzinfo=timezone.utc)),
+        ("2021-01-05T12:00:00.5", datetime(2021, 1, 5, 12, 0, 0, 500000, tzinfo=timezone.utc)),
+    ])
+    def test_rfc3339_forms_accepted(self, raw, expected):
+        assert parse_timestamp(raw) == expected
+
+    @pytest.mark.parametrize("raw", [
+        "2021-01-05",
+        "2021-01-05T12",
+        "2021-01-05T12:00",
+        "2021-01-05 12:00:00+00:00",  # RFC 3339 leaves the space to applications
+        "2021-01-05T12:00:00+0000",
+        "2021-01-05T12:00:00+00",
+        "2021-01-05T12:00:00.+00:00",
+        "2021-01-05T12:00:00,5+00:00",
+        "2021-01-05T12:00:60Z",  # a leap second, which datetime cannot hold
+        "2021-01-05T24:00:00Z",
+        "2021-02-30T12:00:00Z",
+        "2021-01-05T12:00:00+24:00",
+        "2021-01-05T12:00:00+05:60",
+        "2021-01-05T12:00:00Z ",
+        "２０２１-01-05T12:00:00Z",
+        "20210105T120000Z",
+    ])
+    def test_other_forms_rejected(self, raw):
+        with pytest.raises(ValueError, match="invalid timestamp"):
+            parse_timestamp(raw)
+
 
 class TestDateWindow:
     def test_bounds_are_inclusive(self):

@@ -1,5 +1,6 @@
 """Tests for the pipeline: configuration, orchestration, and hygiene."""
 
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -146,7 +147,19 @@ class TestAccountTokens:
 
     def test_cache_returns_same_object(self, pipeline):
         acct = account("t", None, "支持民主")
-        assert pipeline.account_tokens(acct) is pipeline.account_tokens(acct)
+        assert pipeline.account_counts(acct) is pipeline.account_counts(acct)
+
+    def test_counts_in_first_occurrence_order(self, pipeline):
+        acct = AccountRecord("t", 0, None,
+                             (Tweet("反对统一 支持民主", WHEN), Tweet("支持统一", WHEN)))
+        counts = pipeline.account_counts(acct)
+        assert counts == Counter(pipeline.account_tokens(acct))
+        assert list(counts.items()) == [("反对", 1), ("统一", 2), ("支持", 2), ("民主", 1)]
+
+    def test_counted_terms_are_shared_across_accounts(self, pipeline):
+        first = pipeline.account_counts(account("a", None, "民主"))
+        second = pipeline.account_counts(account("b", None, "民主"))
+        assert next(iter(first)) is next(iter(second))
 
     def test_tweets_concatenate_in_order(self, pipeline):
         acct = AccountRecord("t", 0, None,
@@ -279,6 +292,19 @@ class TestCrossValidate:
         for fold in result.folds:
             train = [a for a in corpus.accounts if a.account_id not in fold.validation_ids]
             assert fold.vocabulary == frozenset().union(*map(pipe.top_terms, train))
+
+    def test_knn_segments_each_account_once(self, resources, monkeypatch):
+        segment = zhstance.pipeline.segment
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return segment(*args)
+
+        monkeypatch.setattr(zhstance.pipeline, "segment", counting)
+        corpus = make_corpus()
+        Pipeline(resources, PipelineConfig(k=3, folds=4)).cross_validate(corpus)
+        assert len(calls) == len(corpus.accounts)
 
 
 class TestEvaluateTestSet:

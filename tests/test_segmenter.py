@@ -206,12 +206,14 @@ class TestLexicon:
         assert lex.entries == {"中国": 5, "人民": 3}
         assert lex.total == 8
 
+    # the error names the last line given, the first one at fault
     @pytest.mark.parametrize("line", ["中国", "中国 x", "中国 0", "中国 -3",
-                                      "中国 1_000", "中国 ١٠", "中国 +5"])
+                                      "中国 1_000", "中国 ١٠", "中国 +5",
+                                      "中国 5 n extra", "中国 5\n中国 7", "中国 5 n\n人民 3\n中国 5 n"])
     def test_load_rejects_bad_lines(self, tmp_path, line):
         path = tmp_path / "lex.txt"
         path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(LexiconError, match="line 1"):
+        with pytest.raises(LexiconError, match=f"line {line.count(chr(10)) + 1}: "):
             load_lexicon(path)
 
     def test_load_error_names_the_file(self, tmp_path):

@@ -78,6 +78,13 @@ class TestLoadConversionTable:
         with pytest.raises(ConversionTableError, match="line 1"):
             load_conversion_table(path)
 
+    @pytest.mark.parametrize("text", ["國\t国\n國\t国\n", "國\t国\n發\t发\n國\t囯\n", "頭髮\t头发\n頭髮\t头发\n"])
+    def test_repeated_key_rejected(self, tmp_path, text):
+        path = tmp_path / "t.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConversionTableError, match=f"line {text.count(chr(10))}: key .* repeats"):
+            load_conversion_table(path)
+
     def test_error_names_the_file(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("發\t发\n國 国\n", encoding="utf-8")
