@@ -18,8 +18,8 @@ from .vectorize import SparseVector, cosine_similarity
 
 WEIGHTINGS = ("uniform", "inverse")
 EPSILON = 1e-9
-_BITS = 30  # a unit weight becomes about 2**30 in the k-NN lanes
-_LANES = 56  # keeps each k-NN accumulator within CPython's 512-byte small objects
+_BITS = 15  # a unit weight becomes about 2**15 in the k-NN lanes
+_LANES = 112  # keeps each k-NN accumulator within CPython's 512-byte small objects
 _MIN_NORM = 2.0 ** -450
 
 KnnExample = tuple[str, str, SparseVector]  # (account_id, label, vector)
@@ -132,26 +132,31 @@ class KnnIndex:
         """nearest(query, k) for each query, scored together, at most
         _LANES per pass over the postings; no queries need no valid k.
 
-        With B = 30 and u = 2**-53, a positive weight w of a vector of norm
+        With B = 15 and u = 2**-53, a positive weight w of a vector of norm
         N becomes U = floor(w * (2**B / N)) + 1 >= 1, both operations
         rounded, so a * 2**B * (1 - 2u) <= U <= a * 2**B * (1 + 3u) + 1 for
-        a = w / N. Each query's V sits in its own 64-bit lane of one int
+        a = w / N. Each query's V sits in its own 32-bit lane of one int
         per term, and one pass over a term's postings adds U * lanes[term]
         to each account's int; lane j of account i is L = sum U * V over
         their n' <= n = len(query) shared terms. Let r = sum a * b there.
-        For vectors of under 2**40 terms the norms are within 2**-13 of
+        For vectors of under 2**29 terms the norms are within 2**-13 of
         exact, so sum a**2 <= 1 + 2**-11, and by Cauchy-Schwarz
-        L <= (2**B * (1 + 2**-11) + sqrt(n'))**2 < 2**61: no lane carries.
+        L <= (2**B * (1 + 2**-11) + sqrt(n'))**2 < 2**32: no lane carries.
         Likewise r * (1 - 4u) <= L / 2**2B <= r * (1 + 7u)
         + 2 * sqrt(n) * (1 + 2**-11) * 2**-B + n * 2**-2B, r <= 1 + 2**-11,
         and cosine_similarity's c adds the same products: |c - r| <=
-        (n + 2) * 2**-51. In lane units, slack = (2 * isqrt(n) + 3) * 2**B
-        + (n + 4) * 2**21 exceeds both lane errors plus twice that, so an
-        account whose lane is more than slack below the k-th best has k
-        accounts with a larger c. The rest are re-scored with
-        cosine_similarity and sorted on (-c, account_id), except that a
-        zero lane (no shared term positive on both sides) scores exactly
-        0.0. So every similarity, and the order, is the exhaustive sort's.
+        (n + 2) * 2**-51. In lane units both lane errors plus twice |c - r|
+        come to at most 2**(B+1) * sqrt(n) + 2**(B-10) * sqrt(n) + n
+        + (n + 4) * 2**-20, where the floats' share is 11u * (1 + 2**-11)
+        * 2**2B < 2**-19 plus 2 * (n + 2) * 2**-51 * 2**2B. slack =
+        (2 * isqrt(n) + 3) * 2**B + (n + 4) * 2 exceeds that sum, since
+        2 * isqrt(n) + 3 >= 2 * sqrt(n) + 1, 2**(B-10) * sqrt(n) <= n / 2
+        + 512 and (n + 4) * 2**-20 < n / 2 + 8. So an account whose lane is
+        more than slack below the k-th best has k accounts with a larger c.
+        The rest are re-scored with cosine_similarity and sorted on
+        (-c, account_id), except that a zero lane (no shared term positive
+        on both sides) scores exactly 0.0. So every similarity, and the
+        order, is the exhaustive sort's.
         """
         if not queries:
             return []
@@ -167,7 +172,7 @@ class KnnIndex:
 
     def _pass(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
         postings, scales = self.postings, self.scales
-        shifts, columns = _lanes(len(queries), 2 ** 61)
+        shifts, columns = _lanes(len(queries), 2 ** 32 - 1)
         lanes: dict[str, int] = {}
         for shift, query in zip(shifts, queries):
             if query.norm == 0.0:
@@ -185,7 +190,7 @@ class KnnIndex:
         found = []
         for query, col in zip(queries, columns(acc)):
             n = len(query)
-            line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 21))
+            line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 1))
             scored = sorted(((cosine_similarity(query, self.vectors[i]) if lane else 0.0, i)
                              for i, lane in enumerate(col) if lane >= line),
                             key=lambda si: (-si[0], si[1]))
@@ -226,9 +231,8 @@ def top_k_terms(counts: dict[str, int], n: int, stopwords: frozenset[str] = froz
     frequent first, ties lexicographically: short documents yield them all."""
     if n < 1:
         raise ClassifierError(f"term-list size must be at least 1, got {n}")
-    kept = [(term, count) for term, count in counts.items() if term not in stopwords]
-    ranked = sorted(kept, key=lambda kv: (-kv[1], kv[0]))
-    return tuple(term for term, _ in ranked[:n])
+    ranked = sorted([(-count, term) for term, count in counts.items() if term not in stopwords])
+    return tuple(term for _, term in ranked[:n])
 
 
 class TermSetIndex:

@@ -17,6 +17,7 @@ from zhstance.classify import (
     Neighbor,
     Prediction,
     TermSetIndex,
+    _LANES,
     baseline0_predict,
     baseline1_predict,
     knn_predict,
@@ -299,6 +300,37 @@ class TestNearestMany:
                     want = oracle_neighbors(query, train, k)
                     assert neighbors == want
                     assert index.nearest(query, k) == want
+
+    def test_batches_across_pass_boundaries(self):
+        # A full pass, one query over it (two passes of equal size), and
+        # two passes' worth plus one (three passes): every query still gets
+        # the oracle's neighbours, whichever pass and lane it lands in.
+        rng = random.Random(1800)
+        for size in (_LANES, _LANES + 1, 2 * _LANES + 1):
+            for _ in range(3):
+                train, queries = random_batch(rng)
+                batch = [queries[j % len(queries)] for j in range(size)]
+                rng.shuffle(batch)
+                index = KnnIndex(train)
+                for k in {1, len(train) // 2 + 1, len(train)}:
+                    got = index.nearest_many(batch, k)
+                    assert len(got) == size
+                    assert got == [oracle_neighbors(query, train, k) for query in batch]
+
+    def test_self_matches_fill_a_lane_without_carrying(self):
+        # A query equal to a training vector puts about 2**30 in that
+        # account's lane, the most a lane holds: were lanes narrower than
+        # that, it would spill into the next query's lane or past the top.
+        rng = random.Random(18)
+        train = []
+        for i in range(20):
+            weights = {f"t{rng.randrange(12)}": rng.uniform(0.1, 3.0) for _ in range(rng.randrange(1, 6))}
+            train.append((f"a{i:02d}", "XY"[i % 2], SparseVector(weights)))
+        queries = [v for _, _, v in train]
+        rng.shuffle(queries)
+        got = KnnIndex(train).nearest_many(queries, 3)
+        assert got == [oracle_neighbors(query, train, 3) for query in queries]
+        assert all(neighbors[0].similarity > 0.999 for neighbors in got)
 
     def test_subnormal_normalised_weights_outrank_zero(self):
         # The shared term's products are subnormal, but positive: each
