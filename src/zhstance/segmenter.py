@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
+from operator import itemgetter
 
 from .textfile import read_json, read_lines
 
@@ -75,6 +77,12 @@ class Lexicon:
         object.__setattr__(self, "_word_starts",
                            frozenset(word[0] for word in self.entries if len(word) > 1))
 
+    @cached_property
+    def _single_words(self) -> re.Pattern:
+        """The one-character words as one capturing class; built on first use."""
+        singles = "".join(re.escape(word) for word in self.entries if len(word) == 1)
+        return re.compile(f"([{singles}])" if singles else "(?!)")  # "(?!)" never matches
+
 
 @dataclass(frozen=True)
 class HmmModel:
@@ -96,9 +104,9 @@ class HmmModel:
     _tables: tuple = field(init=False, repr=False, compare=False)
     # the characters of the four emission rows
     _emit_chars: frozenset[str] = field(init=False, repr=False, compare=False)
-    # stretch length -> (start, end) of each word of an all-unseen stretch
-    _unseen_cuts: dict[int, tuple[tuple[int, int], ...]] = field(
-        init=False, repr=False, compare=False)
+    # stretch length -> an itemgetter of the slices of the words of an
+    # all-unseen stretch of that length
+    _unseen_cuts: dict[int, itemgetter] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(dict(self.emit_logp.get(s, {})) for s in STATES)
@@ -164,20 +172,23 @@ def build_dag(sentence: str, lex: Lexicon) -> dict[int, list[int]]:
     return dag
 
 
-def max_prob_route(sentence: str, lex: Lexicon) -> TokenStream:
-    """Best segmentation, by right-to-left dynamic programming.
+def _word_spans(sentence: str, lex: Lexicon) -> list[tuple[int, int]]:
+    """The best route's multi-character words, as (start, end) slices in order.
 
     score[i] is the log-probability of the best route through sentence[i:]:
     the max over words sentence[i..j] of logp(word) + score[j+1]; score ties
     go to the longer word. Every character is a word on its own (scored
     ln(1/total) outside the lexicon); only a first character of a
-    multi-character word starts a scan for longer ones. A prefix that is
-    not a word scores -inf, which never reaches the finite best.
+    multi-character word starts a scan for longer ones, so a sentence
+    without one has no multi-character word. A prefix that is not a word
+    scores -inf, which never reaches the finite best.
     """
-    n = len(sentence)
     (routes, oov_logp), starts = lex._routes, lex._word_starts
+    if starts.isdisjoint(sentence):
+        return []
+    n = len(sentence)
     score = [0.0] * (n + 1)
-    end = list(range(n))  # the last index of the best route's first word from i
+    ends = {}  # i -> end of the best route's first word from i, where that is longer than one
     for i in range(n - 1, -1, -1):
         ch = sentence[i]
         best = routes.get(ch, oov_logp) + score[i + 1]
@@ -189,14 +200,28 @@ def max_prob_route(sentence: str, lex: Lexicon) -> TokenStream:
                 s = logp + score[j]
                 if s >= best:  # ends ascend, so a tie goes to the longer word
                     best = s
-                    end[i] = j - 1
+                    ends[i] = j
         score[i] = best
-    tokens = []
-    i = 0
-    while i < n:
-        j = end[i] + 1
+    # left to right, the route takes each word starting at or after the last one's end
+    spans = []
+    pos = 0
+    for i, j in reversed(ends.items()):
+        if i >= pos:
+            spans.append((i, j))
+            pos = j
+    return spans
+
+
+def max_prob_route(sentence: str, lex: Lexicon) -> TokenStream:
+    """Best segmentation: the words of _word_spans, and each character
+    between them as a word of its own."""
+    tokens: TokenStream = []
+    pos = 0
+    for i, j in _word_spans(sentence, lex):
+        tokens.extend(sentence[pos:i])
         tokens.append(sentence[i:j])
-        i = j
+        pos = j
+    tokens.extend(sentence[pos:])
     return tokens
 
 
@@ -326,15 +351,17 @@ def hmm_segment(span: str, hmm: HmmModel) -> TokenStream:
     character in none of them scores floor_logp in every state, and the
     path of a span made only of such characters depends on the model and
     the span's length alone. The first such span of each length is
-    decoded and its cuts kept on the model; later ones of that length are
-    sliced at the kept cuts. The memo holds one entry per distinct length,
-    so it is bounded by the longest Han run segmented.
+    decoded and its cuts kept on the model, as one itemgetter of slices;
+    later ones of that length are sliced by it. The memo holds one entry
+    per distinct length, so it is bounded by the longest Han run segmented.
     """
     unseen = hmm._emit_chars.isdisjoint(span)
     if unseen:
-        cuts = hmm._unseen_cuts.get(len(span))
-        if cuts is not None:
-            return [span[i:j] for i, j in cuts]
+        cut = hmm._unseen_cuts.get(len(span))
+        if cut is not None:
+            words = cut(span)
+            # an itemgetter of one slice returns that slice, not a 1-tuple
+            return [words] if isinstance(words, str) else list(words)
     tokens = []
     start = 0
     for i, state in enumerate(viterbi(span, hmm)):
@@ -343,34 +370,34 @@ def hmm_segment(span: str, hmm: HmmModel) -> TokenStream:
             start = i + 1
     if unseen:
         ends = list(accumulate(map(len, tokens), initial=0))
-        hmm._unseen_cuts[len(span)] = tuple(zip(ends, ends[1:]))
+        hmm._unseen_cuts[len(span)] = itemgetter(*map(slice, ends, ends[1:]))
     return tokens
 
 
+def _cut_gap(gap: str, lex: Lexicon, hmm: HmmModel, out: TokenStream) -> None:
+    """Append the words of a gap between the route's words: each
+    one-character word stays, and the HMM cuts each stretch of others."""
+    if len(gap) < 2:
+        out.extend(gap)  # no character, or one that is a word of its own
+        return
+    # the split alternates other characters (possibly none) and one-character words
+    for piece in lex._single_words.split(gap):
+        if len(piece) > 1:
+            out.extend(hmm_segment(piece, hmm))
+        elif piece:
+            out.append(piece)
+
+
 def _cut_han(run: str, lex: Lexicon, hmm: HmmModel | None) -> TokenStream:
-    if lex._word_starts.isdisjoint(run):
-        # no multi-character word can start in the run: the route is forced
-        tokens = list(run)
-    else:
-        tokens = max_prob_route(run, lex)
     if hmm is None:
-        return tokens
-    # run[start:end] is the current stretch of single characters that are
-    # not lexicon entries; the HMM re-cuts a stretch of two or more
-    entries = lex.entries
+        return max_prob_route(run, lex)
     out: TokenStream = []
-    start = end = 0
-    for tok in tokens + [""]:  # the empty last word flushes the last stretch
-        if len(tok) == 1 and tok not in entries:
-            end += 1
-            continue
-        if end - start > 1:
-            out.extend(hmm_segment(run[start:end], hmm))
-        elif end > start:
-            out.append(run[start])
-        out.append(tok)
-        start = end = end + len(tok)
-    out.pop()  # the empty last word
+    pos = 0
+    for i, j in _word_spans(run, lex):
+        _cut_gap(run[pos:i], lex, hmm, out)
+        out.append(run[i:j])
+        pos = j
+    _cut_gap(run[pos:], lex, hmm, out)
     return out
 
 

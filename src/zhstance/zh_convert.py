@@ -6,10 +6,12 @@ several space-separated candidates on the right (as OpenCC dictionaries
 do); only the first is used, so ambiguity resolution belongs to the table
 author, not this engine.
 
-Conversion runs at C speed: one compiled alternation of the phrase keys,
-longest first, finds the phrases, and ``str.translate`` maps the stretches
-between them character by character. Both are built once per table, on
-its first conversion.
+Conversion runs at C speed: one compiled pattern of the phrase keys,
+grouped by first character, splits the text into phrases and the
+stretches between them; ``str.translate`` maps the stretches character
+by character and the phrase map the phrases, and one join builds the
+result. Pattern and translation are built once per table, on its first
+conversion.
 """
 
 from __future__ import annotations
@@ -52,14 +54,20 @@ class ConversionTable:
 
     @cached_property
     def _phrase_pattern(self) -> re.Pattern | None:
-        """The phrase keys as one alternation, longest first: ``re`` takes
-        the first alternative that matches at the leftmost position, so a
-        match is the longest key there. None without phrase keys, since an
-        empty alternation would match the empty string everywhere."""
+        """The phrase keys as one capturing alternation with one branch per
+        first character: that character, then the rests of its keys,
+        longest first. ``re`` takes the first alternative that matches at
+        the leftmost position, and only one branch can match there, so a
+        match is the longest key there; ``re`` tries branches, not keys.
+        None without phrase keys, since an empty alternation would match
+        the empty string everywhere."""
         if not self.phrase_map:
             return None
-        keys = sorted(self.phrase_map, key=len, reverse=True)
-        return re.compile("|".join(map(re.escape, keys)))
+        rests: dict[str, list[str]] = {}
+        for key in sorted(self.phrase_map, key=len, reverse=True):
+            rests.setdefault(key[0], []).append(re.escape(key[1:]))
+        return re.compile("(" + "|".join(re.escape(first) + "(?:" + "|".join(group) + ")"
+                                         for first, group in rests.items()) + ")")
 
 
 def load_conversion_table(path) -> ConversionTable:
@@ -94,12 +102,8 @@ def to_simplified(text: str, table: ConversionTable) -> str:
     pattern = table._phrase_pattern
     if pattern is None:
         return text.translate(translation)
-    phrase_map = table.phrase_map
-    out = []
-    pos = 0
-    for m in pattern.finditer(text):
-        out.append(text[pos:m.start()].translate(translation))
-        out.append(phrase_map[m.group()])
-        pos = m.end()
-    out.append(text[pos:].translate(translation))
-    return "".join(out)
+    # the pattern captures, so the split alternates stretch, phrase, stretch
+    parts = pattern.split(text)
+    parts[::2] = [stretch.translate(translation) for stretch in parts[::2]]
+    parts[1::2] = map(table.phrase_map.__getitem__, parts[1::2])
+    return "".join(parts)

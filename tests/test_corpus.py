@@ -21,6 +21,39 @@ from zhstance.corpus import (
 )
 
 
+# RFC 3339 date-times that datetime.fromisoformat reads only from Python
+# 3.11 on, or only in other spellings
+ACCEPTED_TIMESTAMPS = [
+    ("2021-01-05T12:00:00.5+00:00", datetime(2021, 1, 5, 12, 0, 0, 500000, tzinfo=timezone.utc)),
+    ("2021-01-05T12:00:00.1234567+00:00", datetime(2021, 1, 5, 12, 0, 0, 123456, tzinfo=timezone.utc)),
+    ("2021-01-05T12:00:00.123Z", datetime(2021, 1, 5, 12, 0, 0, 123000, tzinfo=timezone.utc)),
+    ("2021-01-05t12:00:00z", datetime(2021, 1, 5, 12, 0, 0, tzinfo=timezone.utc)),
+    ("2021-01-05T12:00:00.000001-05:30",
+     datetime(2021, 1, 5, 17, 30, 0, 1, tzinfo=timezone.utc)),
+    ("2021-01-05T12:00:00+23:59", datetime(2021, 1, 4, 12, 1, 0, tzinfo=timezone.utc)),
+    ("2021-01-05T12:00:00.5", datetime(2021, 1, 5, 12, 0, 0, 500000, tzinfo=timezone.utc)),
+]
+
+REJECTED_TIMESTAMPS = [
+    "2021-01-05",
+    "2021-01-05T12",
+    "2021-01-05T12:00",
+    "2021-01-05 12:00:00+00:00",  # RFC 3339 leaves the space to applications
+    "2021-01-05T12:00:00+0000",
+    "2021-01-05T12:00:00+00",
+    "2021-01-05T12:00:00.+00:00",
+    "2021-01-05T12:00:00,5+00:00",
+    "2021-01-05T12:00:60Z",  # a leap second, which datetime cannot hold
+    "2021-01-05T24:00:00Z",
+    "2021-02-30T12:00:00Z",
+    "2021-01-05T12:00:00+24:00",
+    "2021-01-05T12:00:00+05:60",
+    "2021-01-05T12:00:00Z ",
+    "２０２１-01-05T12:00:00Z",
+    "20210105T120000Z",
+]
+
+
 def make_account(account_id, label=None, followers=20000, texts=(), when="2021-02-01T00:00:00Z"):
     tweets = tuple(Tweet(t, parse_timestamp(when)) for t in texts)
     return AccountRecord(account_id, followers, label, tweets)
@@ -61,42 +94,50 @@ class TestParseTimestamp:
         with pytest.raises(ValueError):
             parse_timestamp(20210304)
 
-    # RFC 3339 date-times that datetime.fromisoformat reads only from
-    # Python 3.11 on, or only in other spellings
-    @pytest.mark.parametrize("raw, expected", [
-        ("2021-01-05T12:00:00.5+00:00", datetime(2021, 1, 5, 12, 0, 0, 500000, tzinfo=timezone.utc)),
-        ("2021-01-05T12:00:00.1234567+00:00", datetime(2021, 1, 5, 12, 0, 0, 123456, tzinfo=timezone.utc)),
-        ("2021-01-05T12:00:00.123Z", datetime(2021, 1, 5, 12, 0, 0, 123000, tzinfo=timezone.utc)),
-        ("2021-01-05t12:00:00z", datetime(2021, 1, 5, 12, 0, 0, tzinfo=timezone.utc)),
-        ("2021-01-05T12:00:00.000001-05:30",
-         datetime(2021, 1, 5, 17, 30, 0, 1, tzinfo=timezone.utc)),
-        ("2021-01-05T12:00:00+23:59", datetime(2021, 1, 4, 12, 1, 0, tzinfo=timezone.utc)),
-        ("2021-01-05T12:00:00.5", datetime(2021, 1, 5, 12, 0, 0, 500000, tzinfo=timezone.utc)),
-    ])
+    @pytest.mark.parametrize("raw, expected", ACCEPTED_TIMESTAMPS)
     def test_rfc3339_forms_accepted(self, raw, expected):
         assert parse_timestamp(raw) == expected
 
-    @pytest.mark.parametrize("raw", [
-        "2021-01-05",
-        "2021-01-05T12",
-        "2021-01-05T12:00",
-        "2021-01-05 12:00:00+00:00",  # RFC 3339 leaves the space to applications
-        "2021-01-05T12:00:00+0000",
-        "2021-01-05T12:00:00+00",
-        "2021-01-05T12:00:00.+00:00",
-        "2021-01-05T12:00:00,5+00:00",
-        "2021-01-05T12:00:60Z",  # a leap second, which datetime cannot hold
-        "2021-01-05T24:00:00Z",
-        "2021-02-30T12:00:00Z",
-        "2021-01-05T12:00:00+24:00",
-        "2021-01-05T12:00:00+05:60",
-        "2021-01-05T12:00:00Z ",
-        "２０２１-01-05T12:00:00Z",
-        "20210105T120000Z",
-    ])
+    @pytest.mark.parametrize("raw", REJECTED_TIMESTAMPS)
     def test_other_forms_rejected(self, raw):
         with pytest.raises(ValueError, match="invalid timestamp"):
             parse_timestamp(raw)
+
+    # load_corpus checks an account's fraction-free stamps in one regex call
+    # and reads the others one by one: each row, as a second tweet after a
+    # fraction-free one, must give parse_timestamp's instant or message
+    @pytest.mark.parametrize("raw, expected", ACCEPTED_TIMESTAMPS + [
+        ("2021-01-05T12:00:00Z", datetime(2021, 1, 5, 12, 0, 0, tzinfo=timezone.utc)),
+        ("2021-01-05T12:00:00+08:00", datetime(2021, 1, 5, 4, 0, 0, tzinfo=timezone.utc)),
+        ("2021-01-05T12:00:00", datetime(2021, 1, 5, 12, 0, 0, tzinfo=timezone.utc)),
+    ])
+    def test_corpus_accepts_as_parse_timestamp(self, tmp_path, raw, expected):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, [self.two_stamps(raw)])
+        ts = load_corpus(path).accounts[0].tweets[1].timestamp
+        assert ts == expected
+        assert (ts.utcoffset(), ts.tzinfo) == (parse_timestamp(raw).utcoffset(), parse_timestamp(raw).tzinfo)
+
+    @pytest.mark.parametrize("raw", REJECTED_TIMESTAMPS + [
+        "2021-01-05T12:00:00Z\n2021-01-05T12:00:00Z",
+        "2021-01-05T12:00:00Z\n",
+        20210105,
+        None,
+    ])
+    def test_corpus_rejects_as_parse_timestamp(self, tmp_path, raw):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, [self.two_stamps(raw)])
+        with pytest.raises(ValueError) as want:
+            parse_timestamp(raw)
+        with pytest.raises(CorpusError) as got:
+            load_corpus(path)
+        assert str(got.value) == f"{path}: line 1: account 'a': tweet 1: {want.value}"
+
+    @staticmethod
+    def two_stamps(raw):
+        obj = account_line("a", None, texts=("one", "two"))
+        obj["tweets"][1]["timestamp"] = raw
+        return obj
 
 
 class TestDateWindow:

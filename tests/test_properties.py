@@ -2,6 +2,7 @@
 baseline (Hypothesis)."""
 
 import math
+import random
 import re
 import sys
 
@@ -124,6 +125,41 @@ def test_to_simplified_matches_width_loop_on_small_tables(table, text):
 @PROPERTY
 @given(char_only_table, small_text)
 def test_to_simplified_matches_width_loop_without_phrase_keys(table, text):
+    assert to_simplified(text, table) == width_loop_to_simplified(text, table)
+
+
+def seeded_text(rng, keys, alphabet, pieces):
+    """Keys, keys missing their last character, and single characters."""
+    out = []
+    for _ in range(pieces):
+        key = rng.choice(keys)
+        out.append(rng.choice([key, key[:-1], rng.choice(alphabet)]))
+    return "".join(out)
+
+
+def test_to_simplified_matches_width_loop_on_a_large_table():
+    # 20,000 keys over five first characters, so that thousands share one;
+    # half the drawn keys bring all their prefixes, so keys nest deeply
+    rng = random.Random(19)
+    alphabet = "甲乙丙丁戊己庚辛壬癸"
+    keys = set()
+    while len(keys) < 20_000:
+        key = rng.choice(alphabet[:5]) + "".join(rng.choices(alphabet, k=rng.randint(1, 7)))
+        keys.update([key] if rng.random() < 0.5 else (key[:i] for i in range(2, len(key) + 1)))
+    keys = sorted(keys)[:20_000]
+    pairs = [(key, "".join(rng.choices("xy" + alphabet, k=rng.randint(1, 3)))) for key in keys]
+    table = ConversionTable.from_pairs(pairs + [("甲", "J"), ("己", "j")])
+    text = seeded_text(rng, keys, alphabet + "z", 3000)
+    assert to_simplified(text, table) == width_loop_to_simplified(text, table)
+
+
+def test_to_simplified_matches_width_loop_on_a_1000_character_key():
+    rng = random.Random(19)
+    alphabet = "甲乙丙丁"
+    long_key = "".join(rng.choices(alphabet, k=1000))
+    keys = [long_key[:i] for i in range(2, 1001)]
+    table = ConversionTable.from_pairs((key, str(len(key))) for key in keys)
+    text = long_key + "z" + long_key[:999] + long_key[:2] + "z" + long_key[1:100]
     assert to_simplified(text, table) == width_loop_to_simplified(text, table)
 
 
@@ -286,6 +322,25 @@ def test_one_character_span_is_one_word(hmm, ch):
     assert hmm_segment(ch, hmm) == [ch]
 
 
+def test_memo_hit_is_a_fresh_list_of_the_viterbi_cut():
+    # one model cuts every unseen span into one word (B M ... E), one into several
+    inside_words = [("B", "M"), ("B", "E"), ("M", "M"), ("M", "E")]
+    one_word = HmmModel({"B": 0.0}, dict.fromkeys(inside_words, 0.0), {})
+    several = HmmModel({"B": -0.7, "S": -0.7}, _MEMO_TRANS, {})
+    for hmm in (one_word, several):
+        for n in range(1, 13):
+            first, span = "abcdefghijkl"[:n], "lkjihgfedcba"[:n]
+            hmm_segment(first, hmm)  # decoded, and its cut kept
+            assert n in hmm._unseen_cuts
+            got = hmm_segment(span, hmm)
+            assert type(got) is list and got == cut_at_final_states(span, hmm)
+            if hmm is one_word:
+                assert got == [span]
+            got.append("x")
+            again = hmm_segment(span, hmm)
+            assert again is not got and again == cut_at_final_states(span, hmm)
+
+
 def brute_force_dag(sentence, entries):
     """Each start i mapped to i and every j with sentence[i..j] in the
     entries, trying every span."""
@@ -366,8 +421,9 @@ def dag_everywhere_cut_han(run, lex, hmm):
 # Small lexicons over five Han characters, single- and multi-character
 # words that overlap, and text over those characters, two Han characters
 # in no word and spaces, so that many runs hold no word start.
-han_lexicon = st.dictionaries(st.text("甲乙丙丁戊", min_size=1, max_size=3),
-                              st.integers(1, 3), min_size=1, max_size=8).map(build_lexicon)
+han_words = st.dictionaries(st.text("甲乙丙丁戊", min_size=1, max_size=3),
+                            st.integers(1, 3), min_size=1, max_size=8)
+han_lexicon = han_words.map(build_lexicon)
 
 
 @PROPERTY
@@ -375,6 +431,17 @@ han_lexicon = st.dictionaries(st.text("甲乙丙丁戊", min_size=1, max_size=3)
 def test_segment_matches_dag_on_every_run(lex, text, with_hmm):
     hmm = RESOURCES.hmm if with_hmm else None
     # every whitespace chunk of this text is one Han run
+    want = [t for run in text.split() for t in dag_everywhere_cut_han(run, lex, hmm)]
+    assert segment(text, lex, hmm) == want
+
+
+@PROPERTY
+@given(han_words, st.permutations("^]-\\"), st.text("甲乙丙丁戊己庚 ", max_size=16), st.booleans())
+def test_segment_matches_dag_with_class_metacharacter_words(words, metas, text, with_hmm):
+    # gaps are cut at the one-character words through one character class,
+    # which these words would break unless escaped
+    lex = build_lexicon({**dict.fromkeys(metas, 1), **words})
+    hmm = RESOURCES.hmm if with_hmm else None
     want = [t for run in text.split() for t in dag_everywhere_cut_han(run, lex, hmm)]
     assert segment(text, lex, hmm) == want
 
