@@ -78,30 +78,23 @@ class DateWindow:
         return self.start <= d <= self.end
 
 
-_SECONDS = r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}"
-_OFFSET = r"[Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9]"
-_TIMESTAMP = re.compile(rf"{_SECONDS}(\.[0-9]+)?({_OFFSET})?")  # fraction, offset
-# fraction-free timestamps joined by "\n"
-_PLAIN_STAMPS = re.compile(rf"(?:{_SECONDS}(?:{_OFFSET})?\n)*{_SECONDS}(?:{_OFFSET})?")
+_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}"
+                        r"(\.[0-9]+)?([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")  # fraction, offset
 
 
 def parse_timestamp(raw: str) -> datetime:
     """Parse an RFC 3339 date-time; naive values are taken as UTC. The
-    fraction is cut or padded to 6 digits."""
+    fraction is cut or padded to 6 digits and Z written +00:00, as
+    datetime.fromisoformat needs before Python 3.11."""
     if not isinstance(raw, str):
         raise ValueError(f"timestamp must be a string, got {type(raw).__name__}")
     m = _TIMESTAMP.fullmatch(raw)
-    if m is None:
-        raise ValueError(f"invalid timestamp {raw!r}: not an RFC 3339 date-time")
-    fraction, offset = m.groups()
-    return _instant(raw, raw if fraction is None else raw[:19] + fraction[:7].ljust(7, "0") + (offset or ""))
-
-
-def _instant(raw: str, text: str) -> datetime:
-    """The instant of raw, a _TIMESTAMP match, read from text, raw with at most 6
-    fraction digits; Z is written +00:00, as fromisoformat needs before 3.11."""
     try:
-        ts = datetime.fromisoformat(text[:-1] + "+00:00" if text[-1] in "Zz" else text)
+        if m is None:
+            raise ValueError("not an RFC 3339 date-time")
+        fraction, offset = m.groups()
+        text = raw if fraction is None else raw[:19] + fraction[:7].ljust(7, "0") + (offset or "")
+        ts = datetime.fromisoformat(text[:-1] + "+00:00" if offset in ("Z", "z") else text)
     except ValueError as exc:
         raise ValueError(f"invalid timestamp {raw!r}: {exc}") from None
     return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
@@ -133,12 +126,6 @@ def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> A
     raw_tweets = obj.get("tweets", [])
     if not isinstance(raw_tweets, list):
         fail(f"account {account_id!r}: tweets must be a list")
-    stamps = [t.get("timestamp") if isinstance(t, dict) else None for t in raw_tweets]
-    try:  # one regex call for all the stamps; the count rules out a stamp holding "\n"
-        joined = "\n".join(stamps)
-        plain = joined.count("\n") == len(stamps) - 1 and _PLAIN_STAMPS.fullmatch(joined) is not None
-    except TypeError:  # a stamp that is not a string
-        plain = False
     tweets = []
     for i, t in enumerate(raw_tweets):
         if not isinstance(t, dict):
@@ -149,7 +136,7 @@ def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> A
         if not isinstance(text, str) or not text.strip():
             fail(f"account {account_id!r}: tweet {i} has empty text")
         try:
-            ts = _instant(stamps[i], stamps[i]) if plain else parse_timestamp(stamps[i])
+            ts = parse_timestamp(t.get("timestamp"))
         except ValueError as exc:
             fail(f"account {account_id!r}: tweet {i}: {exc}")
         tweets.append(Tweet(text=text, timestamp=ts))

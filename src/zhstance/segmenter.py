@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
 
 from .textfile import read_json, read_lines
 
@@ -68,6 +67,8 @@ class Lexicon:
     _routes: tuple[dict[str, float], float] = field(init=False, repr=False, compare=False)
     # first characters of the multi-character words
     _word_starts: frozenset[str] = field(init=False, repr=False, compare=False)
+    # the one-character words, each re.escape'd, for _single_words
+    _singles: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         log_total = math.log(self.total) if self.total > 0 else 0.0
@@ -76,12 +77,13 @@ class Lexicon:
         object.__setattr__(self, "_routes", (routes, -log_total))
         object.__setattr__(self, "_word_starts",
                            frozenset(word[0] for word in self.entries if len(word) > 1))
+        object.__setattr__(self, "_singles",
+                           "".join(re.escape(word) for word in self.entries if len(word) == 1))
 
     @cached_property
     def _single_words(self) -> re.Pattern:
-        """The one-character words as one capturing class; built on first use."""
-        singles = "".join(re.escape(word) for word in self.entries if len(word) == 1)
-        return re.compile(f"([{singles}])" if singles else "(?!)")  # "(?!)" never matches
+        """The one-character words as one capturing class, compiled on first use."""
+        return re.compile(f"([{self._singles}])" if self._singles else "(?!)")  # "(?!)" never matches
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,9 @@ class HmmModel:
     _tables: tuple = field(init=False, repr=False, compare=False)
     # the characters of the four emission rows
     _emit_chars: frozenset[str] = field(init=False, repr=False, compare=False)
-    # stretch length -> an itemgetter of the slices of the words of an
-    # all-unseen stretch of that length
-    _unseen_cuts: dict[int, itemgetter] = field(init=False, repr=False, compare=False)
+    # stretch length -> (start, end) of each word of an all-unseen stretch
+    _unseen_cuts: dict[int, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(dict(self.emit_logp.get(s, {})) for s in STATES)
@@ -351,17 +353,15 @@ def hmm_segment(span: str, hmm: HmmModel) -> TokenStream:
     character in none of them scores floor_logp in every state, and the
     path of a span made only of such characters depends on the model and
     the span's length alone. The first such span of each length is
-    decoded and its cuts kept on the model, as one itemgetter of slices;
-    later ones of that length are sliced by it. The memo holds one entry
-    per distinct length, so it is bounded by the longest Han run segmented.
+    decoded and its cuts kept on the model; later ones of that length are
+    sliced at the kept cuts. The memo holds one entry per distinct length,
+    so it is bounded by the longest Han run segmented.
     """
     unseen = hmm._emit_chars.isdisjoint(span)
     if unseen:
-        cut = hmm._unseen_cuts.get(len(span))
-        if cut is not None:
-            words = cut(span)
-            # an itemgetter of one slice returns that slice, not a 1-tuple
-            return [words] if isinstance(words, str) else list(words)
+        cuts = hmm._unseen_cuts.get(len(span))
+        if cuts is not None:
+            return [span[i:j] for i, j in cuts]
     tokens = []
     start = 0
     for i, state in enumerate(viterbi(span, hmm)):
@@ -370,7 +370,7 @@ def hmm_segment(span: str, hmm: HmmModel) -> TokenStream:
             start = i + 1
     if unseen:
         ends = list(accumulate(map(len, tokens), initial=0))
-        hmm._unseen_cuts[len(span)] = itemgetter(*map(slice, ends, ends[1:]))
+        hmm._unseen_cuts[len(span)] = tuple(zip(ends, ends[1:]))
     return tokens
 
 

@@ -103,9 +103,8 @@ class TestParseTimestamp:
         with pytest.raises(ValueError, match="invalid timestamp"):
             parse_timestamp(raw)
 
-    # load_corpus checks an account's fraction-free stamps in one regex call
-    # and reads the others one by one: each row, as a second tweet after a
-    # fraction-free one, must give parse_timestamp's instant or message
+    # each row, as an account's second tweet after a fraction-free one, must
+    # give parse_timestamp's instant or load_corpus its message
     @pytest.mark.parametrize("raw, expected", ACCEPTED_TIMESTAMPS + [
         ("2021-01-05T12:00:00Z", datetime(2021, 1, 5, 12, 0, 0, tzinfo=timezone.utc)),
         ("2021-01-05T12:00:00+08:00", datetime(2021, 1, 5, 4, 0, 0, tzinfo=timezone.utc)),

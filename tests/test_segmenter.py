@@ -199,6 +199,12 @@ class TestLexicon:
         with pytest.raises(LexiconError):
             build_lexicon(entries)
 
+    def test_later_changes_to_entries_have_no_effect(self, bundled_hmm):
+        lex = build_lexicon({"中国": 5})
+        lex.entries["呣"] = 1  # before the lexicon is first used
+        # "呣嘸" stays one gap that the HMM joins, as for the lexicon as built
+        assert segment("中国呣嘸", lex, hmm=bundled_hmm) == ["中国", "呣嘸"]
+
     def test_load(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("# comment\n中国 5 n\n人民 3\n\n", encoding="utf-8")
