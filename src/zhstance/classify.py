@@ -1,9 +1,11 @@
 """Stance predictors: cosine k-NN plus two reference baselines.
 
-All predictors are pure functions over an immutable training snapshot and
-return a Prediction carrying the chosen label, the consulted neighbors,
-and the per-label vote tallies. Tie-breaks are content-based throughout,
-so shuffling the training list never changes a prediction.
+All predictors are pure functions over an immutable training snapshot.
+k-NN and baseline1 take a list of queries and return one Prediction per
+query; baseline0 takes none. A Prediction carries the chosen label, the
+consulted neighbors, and the per-label vote tallies. Tie-breaks are
+content-based throughout, so shuffling the training list never changes a
+prediction.
 """
 
 from __future__ import annotations
@@ -124,13 +126,10 @@ class KnnIndex:
                     else:
                         entry += (i, w)
 
-    def nearest(self, query: SparseVector, k: int) -> list[Neighbor]:
-        """The first k accounts by (-cosine_similarity(query, vec), account_id)."""
-        return self.nearest_many([query], k)[0]
-
-    def nearest_many(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
-        """nearest(query, k) for each query, scored together, at most
-        _LANES per pass over the postings; no queries need no valid k.
+    def nearest(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
+        """For each query, the first k accounts by (-cosine_similarity(query,
+        vec), account_id), scored together, at most _LANES queries per pass
+        over the postings; no queries need no valid k.
 
         With B = 15 and u = 2**-53, a positive weight w of a vector of norm
         N becomes U = floor(w * (2**B / N)) + 1 >= 1, both operations
@@ -198,19 +197,17 @@ class KnnIndex:
         return found
 
 
-def knn_predict(query: SparseVector | list[SparseVector], index: KnnIndex, k: int = 5,
-                weighting: str = "uniform") -> Prediction | list[Prediction]:
-    """Vote among the k training vectors most cosine-similar to the query;
-    for a list of queries, score them together and give one Prediction each.
+def knn_predict(queries: list[SparseVector], index: KnnIndex, k: int = 5,
+                weighting: str = "uniform") -> list[Prediction]:
+    """For each query, a vote among the k training vectors most
+    cosine-similar to it; the queries are scored together.
 
     Similarity ties are broken by ascending account_id; vote ties by
     larger summed similarity, then by the lexicographically smaller label.
     """
     if weighting not in WEIGHTINGS:
         raise ClassifierError(f"unknown weighting {weighting!r}")
-    if isinstance(query, SparseVector):
-        return _vote(index.nearest(query, k), weighting)
-    return [_vote(neighbors, weighting) for neighbors in index.nearest_many(query, k)]
+    return [_vote(neighbors, weighting) for neighbors in index.nearest(queries, k)]
 
 
 def baseline0_predict(train_labels: list[str]) -> Prediction:
@@ -252,7 +249,7 @@ class TermSetIndex:
             for term in terms:
                 self.postings.setdefault(term, []).append(i)
 
-    def nearest_many(self, queries: list, k: int) -> list[list[Neighbor]]:
+    def nearest(self, queries: list, k: int) -> list[list[Neighbor]]:
         """For each query's terms, the first k accounts by (symmetric-difference
         distance, account_id), each with similarity 1/(1 + distance), scored
         together in one pass over the postings; no queries need no valid k."""
@@ -277,11 +274,9 @@ class TermSetIndex:
         return found
 
 
-def baseline1_predict(query_terms, index: TermSetIndex, k: int = 5) -> Prediction | list[Prediction]:
-    """Uniform vote among the k training accounts whose top-term lists are
-    closest by symmetric difference, ties by ascending account_id; a list of
-    term collections is scored together, one Prediction each. A distance d
+def baseline1_predict(queries: list, index: TermSetIndex, k: int = 5) -> list[Prediction]:
+    """For each query's terms, a uniform vote among the k training accounts
+    whose top-term lists are closest by symmetric difference, ties by
+    ascending account_id; the queries are scored together. A distance d
     counts as similarity 1/(1 + d), so the vote tie-break favors the closer."""
-    if isinstance(query_terms, list):
-        return [_vote(neighbors, "uniform") for neighbors in index.nearest_many(query_terms, k)]
-    return baseline1_predict([query_terms], index, k)[0]
+    return [_vote(neighbors, "uniform") for neighbors in index.nearest(queries, k)]

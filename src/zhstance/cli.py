@@ -19,6 +19,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -52,7 +53,7 @@ from .report import (
 )
 from .resources import BUNDLED_TABLE, bundled_path, load_resources
 from .segmenter import load_hmm, load_lexicon, segment
-from .textfile import read_json, read_words
+from .textfile import read_json, read_lines, read_words
 from .vectorize import TF_MODES
 from .zh_convert import load_conversion_table, to_simplified
 
@@ -204,9 +205,9 @@ def _emit(args, text: str, human: str | None):
 
 
 def cmd_convert(args) -> int:
-    table = load_conversion_table(getattr(args, "table", None) or bundled_path(BUNDLED_TABLE))
-    for line in sys.stdin:
-        print(to_simplified(line.rstrip("\n"), table))
+    table = load_conversion_table(getattr(args, "table", bundled_path(BUNDLED_TABLE)))
+    for _, line in read_lines("<stdin>", ValueError, sys.stdin.buffer):  # UTF-8, whatever the locale
+        print(to_simplified(line, table))
     return 0
 
 
@@ -214,8 +215,8 @@ def cmd_segment(args) -> int:
     lex = load_lexicon(args.dictionary)
     hmm = load_hmm(args.hmm) if hasattr(args, "hmm") else None
     clean = getattr(args, "clean", True)
-    for line in sys.stdin:
-        print(" ".join(segment(line.rstrip("\n"), lex, hmm, clean)))
+    for _, line in read_lines("<stdin>", ValueError, sys.stdin.buffer):  # UTF-8, whatever the locale
+        print(" ".join(segment(line, lex, hmm, clean)))
     return 0
 
 
@@ -274,6 +275,8 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")  # as stdin and every file are read, whatever the locale
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

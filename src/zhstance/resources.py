@@ -74,10 +74,11 @@ def load_resources(
     table: str | None = None,
     stopwords: str | None = None,
 ) -> Resources:
-    """Load the pipeline's models, falling back to the bundled data files."""
+    """Load the pipeline's models. A path of None selects the bundled data
+    file, or no stopwords; any other path, the empty one too, is opened."""
     return Resources(
-        table=load_conversion_table(table or bundled_path(BUNDLED_TABLE)),
-        lexicon=load_lexicon(dictionary or bundled_path(BUNDLED_LEXICON)),
-        hmm=load_hmm(hmm or bundled_path(BUNDLED_HMM)),
-        stopwords=load_stopwords(stopwords) if stopwords else frozenset(),
+        table=load_conversion_table(bundled_path(BUNDLED_TABLE) if table is None else table),
+        lexicon=load_lexicon(bundled_path(BUNDLED_LEXICON) if dictionary is None else dictionary),
+        hmm=load_hmm(bundled_path(BUNDLED_HMM) if hmm is None else hmm),
+        stopwords=frozenset() if stopwords is None else load_stopwords(stopwords),
     )

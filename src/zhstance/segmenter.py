@@ -214,19 +214,6 @@ def _word_spans(sentence: str, lex: Lexicon) -> list[tuple[int, int]]:
     return spans
 
 
-def max_prob_route(sentence: str, lex: Lexicon) -> TokenStream:
-    """Best segmentation: the words of _word_spans, and each character
-    between them as a word of its own."""
-    tokens: TokenStream = []
-    pos = 0
-    for i, j in _word_spans(sentence, lex):
-        tokens.extend(sentence[pos:i])
-        tokens.append(sentence[i:j])
-        pos = j
-    tokens.extend(sentence[pos:])
-    return tokens
-
-
 def load_hmm(path) -> HmmModel:
     """Load HMM parameters from a JSON object with start/trans/emit
     log-probability tables and an optional floor_logp for unseen emissions.
@@ -374,11 +361,12 @@ def hmm_segment(span: str, hmm: HmmModel) -> TokenStream:
     return tokens
 
 
-def _cut_gap(gap: str, lex: Lexicon, hmm: HmmModel, out: TokenStream) -> None:
-    """Append the words of a gap between the route's words: each
-    one-character word stays, and the HMM cuts each stretch of others."""
-    if len(gap) < 2:
-        out.extend(gap)  # no character, or one that is a word of its own
+def _cut_gap(gap: str, lex: Lexicon, hmm: HmmModel | None, out: TokenStream) -> None:
+    """Append the words of a gap between the route's words. Without an
+    HMM each character is a word; with one, each one-character word
+    stays, and the HMM cuts each stretch of others."""
+    if hmm is None or len(gap) < 2:
+        out.extend(gap)  # one character, if any, is a word of its own
         return
     # the split alternates other characters (possibly none) and one-character words
     for piece in lex._single_words.split(gap):
@@ -388,17 +376,17 @@ def _cut_gap(gap: str, lex: Lexicon, hmm: HmmModel, out: TokenStream) -> None:
             out.append(piece)
 
 
-def _cut_han(run: str, lex: Lexicon, hmm: HmmModel | None) -> TokenStream:
-    if hmm is None:
-        return max_prob_route(run, lex)
-    out: TokenStream = []
+def max_prob_route(sentence: str, lex: Lexicon, hmm: HmmModel | None = None) -> TokenStream:
+    """Best segmentation: the words of _word_spans, and the gaps between
+    them cut by _cut_gap."""
+    tokens: TokenStream = []
     pos = 0
-    for i, j in _word_spans(run, lex):
-        _cut_gap(run[pos:i], lex, hmm, out)
-        out.append(run[i:j])
+    for i, j in _word_spans(sentence, lex):
+        _cut_gap(sentence[pos:i], lex, hmm, tokens)
+        tokens.append(sentence[i:j])
         pos = j
-    _cut_gap(run[pos:], lex, hmm, out)
-    return out
+    _cut_gap(sentence[pos:], lex, hmm, tokens)
+    return tokens
 
 
 def segment(text: str, lex: Lexicon, hmm: HmmModel | None = None, clean: bool = True) -> TokenStream:
@@ -420,5 +408,5 @@ def segment(text: str, lex: Lexicon, hmm: HmmModel | None = None, clean: bool = 
         if run is None:
             tokens.append(m.group())
         else:
-            tokens.extend(_cut_han(run, lex, hmm))
+            tokens.extend(max_prob_route(run, lex, hmm))
     return tokens

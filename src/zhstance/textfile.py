@@ -1,18 +1,20 @@
-"""Reading the package's input files, so that a malformed file always
-ends in its loader's own error, naming the file."""
+"""Reading the package's input files and stdin, so that a malformed input
+always ends in its reader's own error, naming the file."""
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 
-def read_lines(path, error: type[ValueError]):
+def read_lines(path, error: type[ValueError], stream=None):
     """(line number, line) for each line of a UTF-8 text file, its line
     end removed. Lines end at \\n, \\r\\n or \\r, as in text mode. Each line
     is decoded on its own, so bytes that are not UTF-8 raise `error` with
-    the path and the line number."""
+    the path and the line number. Given an open binary stream, such as
+    stdin's, the lines are read from it, and path only names it."""
     lineno = 0
-    with open(path, "rb") as f:
+    with open(path, "rb") if stream is None else nullcontext(stream) as f:
         for chunk in f:  # a chunk ends at \n; splitlines also ends lines at \r
             for raw in chunk.splitlines():
                 lineno += 1

@@ -53,21 +53,19 @@ class ConversionTable:
         return {ord(key): value for key, value in self.char_map.items()}
 
     @cached_property
-    def _phrase_pattern(self) -> re.Pattern | None:
+    def _phrase_pattern(self) -> re.Pattern:
         """The phrase keys as one capturing alternation with one branch per
         first character: that character, then the rests of its keys,
         longest first. ``re`` takes the first alternative that matches at
         the leftmost position, and only one branch can match there, so a
         match is the longest key there; ``re`` tries branches, not keys.
-        None without phrase keys, since an empty alternation would match
-        the empty string everywhere."""
-        if not self.phrase_map:
-            return None
+        Without phrase keys the group is "(?!)", which never matches: an
+        empty alternation would match the empty string everywhere."""
         rests: dict[str, list[str]] = {}
         for key in sorted(self.phrase_map, key=len, reverse=True):
             rests.setdefault(key[0], []).append(re.escape(key[1:]))
-        return re.compile("(" + "|".join(re.escape(first) + "(?:" + "|".join(group) + ")"
-                                         for first, group in rests.items()) + ")")
+        return re.compile("(" + ("|".join(re.escape(first) + "(?:" + "|".join(group) + ")"
+                                          for first, group in rests.items()) or "(?!)") + ")")
 
 
 def load_conversion_table(path) -> ConversionTable:
@@ -99,11 +97,8 @@ def to_simplified(text: str, table: ConversionTable) -> str:
     unchanged. A phrase's output is never converted again.
     """
     translation = table._translation
-    pattern = table._phrase_pattern
-    if pattern is None:
-        return text.translate(translation)
     # the pattern captures, so the split alternates stretch, phrase, stretch
-    parts = pattern.split(text)
+    parts = table._phrase_pattern.split(text)
     parts[::2] = [stretch.translate(translation) for stretch in parts[::2]]
     parts[1::2] = map(table.phrase_map.__getitem__, parts[1::2])
     return "".join(parts)

@@ -299,7 +299,7 @@ def test_criterion_5_knn_oracle():
     rng = random.Random(55)
     for _ in range(150):
         query, train, k, weighting = random_knn_instance(rng)
-        pred = knn_predict(query, KnnIndex(train), k, weighting)
+        pred = knn_predict([query], KnnIndex(train), k, weighting)[0]
         want_label, want_ids, want_votes = oracle_knn(query, train, k, weighting)
         assert pred.label == want_label
         assert [n.account_id for n in pred.neighbors] == want_ids
@@ -310,7 +310,7 @@ def test_criterion_5_knn_oracle():
         # training order must not matter
         shuffled_train = train[:]
         rng.shuffle(shuffled_train)
-        again = knn_predict(query, KnnIndex(shuffled_train), k, weighting)
+        again = knn_predict([query], KnnIndex(shuffled_train), k, weighting)[0]
         assert again.label == pred.label
         assert again.neighbors == pred.neighbors
         assert again.votes == pred.votes

@@ -86,7 +86,7 @@ class TestKnnPredict:
     ]
 
     def test_basic(self):
-        p = knn_predict(vec(a=1), KnnIndex(self.TRAIN), k=2)
+        p = knn_predict([vec(a=1)], KnnIndex(self.TRAIN), k=2)[0]
         assert p.label == "X"
         assert [nb.account_id for nb in p.neighbors] == ["a1", "a2"]
         assert p.neighbors[0].similarity == pytest.approx(1.0)
@@ -94,7 +94,7 @@ class TestKnnPredict:
 
     def test_similarity_tie_broken_by_id(self):
         train = [("z9", "X", vec(a=1)), ("a1", "Y", vec(a=2))]
-        p = knn_predict(vec(a=1), KnnIndex(train), k=2)
+        p = knn_predict([vec(a=1)], KnnIndex(train), k=2)[0]
         assert [nb.account_id for nb in p.neighbors] == ["a1", "z9"]
 
     def test_vote_tie_prefers_larger_summed_similarity(self):
@@ -102,13 +102,13 @@ class TestKnnPredict:
         # and Y winning shows the similarity tier fires before the
         # lexicographic one
         train = [("a1", "X", vec(a=1)), ("a2", "Y", vec(b=1))]
-        p = knn_predict(vec(a=1, b=2), KnnIndex(train), k=2)
+        p = knn_predict([vec(a=1, b=2)], KnnIndex(train), k=2)[0]
         assert p.votes == {"X": 1.0, "Y": 1.0}
         assert p.label == "Y"
 
     def test_full_tie_prefers_smaller_label(self):
         train = [("a1", "Y", vec(a=1)), ("a2", "X", vec(b=1))]
-        p = knn_predict(vec(a=1, b=1), KnnIndex(train), k=2)
+        p = knn_predict([vec(a=1, b=1)], KnnIndex(train), k=2)[0]
         assert p.neighbors[0].similarity == pytest.approx(p.neighbors[1].similarity)
         assert p.label == "X"
 
@@ -119,24 +119,24 @@ class TestKnnPredict:
             ("a3", "Y", vec(c=1, b=9)),
         ]
         q = vec(a=9, b=1)
-        assert knn_predict(q, KnnIndex(train), k=3, weighting="uniform").label == "Y"
-        assert knn_predict(q, KnnIndex(train), k=3, weighting="inverse").label == "X"
+        assert knn_predict([q], KnnIndex(train), k=3, weighting="uniform")[0].label == "Y"
+        assert knn_predict([q], KnnIndex(train), k=3, weighting="inverse")[0].label == "X"
 
     def test_k_bounds(self):
         with pytest.raises(ClassifierError):
-            knn_predict(vec(a=1), KnnIndex(self.TRAIN), k=0)
+            knn_predict([vec(a=1)], KnnIndex(self.TRAIN), k=0)
         with pytest.raises(ClassifierError):
-            knn_predict(vec(a=1), KnnIndex(self.TRAIN), k=4)
+            knn_predict([vec(a=1)], KnnIndex(self.TRAIN), k=4)
 
     def test_unknown_weighting(self):
         with pytest.raises(ClassifierError):
-            knn_predict(vec(a=1), KnnIndex(self.TRAIN), k=1, weighting="softmax")
+            knn_predict([vec(a=1)], KnnIndex(self.TRAIN), k=1, weighting="softmax")
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(500)
         for _ in range(100):
             q, train, k, weighting = random_knn_instance(rng)
-            p = knn_predict(q, KnnIndex(train), k=k, weighting=weighting)
+            p = knn_predict([q], KnnIndex(train), k=k, weighting=weighting)[0]
             label, neighbor_ids, votes = oracle_knn(q, train, k, weighting)
             assert p.label == label
             assert [nb.account_id for nb in p.neighbors] == neighbor_ids
@@ -146,17 +146,17 @@ class TestKnnPredict:
         rng = random.Random(600)
         for _ in range(50):
             q, train, k, _ = random_knn_instance(rng)
-            p = knn_predict(q, KnnIndex(train), k=k, weighting="uniform")
+            p = knn_predict([q], KnnIndex(train), k=k, weighting="uniform")[0]
             assert sum(p.votes.values()) == float(k)
 
     def test_invariant_under_training_permutation(self):
         rng = random.Random(700)
         for _ in range(50):
             q, train, k, weighting = random_knn_instance(rng)
-            p1 = knn_predict(q, KnnIndex(train), k=k, weighting=weighting)
+            p1 = knn_predict([q], KnnIndex(train), k=k, weighting=weighting)[0]
             shuffled_train = list(train)
             rng.shuffle(shuffled_train)
-            p2 = knn_predict(q, KnnIndex(shuffled_train), k=k, weighting=weighting)
+            p2 = knn_predict([q], KnnIndex(shuffled_train), k=k, weighting=weighting)[0]
             assert p1.label == p2.label
             assert p1.neighbors == p2.neighbors
             assert p1.votes == p2.votes
@@ -175,11 +175,11 @@ def assert_exact(query, train, k):
     """Neighbors, similarities (==, not approx), label and votes all equal
     the exhaustive oracle's, for every weighting and training order."""
     want = oracle_neighbors(query, train, k)
-    assert KnnIndex(train).nearest(query, k) == want
+    assert KnnIndex(train).nearest([query], k) == [want]
     for weighting in ("uniform", "inverse"):
         label, _, votes = oracle_knn(query, train, k, weighting)
         for order in (train, train[::-1]):
-            p = knn_predict(query, KnnIndex(order), k, weighting)
+            p = knn_predict([query], KnnIndex(order), k, weighting)[0]
             assert list(p.neighbors) == want
             assert p.label == label
             assert p.votes == votes
@@ -221,7 +221,7 @@ class TestKnnIndexEdgeCases:
     def test_empty_query_picks_smallest_ids_at_zero(self):
         train = [("c", "X", vec(a=1)), ("a", "Y", vec(b=2)), ("b", "X", vec(a=1, b=1))]
         for k in (1, 2, 3):
-            got = KnnIndex(train).nearest(SparseVector({}), k)
+            got = KnnIndex(train).nearest([SparseVector({})], k)[0]
             assert got == [Neighbor(i, lab, 0.0) for i, lab in (("a", "Y"), ("b", "X"), ("c", "X"))][:k]
             assert_exact(SparseVector({}), train, k)
 
@@ -243,7 +243,7 @@ class TestKnnIndexEdgeCases:
         with pytest.raises(ClassifierError):
             KnnIndex([("a", "X", vec(p=-1))])
         with pytest.raises(ClassifierError):
-            knn_predict(vec(p=-1), KnnIndex([("a", "X", vec(p=1))]), k=1)
+            knn_predict([vec(p=-1)], KnnIndex([("a", "X", vec(p=1))]), k=1)
 
 
 def random_batch(rng):
@@ -294,12 +294,12 @@ class TestNearestMany:
             train, queries = random_batch(rng)
             index = KnnIndex(train)
             for k in range(1, len(train) + 1):
-                got = index.nearest_many(queries, k)
+                got = index.nearest(queries, k)
                 assert len(got) == len(queries)
                 for query, neighbors in zip(queries, got):
                     want = oracle_neighbors(query, train, k)
                     assert neighbors == want
-                    assert index.nearest(query, k) == want
+                    assert index.nearest([query], k) == [want]
 
     def test_batches_across_pass_boundaries(self):
         # A full pass, one query over it (two passes of equal size), and
@@ -313,7 +313,7 @@ class TestNearestMany:
                 rng.shuffle(batch)
                 index = KnnIndex(train)
                 for k in {1, len(train) // 2 + 1, len(train)}:
-                    got = index.nearest_many(batch, k)
+                    got = index.nearest(batch, k)
                     assert len(got) == size
                     assert got == [oracle_neighbors(query, train, k) for query in batch]
 
@@ -328,7 +328,7 @@ class TestNearestMany:
             train.append((f"a{i:02d}", "XY"[i % 2], SparseVector(weights)))
         queries = [v for _, _, v in train]
         rng.shuffle(queries)
-        got = KnnIndex(train).nearest_many(queries, 3)
+        got = KnnIndex(train).nearest(queries, 3)
         assert got == [oracle_neighbors(query, train, 3) for query in queries]
         assert all(neighbors[0].similarity > 0.999 for neighbors in got)
 
@@ -337,7 +337,7 @@ class TestNearestMany:
         # quantised weight is at least 1, so the lane is not zero.
         train = [("a", "X", vec(p=1)), ("b", "Y", SparseVector({"q": 1.0, "r": 1e-310})),
                  ("c", "X", SparseVector({"p": 1.0, "r": 5e-324}))]
-        got = KnnIndex(train).nearest_many([vec(r=1), SparseVector({"p": 1e-310, "s": 1.0})], 2)
+        got = KnnIndex(train).nearest([vec(r=1), SparseVector({"p": 1e-310, "s": 1.0})], 2)
         assert [[nb.account_id for nb in nbs] for nbs in got] == [["b", "c"], ["a", "c"]]
         assert 0.0 < got[0][0].similarity < 1e-300
 
@@ -347,21 +347,24 @@ class TestNearestMany:
         index = KnnIndex(train)
         for weighting in ("uniform", "inverse"):
             assert knn_predict(queries, index, 3, weighting) == [
-                knn_predict(q, index, 3, weighting) for q in queries]
+                knn_predict([q], index, 3, weighting)[0] for q in queries]
 
-    def test_empty_batch_checks_nothing(self):
-        index = KnnIndex([("a", "X", vec(p=1))])
-        assert index.nearest_many([], 1000) == []
-        assert knn_predict([], index, 1000) == []
+    @pytest.mark.parametrize("index, predict, query", [
+        (KnnIndex([("a", "X", vec(p=1))]), knn_predict, vec(p=1)),
+        (TermSetIndex([("a", "X", frozenset({"p"}))]), baseline1_predict, frozenset({"p"})),
+    ], ids=["knn", "baseline1"])
+    def test_empty_batch_checks_nothing(self, index, predict, query):
+        assert index.nearest([], 1000) == []
+        assert predict([], index, 1000) == []
         with pytest.raises(ClassifierError):
-            index.nearest_many([vec(p=1)], 2)
+            index.nearest([query], 2)
 
     def test_norms_outside_the_lane_range_rejected(self):
         for weights in ({"p": 1e-160}, {"p": 1e140}):
             with pytest.raises(ClassifierError, match="norm"):
                 KnnIndex([("a", "X", SparseVector(weights))])
             with pytest.raises(ClassifierError, match="norm"):
-                KnnIndex([("a", "X", vec(p=1))]).nearest(SparseVector(weights), 1)
+                KnnIndex([("a", "X", vec(p=1))]).nearest([SparseVector(weights)], 1)
 
 
 class TestBaseline0:
@@ -407,14 +410,14 @@ class TestBaseline1:
             ("a1", "Y", frozenset({"p", "q", "r", "s"})),
             ("a2", "X", frozenset({"p", "q"})),
         ]
-        p = baseline1_predict(("p", "q"), TermSetIndex(train), k=2)
+        p = baseline1_predict([("p", "q")], TermSetIndex(train), k=2)[0]
         assert [nb.account_id for nb in p.neighbors] == ["a2", "a3"]
         assert p.label == "X"
         assert p.neighbors[0].similarity == 1.0  # distance 0
 
     def test_similarity_is_reciprocal_distance(self):
         train = [("a1", "X", frozenset({"p", "q", "r"}))]
-        p = baseline1_predict(("p",), TermSetIndex(train), k=1)
+        p = baseline1_predict([("p",)], TermSetIndex(train), k=1)[0]
         assert p.neighbors[0].similarity == pytest.approx(1.0 / 3.0)
 
     def test_vote_tie_prefers_closer_neighbor(self):
@@ -422,21 +425,16 @@ class TestBaseline1:
             ("a1", "Y", frozenset({"p"})),
             ("a2", "X", frozenset({"p", "q", "r"})),
         ]
-        p = baseline1_predict(("p",), TermSetIndex(train), k=2)
+        p = baseline1_predict([("p",)], TermSetIndex(train), k=2)[0]
         assert p.votes == {"Y": 1.0, "X": 1.0}
         assert p.label == "Y"  # distance 0 beats distance 2
 
     def test_k_bounds(self):
         train = [("a1", "X", frozenset({"p"}))]
         with pytest.raises(ClassifierError):
-            baseline1_predict(("p",), TermSetIndex(train), k=0)
+            baseline1_predict([("p",)], TermSetIndex(train), k=0)
         with pytest.raises(ClassifierError):
-            baseline1_predict(("p",), TermSetIndex(train), k=2)
-
-    def test_empty_batch_checks_nothing(self):
-        index = TermSetIndex([("a1", "X", frozenset({"p"}))])
-        assert baseline1_predict([], index, 1000) == []
-        assert index.nearest_many([], 1000) == []
+            baseline1_predict([("p",)], TermSetIndex(train), k=2)
 
     def test_counts_above_255_widen_the_lanes(self):
         # 300 shared terms do not fit an 8-bit lane: a count that wrapped
@@ -444,7 +442,7 @@ class TestBaseline1:
         # query's count for the same account.
         wide = frozenset(f"t{i}" for i in range(300))
         index = TermSetIndex([("a1", "X", wide), ("a2", "Y", frozenset({"p", "q"}))])
-        p = baseline1_predict(wide, index, k=2)
+        p = baseline1_predict([wide], index, k=2)[0]
         assert [(nb.account_id, nb.similarity) for nb in p.neighbors] == [("a1", 1.0), ("a2", 1.0 / 303.0)]
-        alone = baseline1_predict(("p",), index, k=2)
+        alone = baseline1_predict([("p",)], index, k=2)[0]
         assert baseline1_predict([wide, frozenset({"p"})], index, k=2) == [p, alone]

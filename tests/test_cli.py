@@ -62,6 +62,11 @@ def queries_file(tmp_path):
 RELAXED = ["--min-followers", "0", "--min-tweets", "1"]
 
 
+def feed(monkeypatch, text):
+    """Give the CLI `text` on stdin, as UTF-8 bytes under a text layer."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -90,7 +95,7 @@ class TestParsing:
 
 class TestConvert:
     def test_stdin_lines(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("支持臺灣\n發展\n"))
+        feed(monkeypatch, "支持臺灣\n發展\n")
         code, out, _ = run(capsys, "convert")
         assert code == 0
         assert out == "支持台湾\n发展\n"
@@ -98,10 +103,35 @@ class TestConvert:
     def test_custom_table(self, capsys, monkeypatch, tmp_path):
         table = tmp_path / "t.tsv"
         table.write_text("貓\t猫\n", encoding="utf-8")
-        monkeypatch.setattr("sys.stdin", io.StringIO("貓發\n"))
+        feed(monkeypatch, "貓發\n")
         code, out, _ = run(capsys, "convert", "--convert-table", str(table))
         assert code == 0
         assert out == "猫發\n"  # only the custom mapping applies
+
+    def test_empty_table_path_is_a_missing_file(self, capsys, monkeypatch):
+        feed(monkeypatch, "國家\n")
+        code, out, err = run(capsys, "convert", "--convert-table", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_invalid_stdin_bytes_exit_1_naming_the_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("國\n".encode() + b"\xff\xfe\n")))
+        code, out, err = run(capsys, "convert")
+        assert (code, out) == (1, "国\n")
+        assert err.startswith("error: <stdin>: line 2: not UTF-8")
+
+
+@pytest.mark.parametrize("argv, text, want", [
+    (["convert"], "國家\n", "国家\n"),
+    (["segment", "--dict", str(bundled_path(BUNDLED_LEXICON))], "中国人民\n", "中国 人民\n"),
+], ids=["convert", "segment"])
+def test_stdin_and_stdout_are_utf8_whatever_the_locale(argv, text, want):
+    src = str(Path(zhstance.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "latin-1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "zhstance.cli", *argv], input=text.encode("utf-8"),
+                          env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, want.encode("utf-8"), b"")
 
 
 class TestSegment:
@@ -115,20 +145,20 @@ class TestSegment:
         assert code == 1
 
     def test_segments_stdin(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr("sys.stdin", io.StringIO("支持民主自由 #民主 @x\n"))
+        feed(monkeypatch, "支持民主自由 #民主 @x\n")
         code, out, _ = run(capsys, "segment", "--dict", str(self.lexicon(tmp_path)))
         assert code == 0
         assert out == "支持 民主 自由 民主\n"
 
     def test_no_clean(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr("sys.stdin", io.StringIO("#民主\n"))
+        feed(monkeypatch, "#民主\n")
         code, out, _ = run(capsys, "segment", "--dict", str(self.lexicon(tmp_path)),
                            "--no-clean")
         assert code == 0
         assert out == "# 民主\n"
 
     def test_missing_dict_file_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        feed(monkeypatch, "")
         code, _, _ = run(capsys, "segment", "--dict", "/nonexistent/lex.txt")
         assert code == 2
 
@@ -608,6 +638,13 @@ class TestConfigResolution:
         code, _, _ = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)),
                          "--config", "/nonexistent/config.json")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--dict", "--hmm", "--convert-table", "--stopwords"])
+    def test_empty_path_is_a_missing_file_not_the_bundled_one(self, capsys, tmp_path, flag):
+        code, out, err = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)), *RELAXED,
+                             "--folds", "3", flag, "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_window_flags(self, capsys, tmp_path):
         # nothing inside a 2020 window: every account is filtered out

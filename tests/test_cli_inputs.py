@@ -67,7 +67,7 @@ TOKENS = st.sampled_from([b"", b"\n", b"\r", b"\t", b" ", b"#", b"\xff", b"\xe6"
 def run(argv, stdin=STDIN):
     """(return code, stdout, stderr) of `main` run in this process."""
     out, err = io.StringIO(), io.StringIO()
-    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    saved, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -2,6 +2,7 @@
 tests that each loader round-trips what it accepts and rejects everything
 else with its own error (Hypothesis)."""
 
+import io
 import re
 
 import pytest
@@ -40,7 +41,10 @@ def scratch(tmp_path_factory):
 def test_read_lines_splits_like_text_mode(tmp_path):
     path = tmp_path / "f"
     path.write_bytes("a\r\nb\rc\n\n民\r".encode("utf-8"))
-    assert list(read_lines(path, ValueError)) == [(1, "a"), (2, "b"), (3, "c"), (4, ""), (5, "民")]
+    want = [(1, "a"), (2, "b"), (3, "c"), (4, ""), (5, "民")]
+    assert list(read_lines(path, ValueError)) == want
+    # an open binary stream, as stdin is read, splits the same
+    assert list(read_lines("<stdin>", ValueError, io.BytesIO(path.read_bytes()))) == want
 
 
 @pytest.mark.parametrize("load, error, first", LOADERS,

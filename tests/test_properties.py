@@ -568,7 +568,7 @@ def test_baseline1_index_matches_exhaustive_sort(train, query, batch):
         want = exhaustive_baseline1(query, train, k)
         # Prediction equality compares label, votes and the neighbours
         # with their similarities, in order
-        assert baseline1_predict(tuple(query), index, k) == want
-        assert baseline1_predict(tuple(query), TermSetIndex(train[::-1]), k) == want
-        # A list is a batch, scored together
+        assert baseline1_predict([tuple(query)], index, k) == [want]
+        assert baseline1_predict([tuple(query)], TermSetIndex(train[::-1]), k) == [want]
+        # A longer batch is scored together
         assert baseline1_predict(batch, index, k) == [exhaustive_baseline1(q, train, k) for q in batch]

@@ -39,6 +39,13 @@ def test_load_resources_overrides(tmp_path):
     assert res.table.char_map["發"] == "发"
 
 
+@pytest.mark.parametrize("name", ["dictionary", "hmm", "table", "stopwords"])
+def test_empty_path_is_opened_not_the_bundled_file(name):
+    # only None selects the bundled file (or, for stopwords, none)
+    with pytest.raises(FileNotFoundError):
+        load_resources(**{name: ""})
+
+
 def test_load_stopwords(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("# comment\n的\n了\n\n的\n", encoding="utf-8")

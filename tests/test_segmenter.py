@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from zhstance import segmenter
 from zhstance.resources import bundled_path
 from zhstance.segmenter import (
     ALLOWED_TRANS,
@@ -550,6 +551,24 @@ class TestSegment:
                                        "\U0001ffff", "\U000323b0", "\u3007"])
     def test_neighbours_of_han_blocks_are_not_han(self, bundled_lexicon, other):
         assert segment(f"民主{other}", bundled_lexicon) == ["民主", other]
+
+    @pytest.mark.parametrize("with_hmm", [True, False])
+    def test_each_han_run_takes_the_route_once(self, bundled_lexicon, bundled_hmm, monkeypatch,
+                                               with_hmm):
+        # perfbench/spans.py times the route by replacing this module
+        # attribute, so segment must reach it there, with an HMM as well
+        hmm = bundled_hmm if with_hmm else None
+        route, runs = segmenter.max_prob_route, []
+
+        def counted(run, lex, hmm=None):
+            runs.append(run)
+            return route(run, lex, hmm)
+
+        text = "支持民主 RT呣嘸2021 中国人民！民主呣"
+        want = segment(text, bundled_lexicon, hmm)
+        monkeypatch.setattr(segmenter, "max_prob_route", counted)
+        assert segment(text, bundled_lexicon, hmm) == want
+        assert runs == ["支持民主", "呣嘸", "中国人民", "民主呣"]
 
     def test_concatenation_preserved_modulo_cleanup(self, bundled_lexicon, bundled_hmm):
         text = "今天中国的经济问题都是社会新闻"
