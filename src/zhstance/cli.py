@@ -167,7 +167,7 @@ def _flag_overrides(args) -> dict:
 def _resolve_config(args) -> PipelineConfig:
     config = PipelineConfig()
     if hasattr(args, "config"):
-        config = config.merged(read_json(args.config, ConfigError))
+        config = read_json(args.config, ConfigError, config.merged)  # errors name the file
     return config.merged(_flag_overrides(args))
 
 
@@ -195,7 +195,7 @@ def _read_ids(path) -> frozenset[str]:
 
 def _emit(args, text: str, human: str | None):
     output = getattr(args, "output", None)
-    if output:
+    if output is not None:  # "" too: a missing file
         with open(output, "w", encoding="utf-8") as f:
             f.write(text)
         if human:
@@ -270,7 +270,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_report(args) -> int:
-    print(format_payload(read_json(args.path, ReportError)))
+    print(read_json(args.path, ReportError, format_payload))
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 
 from .rng import shuffled
-from .textfile import JSON_DECODER, read_lines
+from .textfile import JSON_DECODER, check_int, check_keys, read_lines
 
 
 class CorpusError(ValueError):
@@ -108,16 +108,13 @@ def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> A
     def fail(msg: str):
         raise CorpusError(f"{where}: {msg}")
 
-    if not isinstance(obj, dict):
-        fail("account line is not a JSON object")
-    if not _ACCOUNT_KEYS.issuperset(obj):
-        fail(f"unknown key(s) {sorted(obj.keys() - _ACCOUNT_KEYS)}")
+    if not (isinstance(obj, dict) and _ACCOUNT_KEYS.issuperset(obj)):
+        check_keys(obj, CorpusError, f"{where}: the account", _ACCOUNT_KEYS)
     account_id = obj.get("account_id")
     if not isinstance(account_id, str) or not account_id:
         fail("missing or empty account_id")
-    followers = obj.get("follower_count")
-    if not isinstance(followers, int) or isinstance(followers, bool) or followers < 0:
-        fail(f"account {account_id!r}: follower_count must be a non-negative integer")
+    followers = check_int(obj.get("follower_count"), CorpusError,
+                          f"{where}: account {account_id!r}: follower_count", 0)
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         fail(f"account {account_id!r}: label must be a string or null")
@@ -128,10 +125,8 @@ def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> A
         fail(f"account {account_id!r}: tweets must be a list")
     tweets = []
     for i, t in enumerate(raw_tweets):
-        if not isinstance(t, dict):
-            fail(f"account {account_id!r}: tweet {i} is not an object")
-        if not _TWEET_KEYS.issuperset(t):
-            fail(f"account {account_id!r}: tweet {i}: unknown key(s) {sorted(t.keys() - _TWEET_KEYS)}")
+        if not (isinstance(t, dict) and _TWEET_KEYS.issuperset(t)):  # inline: runs per tweet
+            check_keys(t, CorpusError, f"{where}: account {account_id!r}: tweet {i}", _TWEET_KEYS)
         text = t.get("text")
         if not isinstance(text, str) or not text.strip():
             fail(f"account {account_id!r}: tweet {i} has empty text")
@@ -164,9 +159,7 @@ def load_corpus(path) -> Corpus:
         first = declared is None and not accounts  # the first non-blank line
         if first and isinstance(obj, dict) and "label_set" in obj and "account_id" not in obj:
             where = f"{path}: line {lineno}"
-            if len(obj) > 1:
-                raise CorpusError(f"{where}: unknown key(s) {sorted(obj.keys() - {'label_set'})}")
-            labels = obj["label_set"]
+            labels = check_keys(obj, CorpusError, f"{where}: the header", {"label_set"})["label_set"]
             if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
                     or len(set(labels)) != len(labels)):
                 raise CorpusError(f"{where}: label_set must be a list of distinct strings")

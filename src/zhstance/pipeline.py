@@ -28,6 +28,7 @@ from .corpus import AccountRecord, Corpus, DateWindow, kfold_splits
 from .evaluate import ConfusionMatrix, MetricReport, confusion_matrix, mean_std, metric_report
 from .resources import Resources
 from .segmenter import segment
+from .textfile import check_int, check_keys
 from .vectorize import TF_MODES, SparseVector, TfidfVectorizer, fit_vectorizer
 from .zh_convert import to_simplified
 
@@ -57,7 +58,9 @@ CONFIG_SCHEMA = {
     "seed": ("seed",),
 }
 _FIELD_AT = {place: name for name, place in CONFIG_SCHEMA.items()}
-_SECTIONS = {place[:-1] for place in _FIELD_AT if len(place) > 1}
+# the rules of the fields that are not paths or clean
+_CHOICES = {"model": MODELS, "weighting": WEIGHTINGS, "tf": TF_MODES}
+_INT_MINIMUMS = {"min_followers": 0, "min_tweets": 0, "k": 1, "top_n": 1, "folds": 2, "seed": None}
 
 
 class ConfigError(ValueError):
@@ -88,30 +91,16 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r} (choose from {MODELS})")
-        if self.weighting not in WEIGHTINGS:
-            raise ConfigError(f"unknown weighting {self.weighting!r} (choose from {WEIGHTINGS})")
-        if self.tf not in TF_MODES:
-            raise ConfigError(f"unknown tf variant {self.tf!r} (choose from {TF_MODES})")
-        for name, (section, *_) in CONFIG_SCHEMA.items():
-            value = getattr(self, name)
-            if section == "paths" and value is not None and not isinstance(value, str):
-                raise ConfigError(f"path {name} must be a string or null, got {value!r}")
-        for name in ("min_followers", "min_tweets", "k", "top_n", "folds", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, place in CONFIG_SCHEMA.items():  # errors name the field's key path
+            value, where = getattr(self, name), ".".join(place)
+            if name in _CHOICES and value not in _CHOICES[name]:
+                raise ConfigError(f"{where} must be one of {_CHOICES[name]}, got {value!r}")
+            if name in _INT_MINIMUMS:
+                check_int(value, ConfigError, where, _INT_MINIMUMS[name])
+            if place[0] == "paths" and value is not None and not isinstance(value, str):
+                raise ConfigError(f"{where} must be a string or null, got {value!r}")
         if not isinstance(self.clean, bool):
             raise ConfigError(f"clean must be true or false, got {self.clean!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be at least 1, got {self.k}")
-        if self.top_n < 1:
-            raise ConfigError(f"top_n must be at least 1, got {self.top_n}")
-        if self.folds < 2:
-            raise ConfigError(f"folds must be at least 2, got {self.folds}")
-        if self.min_followers < 0 or self.min_tweets < 0:
-            raise ConfigError("filter thresholds must be non-negative")
 
     def to_echo(self) -> dict:
         """The config as the nested JSON shape embedded in every report;
@@ -127,8 +116,8 @@ class PipelineConfig:
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
         def apply(section: tuple, value):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{'.'.join(('config', *section))} must be a JSON object")
+            keys = {place[len(section)] for place in _FIELD_AT if place[:len(section)] == section}
+            check_keys(value, ConfigError, ".".join(("config", *section)), keys)
             for key, v in value.items():
                 place = (*section, key)
                 name = _FIELD_AT.get(place)
@@ -136,10 +125,8 @@ class PipelineConfig:
                     fields[name] = _merge_window(fields[name], v)
                 elif name is not None:
                     fields[name] = v
-                elif place in _SECTIONS:
-                    apply(place, v)
                 else:
-                    raise ConfigError(f"unknown config key {'.'.join(place)}")
+                    apply(place, v)
 
         apply((), overrides)
         return PipelineConfig(**fields)
@@ -159,12 +146,8 @@ def echo_shape(values: dict) -> dict:
 
 
 def _merge_window(current: DateWindow, value: dict) -> DateWindow:
-    if not isinstance(value, dict):
-        raise ConfigError("config.filters.window must be a JSON object")
     dates = {"start": current.start, "end": current.end}
-    for key, raw in value.items():
-        if key not in dates:
-            raise ConfigError(f"unknown config key filters.window.{key}")
+    for key, raw in check_keys(value, ConfigError, "config.filters.window", dates).items():
         try:
             dates[key] = date.fromisoformat(raw if _WINDOW_DATE.fullmatch(raw) else "")
         except (TypeError, ValueError):

@@ -19,6 +19,7 @@ from .pipeline import (
     PipelineConfig,
     TestResult,
 )
+from .textfile import check_int, check_number
 
 
 class ReportError(ValueError):
@@ -73,47 +74,44 @@ def test_report(result: TestResult, config: PipelineConfig) -> dict:
     return {"config": config.to_echo(), "label_set": list(result.label_set), **_scored_dict(result)}
 
 
-def _get(payload: dict, key: str):
+# The readers below take a value and its key path in the report, as
+# "folds.0." ("" at the top), so that each error names the path.
+
+def _get(node, where: str, key: str):
     try:
-        return payload[key]
+        return node[key]
     except (KeyError, TypeError):
-        raise ReportError(f"report payload is missing {key!r}") from None
+        raise ReportError(f"missing {where}{key}") from None
 
 
-def _number(payload: dict, key: str) -> str:
-    """payload[key], required to be an int or float (not a bool) in [0, 1],
-    as every score and its fold mean and std are; rounded half up to two
-    decimals."""
-    value = _get(payload, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
-        raise ReportError(f"{key} must be a finite number in [0, 1], got {value!r}")
+def _number(node, where: str, key: str) -> str:
+    """node[key], required to be a number in [0, 1], as every score and its
+    fold mean and std are; rounded half up to two decimals."""
+    value = check_number(_get(node, where, key), ReportError, where + key, (0, 1))
     return f"{round_half_up(value):.2f}"
 
 
-def _count(payload: dict, key: str) -> int:
-    """payload[key], required to be a non-negative int (not a bool)."""
-    value = _get(payload, key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ReportError(f"{key} must be an integer >= 0, got {value!r}")
-    return value
+def _count(node, where: str, key: str) -> int:
+    return check_int(_get(node, where, key), ReportError, where + key, 0)
 
 
 def _labels(payload: dict) -> list[str]:
     """The payload's label_set, required to be a non-empty list of strings."""
-    labels = _get(payload, "label_set")
+    labels = _get(payload, "", "label_set")
     if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
         raise ReportError(f"label_set must be a non-empty list of strings, got {labels!r}")
     return labels
 
 
-def _confusion(payload: dict, size: int) -> list[list[int]]:
-    """The payload's confusion matrix, required to be size rows of size integers."""
-    counts = _get(payload, "confusion")
-    if not (isinstance(counts, list) and len(counts) == size and all(
-            isinstance(row, list) and len(row) == size
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in row)
-            for row in counts)):
-        raise ReportError(f"confusion must be {size} rows of {size} integers, got {counts!r}")
+def _confusion(node, where: str, size: int) -> list[list[int]]:
+    """node's confusion matrix, required to be size rows of size integers."""
+    counts = _get(node, where, "confusion")
+    if not (isinstance(counts, list) and len(counts) == size
+            and all(isinstance(row, list) and len(row) == size for row in counts)):
+        raise ReportError(f"{where}confusion must be {size} rows of {size} integers, got {counts!r}")
+    for i, row in enumerate(counts):
+        for j, count in enumerate(row):
+            check_int(count, ReportError, f"{where}confusion.{i}.{j}")
     return counts
 
 
@@ -132,50 +130,50 @@ def format_confusion(labels: list[str], counts: list[list[int]]) -> str:
 
 def format_test_payload(payload: dict) -> str:
     labels = _labels(payload)
-    lines = [format_confusion(labels, _confusion(payload, len(labels))), ""]
-    lines.append(f"accuracy: {_number(payload, 'accuracy')}")
+    lines = [format_confusion(labels, _confusion(payload, "", len(labels))), ""]
+    lines.append(f"accuracy: {_number(payload, '', 'accuracy')}")
     width = max(len("label"), *(len(x) for x in labels))
     lines.append(f"{'label'.ljust(width)}  precision  recall    f1  support")
-    per_label, support = _get(payload, "per_label"), _get(payload, "support")
+    per_label, support = _get(payload, "", "per_label"), _get(payload, "", "support")
     for label in labels:
-        m = _get(per_label, label)
+        m, where = _get(per_label, "per_label.", label), f"per_label.{label}."
         lines.append(
-            f"{label.ljust(width)}  {_number(m, 'precision'):>9}  {_number(m, 'recall'):>6}"
-            f"  {_number(m, 'f1'):>4}  {_count(support, label):>7}"
+            f"{label.ljust(width)}  {_number(m, where, 'precision'):>9}  {_number(m, where, 'recall'):>6}"
+            f"  {_number(m, where, 'f1'):>4}  {_count(support, 'support.', label):>7}"
         )
     return "\n".join(lines)
 
 
 def format_crossval_payload(payload: dict) -> str:
     labels = _labels(payload)
-    folds = _get(payload, "folds")
+    folds = _get(payload, "", "folds")
     if not isinstance(folds, list):
         raise ReportError(f"folds must be a list, got {folds!r}")
     size = len(labels)
-    pooled = [[0] * size for _ in range(size)]
-    for f in folds:
-        counts = _confusion(f, size)
-        for i in range(size):
-            for j in range(size):
-                pooled[i][j] += counts[i][j]
+    counts = [_confusion(f, f"folds.{n}.", size) for n, f in enumerate(folds)]
+    pooled = [[sum(c[i][j] for c in counts) for j in range(size)] for i in range(size)]
     lines = [f"{len(folds)}-fold cross-validation, pooled predictions:"]
     lines.append(format_confusion(labels, pooled))
     lines.append("")
-    for f in folds:
-        validation_ids = _get(f, "validation_ids")
+    for n, f in enumerate(folds):
+        where = f"folds.{n}."
+        validation_ids = _get(f, where, "validation_ids")
         if not isinstance(validation_ids, list):
-            raise ReportError(f"validation_ids must be a list, got {validation_ids!r}")
-        lines.append(f"fold {_get(f, 'fold')}: accuracy {_number(f, 'accuracy')}"
+            raise ReportError(f"{where}validation_ids must be a list, got {validation_ids!r}")
+        lines.append(f"fold {_get(f, where, 'fold')}: accuracy {_number(f, where, 'accuracy')}"
                      f" ({len(validation_ids)} accounts)")
-    aggregate = _get(payload, "aggregate")
-    acc = _get(aggregate, "accuracy")
-    lines.append(f"mean accuracy {_number(acc, 'mean')} (std {_number(acc, 'std')})")
+    aggregate = _get(payload, "", "aggregate")
+    acc = _get(aggregate, "aggregate.", "accuracy")
+    where = "aggregate.accuracy."
+    lines.append(f"mean accuracy {_number(acc, where, 'mean')} (std {_number(acc, where, 'std')})")
     lines.append("")
     width = max(len("label"), *(len(x) for x in labels))
     lines.append(f"{'label'.ljust(width)}  precision  recall    f1  (fold means)")
-    per_label = _get(aggregate, "per_label")
+    per_label = _get(aggregate, "aggregate.", "per_label")
     for label in labels:
-        means = [_number(_get(_get(per_label, label), metric), "mean")
+        where = f"aggregate.per_label.{label}."
+        scores = _get(per_label, "aggregate.per_label.", label)
+        means = [_number(_get(scores, where, metric), f"{where}{metric}.", "mean")
                  for metric in ("precision", "recall", "f1")]
         lines.append(f"{label.ljust(width)}  {means[0]:>9}  {means[1]:>6}  {means[2]:>4}")
     return "\n".join(lines)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
-from .textfile import read_json, read_lines
+from .textfile import check_int, check_keys, check_number, read_data_lines, read_json
 
 NEG_INF = float("-inf")
 
@@ -127,18 +127,14 @@ def build_lexicon(entries: dict[str, int]) -> Lexicon:
     for word, freq in entries.items():
         if word.split() != [word]:
             raise LexiconError(f"word {word!r} is empty or holds whitespace")
-        if not isinstance(freq, int) or isinstance(freq, bool) or freq <= 0:
-            raise LexiconError(f"word {word!r}: frequency must be a positive integer, got {freq!r}")
+        check_int(freq, LexiconError, f"word {word!r}: frequency", 1)
     return Lexicon(dict(entries), sum(entries.values()))
 
 
 def load_lexicon(path) -> Lexicon:
     """Load a ``word freq [tag]`` lexicon file, one line per word; the tag is ignored."""
     entries: dict[str, int] = {}
-    for lineno, line in read_lines(path, LexiconError):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_data_lines(path, LexiconError):
         parts = line.split()
         if not 2 <= len(parts) <= 3:
             raise LexiconError(f"{path}: line {lineno}: expected 'word freq [tag]'")
@@ -220,52 +216,34 @@ def load_hmm(path) -> HmmModel:
     Unknown keys, emission keys that are not one character, non-numeric and
     non-finite values, and start probabilities on M or E are rejected;
     absent transitions are structural zeros."""
-    raw = read_json(path, HmmModelError)
+    return read_json(path, HmmModelError, _parse_hmm)
 
-    def fail(msg: str):
-        raise HmmModelError(f"{path}: {msg}")
 
-    def table(value, where: str) -> dict:
-        if not isinstance(value, dict):
-            fail(f"{where} must be an object")
-        return value
+def _parse_hmm(raw) -> HmmModel:  # read_json adds the file to its errors
+    def table(value, where: str, allowed=STATES) -> dict:
+        return check_keys(value, HmmModelError, where, allowed)
 
     def logp(value, where: str) -> float:
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            fail(f"{where} must be a finite number, got {value!r}")
-        return float(value)
+        return float(check_number(value, HmmModelError, where))
 
-    table(raw, "the HMM file")
-    unknown = sorted(set(raw) - {"start", "trans", "emit", "floor_logp"})
-    if unknown:
-        fail(f"unknown key(s) {unknown}")
-    for key in ("start", "trans", "emit"):
-        if key not in raw:
-            fail(f"missing {key!r} table")
+    check_keys(raw, HmmModelError, "the HMM file", {"start", "trans", "emit", "floor_logp"},
+               ("start", "trans", "emit"))
     start = {}
     for state, value in table(raw["start"], "start").items():
-        if state not in STATES:
-            fail(f"unknown start state {state!r}")
         if state in ("M", "E"):
-            fail(f"forbidden start state {state} (a path cannot begin mid-word)")
+            raise HmmModelError(f"forbidden start state {state} (a path cannot begin mid-word)")
         start[state] = logp(value, f"start.{state}")
     trans = {}
     for src, row in table(raw["trans"], "trans").items():
-        if src not in STATES:
-            fail(f"unknown transition source {src!r}")
         for dst, value in table(row, f"trans.{src}").items():
             if dst not in ALLOWED_TRANS[src]:
-                fail(f"forbidden transition {src}->{dst}")
+                raise HmmModelError(f"forbidden transition {src}->{dst}")
             trans[(src, dst)] = logp(value, f"trans.{src}.{dst}")
     emit = {s: {} for s in STATES}
     for state, row in table(raw["emit"], "emit").items():
-        if state not in STATES:
-            fail(f"unknown emission state {state!r}")
-        emit[state] = {}
-        for ch, value in table(row, f"emit.{state}").items():
+        for ch, value in table(row, f"emit.{state}", None).items():
             if len(ch) != 1:
-                fail(f"emit.{state}: key {ch!r} is not one character")
+                raise HmmModelError(f"emit.{state}: key {ch!r} is not one character")
             emit[state][ch] = logp(value, f"emit.{state}.{ch}")
     floor = logp(raw.get("floor_logp", DEFAULT_FLOOR_LOGP), "floor_logp")
     return HmmModel(start, trans, emit, floor)

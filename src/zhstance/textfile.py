@@ -1,9 +1,12 @@
-"""Reading the package's input files and stdin, so that a malformed input
-always ends in its reader's own error, naming the file."""
+"""Reading the package's input files and stdin, and the checks all formats
+share (blank and # lines, objects, integers, numbers), so that malformed
+input always ends in its reader's own error. Each check takes that error
+class and a `where` prefix naming the file, the line or the key path."""
 
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import nullcontext
 
 
@@ -25,18 +28,59 @@ def read_lines(path, error: type[ValueError], stream=None):
                 yield lineno, line
 
 
-def read_words(path, error: type[ValueError], what: str):
-    """(line number, word) for each line of a one-word-per-line file; blank
-    lines and # comments are skipped. A line holding whitespace inside it
-    raises `error` with the path and the line number, naming the word as
-    `what`."""
+def read_data_lines(path, error: type[ValueError]):
+    """read_lines without the blank lines and the # comments: lines whose
+    first character that is not whitespace is #."""
     for lineno, line in read_lines(path, error):
+        if line.lstrip()[:1] not in ("", "#"):
+            yield lineno, line
+
+
+def read_words(path, error: type[ValueError], what: str):
+    """(line number, word) for each data line of a one-word-per-line file.
+    A line holding whitespace inside it raises `error` with the path and
+    the line number, naming the word as `what`."""
+    for lineno, line in read_data_lines(path, error):
         word = line.strip()
-        if not word or word.startswith("#"):
-            continue
         if len(word.split()) > 1:
             raise error(f"{path}: line {lineno}: {what} {word!r} contains whitespace")
         yield lineno, word
+
+
+def check_keys(value, error: type[ValueError], where: str, allowed=None, required=()) -> dict:
+    """value, required to be a JSON object whose keys include every key in
+    required and, unless allowed is None, are all in allowed."""
+    if not isinstance(value, dict):
+        raise error(f"{where} must be an object")
+    unknown = () if allowed is None else value.keys() - allowed
+    if unknown:
+        raise error(f"{where} has unknown key(s) {sorted(unknown)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise error(f"{where} is missing key(s) {missing}")
+    return value
+
+
+def check_int(value, error: type[ValueError], where: str, minimum: int | None = None) -> int:
+    """value, required to be an int, not a bool, and at least minimum."""
+    if type(value) is not int or minimum is not None and value < minimum:  # bool is not int
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{where} must be an integer{at_least}, got {value!r}")
+    return value
+
+
+_FINITE = (-sys.float_info.max, sys.float_info.max)
+
+
+def check_number(value, error: type[ValueError], where: str, bounds=_FINITE):
+    """value, required to be an int or float, not a bool, within the closed,
+    finite bounds: so NaN, the infinities and ints too large for a float
+    all fail, without a conversion that could overflow."""
+    low, high = bounds
+    if type(value) not in (int, float) or not low <= value <= high:  # a bool is neither
+        within = "" if bounds == _FINITE else f" in [{low}, {high}]"
+        raise error(f"{where} must be a finite number{within}, got {value!r}")
+    return value
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -55,13 +99,18 @@ def _unique_keys(pairs: list) -> dict:
 JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def read_json(path, error: type[ValueError]):
-    """The JSON document in a UTF-8 file; malformed or too deeply nested
-    JSON, an object with a duplicate key, or bytes that are not UTF-8 raise
-    `error` naming the file."""
+def read_json(path, error: type[ValueError], parse=lambda doc: doc):
+    """parse(the JSON document in a UTF-8 file). Malformed or too deeply
+    nested JSON, an object with a duplicate key, bytes that are not UTF-8,
+    and any `error` that parse raises, are raised as `error` naming the
+    file."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return JSON_DECODER.decode(data.decode("utf-8"))
+        doc = JSON_DECODER.decode(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, a repeated key
+        raise error(f"{path}: {exc}") from None
+    try:
+        return parse(doc)
+    except error as exc:
         raise error(f"{path}: {exc}") from None

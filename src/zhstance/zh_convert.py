@@ -1,10 +1,10 @@
 """Traditional-to-simplified Chinese conversion via greedy longest match.
 
 The mapping is a plain dictionary file, one ``traditional<TAB>simplified``
-pair per line. Lines starting with ``#`` are comments. A key may list
-several space-separated candidates on the right (as OpenCC dictionaries
-do); only the first is used, so ambiguity resolution belongs to the table
-author, not this engine.
+pair per line; blank lines and ``#`` comment lines are skipped. A key
+may list several space-separated candidates on the right (as OpenCC
+dictionaries do); only the first is used, so ambiguity resolution belongs
+to the table author, not this engine.
 
 Conversion runs at C speed: one compiled pattern of the phrase keys,
 grouped by first character, splits the text into phrases and the
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .textfile import read_lines
+from .textfile import read_data_lines
 
 
 class ConversionTableError(ValueError):
@@ -72,9 +72,7 @@ def load_conversion_table(path) -> ConversionTable:
     """Load a tab-separated conversion table; single-character keys go to
     char_map, longer keys to phrase_map. A key may appear on one line only."""
     pairs: dict[str, str] = {}
-    for lineno, line in read_lines(path, ConversionTableError):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in read_data_lines(path, ConversionTableError):
         if "\t" not in line:
             raise ConversionTableError(f"{path}: line {lineno}: missing tab separator")
         key, _, value = line.partition("\t")

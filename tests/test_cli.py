@@ -386,7 +386,7 @@ class TestReportCommand:
         out_path.write_text(json.dumps(payload), encoding="utf-8")
         code, _, err = run(capsys, "report", str(out_path))
         assert code == 1
-        assert f"missing {path[-1]!r}" in err
+        assert f"error: {out_path}: missing {'.'.join(path)}\n" == err
 
     @pytest.mark.parametrize("command", ["crossval", "test"])
     @pytest.mark.parametrize("confusion", [[[1]], [[1, 0], [0]], "ab", [[1, 0], [0, True]],
@@ -404,7 +404,12 @@ class TestReportCommand:
         out_path.write_text(json.dumps(payload), encoding="utf-8")
         code, _, err = run(capsys, "report", str(out_path))
         assert code == 1
-        assert "confusion must be 2 rows of 2 integers" in err
+        where = f"{out_path}: {'folds.2.' if command == 'crossval' else ''}confusion"
+        if len(confusion) == 2 and all(isinstance(row, list) and len(row) == 2 for row in confusion):
+            # the shape holds, so the message names the cell that is not an integer
+            assert f"{where}.1.1 must be an integer, got {confusion[1][1]!r}" in err
+        else:
+            assert f"{where} must be 2 rows of 2 integers" in err
 
     @pytest.mark.parametrize("command,key,value,msg", [
         ("test", "label_set", 5, "label_set must be a non-empty list of strings"),
@@ -513,7 +518,7 @@ def test_unknown_corpus_key_exits_1(capsys, tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run(capsys, "crossval", "--corpus", str(path), *RELAXED)
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {path}: line 3: unknown key(s) ['lable']")
+    assert err.startswith(f"error: {path}: line 3: the account has unknown key(s) ['lable']")
 
 
 @pytest.mark.parametrize("model", ["knn", "baseline1"])
@@ -595,9 +600,10 @@ class TestConfigResolution:
     def test_non_object_config_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text("[1, 2]", encoding="utf-8")
-        code, _, _ = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)),
-                         "--config", str(cfg))
+        code, _, err = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)),
+                           "--config", str(cfg))
         assert code == 1
+        assert err == f"error: {cfg}: config must be an object\n"
 
     @pytest.mark.parametrize("overrides", [
         {"model": {"k": "5"}},
@@ -623,7 +629,8 @@ class TestConfigResolution:
         assert out == ""
         assert "Traceback" not in err
         [(section, value)] = overrides.items()
-        assert (next(iter(value)) if isinstance(value, dict) else section) in err
+        key = f"{section}.{next(iter(value))}" if isinstance(value, dict) else section
+        assert err.startswith(f"error: {cfg}: {key} must be ")
 
     def test_missing_corpus_path_exits_1(self, capsys):
         code, _, err = run(capsys, "crossval")
@@ -639,10 +646,11 @@ class TestConfigResolution:
                          "--config", "/nonexistent/config.json")
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--dict", "--hmm", "--convert-table", "--stopwords"])
+    @pytest.mark.parametrize("flag", ["--dict", "--hmm", "--convert-table", "--stopwords", "--output"])
     def test_empty_path_is_a_missing_file_not_the_bundled_one(self, capsys, tmp_path, flag):
+        # a run that succeeds with the bundled files, so only the empty path can fail it
         code, out, err = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)), *RELAXED,
-                             "--folds", "3", flag, "")
+                             "--folds", "3", "--k", "3", flag, "")
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 

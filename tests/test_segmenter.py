@@ -333,11 +333,11 @@ class TestLoadHmm:
 
     @pytest.mark.parametrize("body,msg", [
         ('{"trans": {}, "emit": {}}', "start"),
-        ('{"start": {"Q": -1}, "trans": {}, "emit": {}}', "unknown start"),
+        ('{"start": {"Q": -1}, "trans": {}, "emit": {}}', r"hmm.json: start has unknown key\(s\) \['Q'\]"),
         ('{"start": {}, "trans": {"B": {"S": -1}}, "emit": {}}', "forbidden"),
-        ('{"start": {}, "trans": {"Q": {"B": -1}}, "emit": {}}', "unknown transition"),
-        ('{"start": {}, "trans": {}, "emit": {"Q": {}}}', "unknown emission"),
-        ('{"start": {}, "trans": {}, "emit": {}, "floor": -20.0}', "hmm.json: unknown key.*'floor'"),
+        ('{"start": {}, "trans": {"Q": {"B": -1}}, "emit": {}}', r"hmm.json: trans has unknown key\(s\) \['Q'\]"),
+        ('{"start": {}, "trans": {}, "emit": {"Q": {}}}', r"hmm.json: emit has unknown key\(s\) \['Q'\]"),
+        ('{"start": {}, "trans": {}, "emit": {}, "floor": -20.0}', "hmm.json: the HMM file has unknown key.*'floor'"),
     ])
     def test_invalid_models_rejected(self, tmp_path, body, msg):
         with pytest.raises(HmmModelError, match=msg):
@@ -376,6 +376,8 @@ class TestLoadHmm:
         ('{"start": {}, "trans": {}, "emit": {"B": {"中国": -1.0}}}', "hmm.json: emit.B: key '中国'"),
         ('{"start": {}, "trans": {}, "emit": {"S": {"x": -1.0, "": -2.0}}}', "hmm.json: emit.S: key ''"),
         ('{"start": {}, "trans": {}, "emit": {}, "floor_logp": NaN}', "finite number"),
+        # too large for a float: an error, not an OverflowError
+        ('{"start": {"B": -1%s}, "trans": {}, "emit": {}}' % ("0" * 400), "start.B must be a finite number"),
         ('{"start": {"B": -0.7, "M": -0.7}, "trans": {}, "emit": {}}', "forbidden start state M"),
         ('{"start": {"E": -0.7, "S": -0.7}, "trans": {}, "emit": {}}', "forbidden start state E"),
     ])

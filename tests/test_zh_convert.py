@@ -48,7 +48,7 @@ class TestFromPairs:
 class TestLoadConversionTable:
     def test_basic_load(self, tmp_path):
         path = tmp_path / "t.tsv"
-        path.write_text("# comment\n發\t发\n頭髮\t头发\n\n", encoding="utf-8")
+        path.write_text("# comment\n發\t发\n  # an indented comment\n頭髮\t头发\n\n", encoding="utf-8")
         t = load_conversion_table(path)
         assert t.char_map["發"] == "发"
         assert t.phrase_map["頭髮"] == "头发"

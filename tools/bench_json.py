@@ -12,7 +12,11 @@ seconds (perfbench/speed.py); traced layer times are measured seconds.
 Usage: python3 tools/bench_json.py --n 7
 
 Exits 1, writing nothing, when a run is not correct, fails operations, or
-the two runs of a workload give different report sha256 values.
+the two runs of a workload give different report sha256 values. After
+writing, it prints each end-to-end metric's ratio to the previous
+BENCH_<m>.json (the largest m below n) on stderr, so that drift across
+several changes shows. That is a printout, not a gate: one run per file
+is too noisy to gate on.
 """
 
 from __future__ import annotations
@@ -56,6 +60,25 @@ def measure(workload: str, trace: int) -> tuple[dict, str]:
     return result, sha.group(1)
 
 
+def print_ratios(n: int, workloads: dict) -> None:
+    """Each end-to-end metric against the previous BENCH_<m>.json, on stderr."""
+    earlier = {int(m.group(1)): path for path in ROOT.glob("BENCH_*.json")
+               if (m := re.fullmatch(r"BENCH_([0-9]+)\.json", path.name)) and int(m.group(1)) < n}
+    if not earlier:
+        return
+    path = earlier[max(earlier)]
+    before = json.loads(path.read_text("utf-8"))["workloads"]
+    for workload, record in workloads.items():
+        if workload not in before:
+            continue
+        ratios = []
+        for name, metric in sorted(record["end_to_end"].items()):
+            was = before[workload]["end_to_end"].get(name, {}).get("value")
+            if was:
+                ratios.append(f"{name} {metric['value']:.4g} / {was:.4g} = {metric['value'] / was:.3f}")
+        print(f"{workload} against {path.name}: " + ", ".join(ratios), file=sys.stderr)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True, help="the number in BENCH_<n>.json")
@@ -93,6 +116,7 @@ def main() -> int:
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out, file=sys.stderr)
+    print_ratios(args.n, workloads)
     return 0
 
 
