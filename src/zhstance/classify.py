@@ -211,16 +211,13 @@ def knn_predict(queries: list[SparseVector], index: KnnIndex, k: int = 5,
 
 
 def baseline0_predict(train_labels: list[str]) -> Prediction:
-    """Constant classifier: the training majority label, ties going to the
-    lexicographically smaller label."""
+    """Constant classifier: a uniform vote of every training label, so the
+    majority label, ties going to the lexicographically smaller label. No
+    neighbors are kept."""
     if not train_labels:
         raise ClassifierError("empty training labels")
-    counts: dict[str, float] = {}
-    for label in train_labels:
-        counts[label] = counts.get(label, 0.0) + 1.0
-    top = max(counts.values())
-    winner = min(label for label, c in counts.items() if c == top)
-    return Prediction(winner, (), counts)
+    vote = _vote([Neighbor("", label, 0.0) for label in train_labels], "uniform")
+    return Prediction(vote.label, (), vote.votes)
 
 
 def top_k_terms(counts: dict[str, int], n: int, stopwords: frozenset[str] = frozenset()) -> tuple[str, ...]:

@@ -45,9 +45,7 @@ from .report import (
     ReportError,
     crossval_report,
     dumps_report,
-    format_crossval_payload,
     format_payload,
-    format_test_payload,
     prediction_dict,
     test_report,
 )
@@ -255,7 +253,7 @@ def cmd_crossval(args) -> int:
         corpus, _ = split_corpus(corpus, SplitSpec(_read_ids(args.test_ids), config.folds, config.seed))
     result = pipe.cross_validate(labeled_accounts(corpus))
     payload = crossval_report(result, config)
-    _emit(args, dumps_report(payload), format_crossval_payload(payload))
+    _emit(args, dumps_report(payload), format_payload(payload))
     return 0
 
 
@@ -265,7 +263,7 @@ def cmd_test(args) -> int:
     non_test, test = split_corpus(corpus, SplitSpec(_read_ids(args.test_ids), config.folds, config.seed))
     result = pipe.evaluate_test_set(labeled_accounts(non_test), test)
     payload = test_report(result, config)
-    _emit(args, dumps_report(payload), format_test_payload(payload))
+    _emit(args, dumps_report(payload), format_payload(payload))
     return 0
 
 

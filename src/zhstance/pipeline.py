@@ -168,29 +168,27 @@ class AccountPrediction:
 
 
 @dataclass(frozen=True)
-class FoldResult:
-    fold: int
-    validation_ids: tuple[str, ...]
+class ScoredRun:
+    """One scored run, a cross-validation fold or the held-out test: the
+    predictions in account_id order, their confusion matrix and metrics,
+    and the vocabulary the model was fitted on."""
+    label_set: tuple[str, ...]
     confusion: ConfusionMatrix
     report: MetricReport
     predictions: tuple[AccountPrediction, ...]
     vocabulary: frozenset[str]
+
+    @property
+    def validation_ids(self) -> tuple[str, ...]:
+        """The scored accounts' ids, in account_id order."""
+        return tuple(p.account_id for p in self.predictions)
 
 
 @dataclass(frozen=True)
 class CrossValResult:
     label_set: tuple[str, ...]
-    folds: tuple[FoldResult, ...]
+    folds: tuple[ScoredRun, ...]  # fold n is folds[n]
     aggregate: dict
-
-
-@dataclass(frozen=True)
-class TestResult:
-    label_set: tuple[str, ...]
-    confusion: ConfusionMatrix
-    report: MetricReport
-    predictions: tuple[AccountPrediction, ...]
-    vocabulary: frozenset[str]
 
 
 def _require_labeled(corpus: Corpus, role: str):
@@ -272,30 +270,28 @@ class Pipeline:
         return [AccountPrediction(q.account_id, q.label, p.label, p.neighbors, dict(p.votes))
                 for q, p in zip(ordered, preds)], vocabulary
 
+    def score(self, train: Corpus, queries: Corpus) -> ScoredRun:
+        """Train on `train`, predict every query account and score the
+        predictions against the queries' labels."""
+        preds, vocabulary = self.predict(train, queries)
+        m = confusion_matrix([p.label for p in preds], [p.predicted for p in preds], queries.label_set)
+        return ScoredRun(queries.label_set, m, metric_report(m), tuple(preds), vocabulary)
+
     def cross_validate(self, corpus: Corpus) -> CrossValResult:
         """k-fold cross-validation; each fold's model (IDF and all) is
         fitted on that fold's training accounts only."""
         _require_labeled(corpus, "cross-validation")
-        results = []
-        for i, (train, validation) in enumerate(kfold_splits(corpus, self.config.folds, self.config.seed)):
-            preds, vocabulary = self.predict(train, validation)
-            m = confusion_matrix([p.label for p in preds], [p.predicted for p in preds],
-                                 corpus.label_set)
-            results.append(FoldResult(i, tuple(sorted(validation.account_ids)), m,
-                                      metric_report(m), tuple(preds), vocabulary))
-        return CrossValResult(corpus.label_set, tuple(results),
-                              _aggregate(results, corpus.label_set))
+        folds = [self.score(train, validation)
+                 for train, validation in kfold_splits(corpus, self.config.folds, self.config.seed)]
+        return CrossValResult(corpus.label_set, tuple(folds), _aggregate(folds, corpus.label_set))
 
-    def evaluate_test_set(self, non_test: Corpus, test: Corpus) -> TestResult:
+    def evaluate_test_set(self, non_test: Corpus, test: Corpus) -> ScoredRun:
         """Train once on all of non_test and score the held-out test set."""
         _require_labeled(test, "test")
-        preds, vocabulary = self.predict(non_test, test)
-        m = confusion_matrix([p.label for p in preds], [p.predicted for p in preds],
-                             test.label_set)
-        return TestResult(test.label_set, m, metric_report(m), tuple(preds), vocabulary)
+        return self.score(non_test, test)
 
 
-def _aggregate(folds: list[FoldResult], label_set: tuple[str, ...]) -> dict:
+def _aggregate(folds: list[ScoredRun], label_set: tuple[str, ...]) -> dict:
     def stats(values: list[float]) -> dict:
         mean, std = mean_std(values)
         return {"mean": mean, "std": std}

@@ -12,13 +12,7 @@ from __future__ import annotations
 import json
 
 from .evaluate import round_half_up
-from .pipeline import (
-    AccountPrediction,
-    CrossValResult,
-    FoldResult,
-    PipelineConfig,
-    TestResult,
-)
+from .pipeline import AccountPrediction, CrossValResult, PipelineConfig, ScoredRun
 from .textfile import check_int, check_number
 
 
@@ -43,7 +37,7 @@ def prediction_dict(p: AccountPrediction) -> dict:
     }
 
 
-def _scored_dict(result: FoldResult | TestResult) -> dict:
+def _scored_dict(result: ScoredRun) -> dict:
     """The confusion, metrics and predictions of a fold or a test run."""
     return {
         "confusion": [list(row) for row in result.confusion.counts],
@@ -57,20 +51,17 @@ def _scored_dict(result: FoldResult | TestResult) -> dict:
     }
 
 
-def fold_dict(f: FoldResult) -> dict:
-    return {"fold": f.fold, "validation_ids": list(f.validation_ids), **_scored_dict(f)}
-
-
 def crossval_report(result: CrossValResult, config: PipelineConfig) -> dict:
     return {
         "config": config.to_echo(),
         "label_set": list(result.label_set),
-        "folds": [fold_dict(f) for f in result.folds],
+        "folds": [{"fold": n, "validation_ids": list(run.validation_ids), **_scored_dict(run)}
+                  for n, run in enumerate(result.folds)],
         "aggregate": result.aggregate,
     }
 
 
-def test_report(result: TestResult, config: PipelineConfig) -> dict:
+def test_report(result: ScoredRun, config: PipelineConfig) -> dict:
     return {"config": config.to_echo(), "label_set": list(result.label_set), **_scored_dict(result)}
 
 
@@ -104,14 +95,14 @@ def _labels(payload: dict) -> list[str]:
 
 
 def _confusion(node, where: str, size: int) -> list[list[int]]:
-    """node's confusion matrix, required to be size rows of size integers."""
+    """node's confusion matrix, required to be size rows of size integers >= 0."""
     counts = _get(node, where, "confusion")
     if not (isinstance(counts, list) and len(counts) == size
             and all(isinstance(row, list) and len(row) == size for row in counts)):
         raise ReportError(f"{where}confusion must be {size} rows of {size} integers, got {counts!r}")
     for i, row in enumerate(counts):
         for j, count in enumerate(row):
-            check_int(count, ReportError, f"{where}confusion.{i}.{j}")
+            check_int(count, ReportError, f"{where}confusion.{i}.{j}", 0)
     return counts
 
 
@@ -158,9 +149,9 @@ def format_crossval_payload(payload: dict) -> str:
     for n, f in enumerate(folds):
         where = f"folds.{n}."
         validation_ids = _get(f, where, "validation_ids")
-        if not isinstance(validation_ids, list):
-            raise ReportError(f"{where}validation_ids must be a list, got {validation_ids!r}")
-        lines.append(f"fold {_get(f, where, 'fold')}: accuracy {_number(f, where, 'accuracy')}"
+        if not (isinstance(validation_ids, list) and all(isinstance(x, str) for x in validation_ids)):
+            raise ReportError(f"{where}validation_ids must be a list of strings, got {validation_ids!r}")
+        lines.append(f"fold {_count(f, where, 'fold')}: accuracy {_number(f, where, 'accuracy')}"
                      f" ({len(validation_ids)} accounts)")
     aggregate = _get(payload, "", "aggregate")
     acc = _get(aggregate, "aggregate.", "accuracy")

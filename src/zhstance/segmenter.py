@@ -33,6 +33,9 @@ _TRANS_ORDER = tuple((src, dst) for src in STATES for dst in ALLOWED_TRANS[src])
 _STATE_INDEX = {s: i for i, s in enumerate(STATES)}
 
 DEFAULT_FLOOR_LOGP = math.log(1e-12)
+# The route dictionary holds every proper prefix of every word, about L**2 / 2
+# characters for a word of L, so one overlong line could exhaust memory.
+MAX_WORD_LENGTH = 100
 
 # Han ideographs: CJK Unified Ideographs and Extension A, the compatibility
 # ideographs, and Extensions B-H with their supplement (planes 2 and 3).
@@ -123,10 +126,12 @@ class HmmModel:
 def build_lexicon(entries: dict[str, int]) -> Lexicon:
     """A lexicon of the entries. A word must be non-empty and hold no
     whitespace: segmentation cuts text at whitespace, so such a word could
-    never match."""
+    never match. Nor may it be longer than MAX_WORD_LENGTH characters."""
     for word, freq in entries.items():
         if word.split() != [word]:
             raise LexiconError(f"word {word!r} is empty or holds whitespace")
+        if len(word) > MAX_WORD_LENGTH:
+            raise LexiconError(f"word {word[:10]!r}... is longer than {MAX_WORD_LENGTH} characters")
         check_int(freq, LexiconError, f"word {word!r}: frequency", 1)
     return Lexicon(dict(entries), sum(entries.values()))
 
@@ -139,6 +144,8 @@ def load_lexicon(path) -> Lexicon:
         if not 2 <= len(parts) <= 3:
             raise LexiconError(f"{path}: line {lineno}: expected 'word freq [tag]'")
         word, digits = parts[0], parts[1]
+        if len(word) > MAX_WORD_LENGTH:
+            raise LexiconError(f"{path}: line {lineno}: word is longer than {MAX_WORD_LENGTH} characters")
         if word in entries:
             raise LexiconError(f"{path}: line {lineno}: word {word!r} repeats an earlier line")
         try:

@@ -346,18 +346,21 @@ class TestTestCommand:
 
 
 class TestReportCommand:
-    def test_renders_stored_report(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["crossval", "test"])
+    def test_renders_stored_report(self, capsys, tmp_path, command):
+        # the summary a run prints beside --output is what `report` prints
         ids = tmp_path / "ids.txt"
         ids.write_text("b2\nd2\n", encoding="utf-8")
+        extra = ["--folds", "3"] if command == "crossval" else ["--test-ids", str(ids)]
         out_path = tmp_path / "report.json"
-        code, _, _ = run(capsys, "test", "--corpus", str(corpus_file(tmp_path)),
-                         *RELAXED, "--k", "3", "--test-ids", str(ids),
-                         "--output", str(out_path))
+        code, summary, _ = run(capsys, command, "--corpus", str(corpus_file(tmp_path)),
+                               *RELAXED, "--k", "3", *extra, "--output", str(out_path))
         assert code == 0
-        code, out, _ = run(capsys, "report", str(out_path))
-        assert code == 0
-        assert "accuracy: 1.00" in out
+        code, out, err = run(capsys, "report", str(out_path))
+        assert (code, err) == (0, "")
+        assert out == summary
         assert "Key \\ Output" in out
+        assert ("3-fold cross-validation" if command == "crossval" else "accuracy: 1.00") in out
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "report", "/nonexistent/report.json")
@@ -390,7 +393,7 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("command", ["crossval", "test"])
     @pytest.mark.parametrize("confusion", [[[1]], [[1, 0], [0]], "ab", [[1, 0], [0, True]],
-                                           [[1, 0], [0, 1.0]], [[1, 0], [0, 1], [0, 0]]])
+                                           [[1, 0], [0, 1.0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0, -3]]])
     def test_malformed_confusion_exits_1(self, capsys, tmp_path, command, confusion):
         ids = tmp_path / "ids.txt"
         ids.write_text("b2\nd2\n", encoding="utf-8")
@@ -406,8 +409,8 @@ class TestReportCommand:
         assert code == 1
         where = f"{out_path}: {'folds.2.' if command == 'crossval' else ''}confusion"
         if len(confusion) == 2 and all(isinstance(row, list) and len(row) == 2 for row in confusion):
-            # the shape holds, so the message names the cell that is not an integer
-            assert f"{where}.1.1 must be an integer, got {confusion[1][1]!r}" in err
+            # the shape holds, so the message names the cell that is not a count
+            assert f"{where}.1.1 must be an integer >= 0, got {confusion[1][1]!r}" in err
         else:
             assert f"{where} must be 2 rows of 2 integers" in err
 

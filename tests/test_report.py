@@ -6,13 +6,7 @@ import pytest
 
 from zhstance.classify import Neighbor
 from zhstance.evaluate import ConfusionMatrix, LabelMetrics, MetricReport
-from zhstance.pipeline import (
-    AccountPrediction,
-    CrossValResult,
-    FoldResult,
-    PipelineConfig,
-)
-from zhstance.pipeline import TestResult as HeldOutResult
+from zhstance.pipeline import AccountPrediction, CrossValResult, PipelineConfig, ScoredRun
 from zhstance.report import (
     ReportError,
     crossval_report,
@@ -43,7 +37,7 @@ def sample_test_result():
         support={"X": 2, "Y": 2},
     )
     predictions = (sample_prediction(),)
-    return HeldOutResult(("X", "Y"), matrix, report, predictions, frozenset({"t"}))
+    return ScoredRun(("X", "Y"), matrix, report, predictions, frozenset({"t"}))
 
 
 class TestDumpsReport:
@@ -89,14 +83,11 @@ class TestTestReport:
 
 class TestCrossvalReport:
     def test_payload(self):
-        result = sample_test_result()
-        fold = FoldResult(0, ("q1",), result.confusion, result.report,
-                          result.predictions, frozenset())
-        cv = CrossValResult(("X", "Y"), (fold,),
+        cv = CrossValResult(("X", "Y"), (sample_test_result(), sample_test_result()),
                             {"accuracy": {"mean": 0.75, "std": 0.0}, "per_label": {}})
         payload = crossval_report(cv, PipelineConfig())
-        assert [f["fold"] for f in payload["folds"]] == [0]
-        assert payload["folds"][0]["validation_ids"] == ["q1"]
+        assert [f["fold"] for f in payload["folds"]] == [0, 1]
+        assert payload["folds"][1]["validation_ids"] == ["q1"]  # the fold's predictions' ids
         assert payload["folds"][0]["confusion"] == [[1, 1], [0, 2]]
         assert payload["aggregate"]["accuracy"]["mean"] == 0.75
 
@@ -123,9 +114,6 @@ class TestFormatPayload:
         assert "0.67" in text
 
     def test_crossval_payload_rendering(self):
-        result = sample_test_result()
-        fold = FoldResult(0, ("q1",), result.confusion, result.report,
-                          result.predictions, frozenset())
         agg = {
             "accuracy": {"mean": 0.755, "std": 0.005},
             "per_label": {
@@ -137,7 +125,7 @@ class TestFormatPayload:
                       "f1": {"mean": 0.8, "std": 0.0}},
             },
         }
-        payload = crossval_report(CrossValResult(("X", "Y"), (fold,), agg), PipelineConfig())
+        payload = crossval_report(CrossValResult(("X", "Y"), (sample_test_result(),), agg), PipelineConfig())
         text = format_payload(payload)
         assert "1-fold cross-validation" in text
         assert "fold 0: accuracy 0.75 (1 accounts)" in text

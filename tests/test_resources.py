@@ -13,6 +13,7 @@ from zhstance.resources import (
     load_resources,
     load_stopwords,
 )
+from zhstance.segmenter import MAX_WORD_LENGTH, LexiconError
 from zhstance.zh_convert import to_simplified
 
 
@@ -84,6 +85,16 @@ def test_lexicon_takes_token_form(tmp_path):
     assert res.lexicon.entries == {"國家": 100, "国家": 5, "發": 3}
     assert res.token_lexicon.entries == {"国家": 105, "发": 3}
     assert res.token_lexicon.total == 108
+
+
+def test_token_lexicon_keeps_the_word_bound(tmp_path):
+    # a conversion can lengthen a word past the bound that loading checked
+    lexicon, table = tmp_path / "lexicon.txt", tmp_path / "t2s.tsv"
+    lexicon.write_text("髮" * 51 + " 1\n", encoding="utf-8")
+    table.write_text("髮\t发发\n", encoding="utf-8")
+    res = load_resources(dictionary=lexicon, table=table)
+    with pytest.raises(LexiconError, match=f"is longer than {MAX_WORD_LENGTH} characters"):
+        res.token_lexicon
 
 
 def test_lexicon_converts_as_word_by_word(tmp_path):

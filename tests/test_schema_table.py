@@ -87,6 +87,9 @@ ROWS = [
     ("hmm", ("floor_logp",), FINITE, "floor_logp must be a finite number, got "),
     # a stored report's objects are read only where a value is needed
     ("test report", (), (), "missing label_set"),
+    ("test report", ("label_set",), (), "label_set must be a non-empty list of strings, got "),
+    ("test report", ("confusion",), (), "confusion must be 2 rows of 2 integers, got "),
+    ("test report", ("confusion", 0), (), "confusion must be 2 rows of 2 integers, got "),
     ("test report", ("accuracy",), ("0.5",), "accuracy must be a finite number in [0, 1], got "),
     ("test report", ("per_label",), (), "missing per_label.A"),
     ("test report", ("per_label", "A"), (), "missing per_label.A.precision"),
@@ -95,13 +98,16 @@ ROWS = [
     ("test report", ("per_label", "B", "f1"), ("0.5",), "per_label.B.f1 must be a finite number in [0, 1], got "),
     ("test report", ("support",), (), "missing support.A"),
     ("test report", ("support", "A"), (), "support.A must be an integer >= 0, got "),
-    # counts are integers with no minimum
-    ("test report", ("confusion", 0, 1), ("-1",), "confusion.0.1 must be an integer, got "),
+    ("test report", ("confusion", 0, 1), (), "confusion.0.1 must be an integer >= 0, got "),
+    ("crossval report", ("label_set",), (), "label_set must be a non-empty list of strings, got "),
+    ("crossval report", ("folds",), ("[]",), "folds must be a list, got "),
     ("crossval report", ("folds", 0), (), "missing folds.0.confusion"),
-    ("crossval report", ("folds", 0, "confusion", 1, 0), ("-1",), "folds.0.confusion.1.0 must be an integer, got "),
+    ("crossval report", ("folds", 0, "confusion"), (), "folds.0.confusion must be 2 rows of 2 integers, got "),
+    ("crossval report", ("folds", 0, "validation_ids"), ("[]",),
+     "folds.0.validation_ids must be a list of strings, got "),
+    ("crossval report", ("folds", 0, "confusion", 1, 0), (), "folds.0.confusion.1.0 must be an integer >= 0, got "),
     ("crossval report", ("folds", 0, "accuracy"), ("0.5",), "folds.0.accuracy must be a finite number in [0, 1], got "),
-    # the fold number is rendered as it is
-    ("crossval report", ("folds", 0, "fold"), tuple(VALUES), None),
+    ("crossval report", ("folds", 0, "fold"), (), "folds.0.fold must be an integer >= 0, got "),
     ("crossval report", ("aggregate",), (), "missing aggregate.accuracy"),
     ("crossval report", ("aggregate", "accuracy"), (), "missing aggregate.accuracy.mean"),
     ("crossval report", ("aggregate", "accuracy", "mean"), ("0.5",),
@@ -133,6 +139,44 @@ UNKNOWN_KEY_ROWS = [
     ("hmm", ("emit", "S"), None),  # an emission row's keys are characters
 ]
 
+# values of the stored-report fields that ROWS does not try:
+# (kind, key path, value, the whole error after "error: FILE: ")
+REPORT_VALUE_ROWS = [
+    *((kind, ("label_set",), value, f"label_set must be a non-empty list of strings, got {value!r}")
+      for kind in ("test report", "crossval report") for value in ("A", ["A", 1])),
+    *(("crossval report", ("folds", 0, "validation_ids"), value,
+       f"folds.0.validation_ids must be a list of strings, got {value!r}") for value in ("a1", [1], [1, None])),
+]
+# dropping a key of a stored report fails with `missing <key path>`, except
+# where this says otherwise: None for the keys that are not read (the fold
+# std of each label's scores), and a report without folds is a test report
+DROPPED_KEY_ERRORS = {
+    **{("crossval report", ("aggregate", "per_label", label, metric, "std")): None
+       for label in "AB" for metric in SCORES},
+    ("crossval report", ("folds",)): "missing confusion",
+}
+
+
+def key_paths(doc, path=()):
+    """The key path of every object key in doc, outermost first."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield (*path, key)
+            yield from key_paths(value, (*path, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from key_paths(value, (*path, i))
+
+
+DROP_ROWS = [(kind, path) for kind in ("test report", "crossval report") for path in key_paths(KINDS[kind][0])]
+# (kind, key path of a key written twice, with its value)
+REPEATED_KEY_ROWS = [
+    ("test report", ("accuracy",)),
+    ("test report", ("per_label", "A", "f1")),
+    ("crossval report", ("label_set",)),
+    ("crossval report", ("folds", 0, "fold")),
+]
+
 # main builds its parser on every call, which would cost more than the
 # rows themselves; they all share one
 PARSER = build_parser()
@@ -141,13 +185,14 @@ PARSER = build_parser()
 @pytest.fixture
 def read(tmp_path, monkeypatch, synthetic_corpus_path):
     """read(kind, document) -> (path, return code, stdout, stderr) of `main`
-    reading the document, written as a file of that kind."""
+    reading the document, written as a file of that kind, or reading the
+    raw text given instead."""
     monkeypatch.setattr(zhstance.cli, "build_parser", lambda: PARSER)
     path = tmp_path / "input"
 
-    def read(kind, doc):
+    def read(kind, doc, raw=None):
         _, text, argv = KINDS[kind]
-        path.write_text(text(doc), encoding="utf-8")
+        path.write_text(text(doc) if raw is None else raw, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -190,6 +235,44 @@ def test_unknown_key_table(read, kind, path, error):
         assert (code, err) == (0, "")
     else:
         assert (code, out, err) == (1, "", f"error: {file}: {error}\n")
+
+
+def ids(rows):
+    return [f"{kind}:{'.'.join(map(str, path))}" for kind, path, *_ in rows]
+
+
+@pytest.mark.parametrize("kind, path, value, error", REPORT_VALUE_ROWS, ids=ids(REPORT_VALUE_ROWS))
+def test_report_value_table(read, kind, path, value, error):
+    file, code, out, err = read(kind, put(KINDS[kind][0], path, value))
+    assert (code, out, err) == (1, "", f"error: {file}: {error}\n")
+
+
+@pytest.mark.parametrize("kind, path", DROP_ROWS, ids=ids(DROP_ROWS))
+def test_dropped_report_key_table(read, kind, path):
+    doc = copy.deepcopy(KINDS[kind][0])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    file, code, out, err = read(kind, doc)
+    error = DROPPED_KEY_ERRORS.get((kind, path), f"missing {'.'.join(map(str, path))}")
+    if error is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (1, "", f"error: {file}: {error}\n")
+
+
+@pytest.mark.parametrize("kind, path", REPEATED_KEY_ROWS, ids=ids(REPEATED_KEY_ROWS))
+def test_repeated_report_key_table(read, kind, path):
+    doc, key = KINDS[kind][0], path[-1]
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    value = json.dumps(node[key])
+    raw = json.dumps(put(doc, path, "\0")).replace(f'"{key}": "\\u0000"', f'"{key}": {value}, "{key}": {value}')
+    assert raw.count(f'"{key}"') == json.dumps(doc).count(f'"{key}"') + 1
+    file, code, out, err = read(kind, None, raw)
+    assert (code, out, err) == (1, "", f"error: {file}: duplicate key {key!r}\n")
 
 
 # (loader, a valid line, what the loader reads from it); the file puts

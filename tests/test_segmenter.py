@@ -200,6 +200,22 @@ class TestLexicon:
         with pytest.raises(LexiconError):
             build_lexicon(entries)
 
+    def test_word_length_bound(self):
+        word = "中" * segmenter.MAX_WORD_LENGTH
+        assert build_lexicon({word: 1}).entries == {word: 1}
+        with pytest.raises(LexiconError, match=f"is longer than {segmenter.MAX_WORD_LENGTH} characters"):
+            build_lexicon({word + "国": 1})
+
+    def test_load_word_length_bound(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        word = "中" * segmenter.MAX_WORD_LENGTH
+        path.write_text(f"{word} 5\n", encoding="utf-8")
+        assert load_lexicon(path).entries == {word: 5}
+        path.write_text(f"中国 5\n{word}国 5\n", encoding="utf-8")
+        with pytest.raises(LexiconError) as info:
+            load_lexicon(path)
+        assert str(info.value) == f"{path}: line 2: word is longer than {segmenter.MAX_WORD_LENGTH} characters"
+
     def test_later_changes_to_entries_have_no_effect(self, bundled_hmm):
         lex = build_lexicon({"中国": 5})
         lex.entries["呣"] = 1  # before the lexicon is first used

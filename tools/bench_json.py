@@ -4,8 +4,8 @@
 Runs `perfbench/run.py` for each workload twice, untraced (--trace 0, the
 end-to-end metrics) and traced (--trace 1, the per-layer metrics), and
 writes their last lines, the report sha256, the measured commit, the
-Python version and the CPU count to BENCH_<n>.json at the repository
-root. Every run is at seed 1, whose report sha256 values CI checks, for
+Python version, the CPU count and the source size (`src_lines`, the line
+count of src/zhstance/*.py) to BENCH_<n>.json at the repository root. Every run is at seed 1, whose report sha256 values CI checks, for
 the benchmark's 36 seconds (BENCHMARK.json). Untraced times are reference
 seconds (perfbench/speed.py); traced layer times are measured seconds.
 
@@ -15,8 +15,9 @@ Exits 1, writing nothing, when a run is not correct, fails operations, or
 the two runs of a workload give different report sha256 values. After
 writing, it prints each end-to-end metric's ratio to the previous
 BENCH_<m>.json (the largest m below n) on stderr, so that drift across
-several changes shows. That is a printout, not a gate: one run per file
-is too noisy to gate on.
+several changes shows, and `src_lines` against the latest earlier file
+that records it. That is a printout, not a gate: one run per file is too
+noisy to gate on.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
+SRC = ROOT / "src" / "zhstance"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["workloads"]]
 SHA256 = re.compile(r"report sha256 ([0-9a-f]{64})$", re.MULTILINE)
 SEED = 1
@@ -60,23 +62,31 @@ def measure(workload: str, trace: int) -> tuple[dict, str]:
     return result, sha.group(1)
 
 
-def print_ratios(n: int, workloads: dict) -> None:
-    """Each end-to-end metric against the previous BENCH_<m>.json, on stderr."""
-    earlier = {int(m.group(1)): path for path in ROOT.glob("BENCH_*.json")
+def src_lines() -> int:
+    return sum(len(path.read_text("utf-8").splitlines()) for path in SRC.glob("*.py"))
+
+
+def print_ratios(n: int, record: dict) -> None:
+    """Each end-to-end metric against the previous BENCH_<m>.json, and
+    src_lines against the latest earlier file that has it, on stderr."""
+    earlier = {int(m.group(1)): json.loads(path.read_text("utf-8")) for path in ROOT.glob("BENCH_*.json")
                if (m := re.fullmatch(r"BENCH_([0-9]+)\.json", path.name)) and int(m.group(1)) < n}
+    sized = [m for m in earlier if "src_lines" in earlier[m]]
+    was = f" / {earlier[max(sized)]['src_lines']} in BENCH_{max(sized)}.json" if sized else ""
+    print(f"src_lines {record['src_lines']}{was}", file=sys.stderr)
     if not earlier:
         return
-    path = earlier[max(earlier)]
-    before = json.loads(path.read_text("utf-8"))["workloads"]
-    for workload, record in workloads.items():
+    m = max(earlier)
+    before = earlier[m]["workloads"]
+    for workload, measured in record["workloads"].items():
         if workload not in before:
             continue
         ratios = []
-        for name, metric in sorted(record["end_to_end"].items()):
+        for name, metric in sorted(measured["end_to_end"].items()):
             was = before[workload]["end_to_end"].get(name, {}).get("value")
             if was:
                 ratios.append(f"{name} {metric['value']:.4g} / {was:.4g} = {metric['value'] / was:.3f}")
-        print(f"{workload} against {path.name}: " + ", ".join(ratios), file=sys.stderr)
+        print(f"{workload} against BENCH_{m}.json: " + ", ".join(ratios), file=sys.stderr)
 
 
 def main() -> int:
@@ -106,6 +116,7 @@ def main() -> int:
         "source_clean": _git("status", "--porcelain", "--", "src", "perfbench") == "",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "src_lines": src_lines(),
         "seed": SEED,
         "seconds": SECONDS,
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {SECONDS} "
@@ -116,7 +127,7 @@ def main() -> int:
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out, file=sys.stderr)
-    print_ratios(args.n, workloads)
+    print_ratios(args.n, record)
     return 0
 
 
