@@ -202,15 +202,19 @@ def read(tmp_path, monkeypatch, synthetic_corpus_path):
     return read
 
 
+def at(doc, path: tuple):
+    """The value at the key path of doc."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def put(doc, path: tuple, value):
     """A copy of doc with value at the key path; an empty path replaces doc."""
     if not path:
         return value
     doc = copy.deepcopy(doc)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    at(doc, path[:-1])[path[-1]] = value
     return doc
 
 
@@ -241,7 +245,9 @@ def ids(rows):
     return [f"{kind}:{'.'.join(map(str, path))}" for kind, path, *_ in rows]
 
 
-@pytest.mark.parametrize("kind, path, value, error", REPORT_VALUE_ROWS, ids=ids(REPORT_VALUE_ROWS))
+@pytest.mark.parametrize("kind, path, value, error", REPORT_VALUE_ROWS,
+                         ids=[f"{kind}:{'.'.join(map(str, path))}={json.dumps(value)}"
+                              for kind, path, value, _ in REPORT_VALUE_ROWS])
 def test_report_value_table(read, kind, path, value, error):
     file, code, out, err = read(kind, put(KINDS[kind][0], path, value))
     assert (code, out, err) == (1, "", f"error: {file}: {error}\n")
@@ -250,10 +256,7 @@ def test_report_value_table(read, kind, path, value, error):
 @pytest.mark.parametrize("kind, path", DROP_ROWS, ids=ids(DROP_ROWS))
 def test_dropped_report_key_table(read, kind, path):
     doc = copy.deepcopy(KINDS[kind][0])
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    del node[path[-1]]
+    del at(doc, path[:-1])[path[-1]]
     file, code, out, err = read(kind, doc)
     error = DROPPED_KEY_ERRORS.get((kind, path), f"missing {'.'.join(map(str, path))}")
     if error is None:
@@ -265,10 +268,7 @@ def test_dropped_report_key_table(read, kind, path):
 @pytest.mark.parametrize("kind, path", REPEATED_KEY_ROWS, ids=ids(REPEATED_KEY_ROWS))
 def test_repeated_report_key_table(read, kind, path):
     doc, key = KINDS[kind][0], path[-1]
-    node = doc
-    for step in path[:-1]:
-        node = node[step]
-    value = json.dumps(node[key])
+    value = json.dumps(at(doc, path))
     raw = json.dumps(put(doc, path, "\0")).replace(f'"{key}": "\\u0000"', f'"{key}": {value}, "{key}": {value}')
     assert raw.count(f'"{key}"') == json.dumps(doc).count(f'"{key}"') + 1
     file, code, out, err = read(kind, None, raw)
