@@ -31,20 +31,6 @@ class ConfusionMatrix:
         return sum(self.counts[i][i] for i in range(len(self.labels)))
 
 
-@dataclass(frozen=True)
-class LabelMetrics:
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    accuracy: float
-    per_label: dict[str, LabelMetrics]
-    support: dict[str, int]
-
-
 def confusion_matrix(keys: list[str], outputs: list[str], label_set) -> ConfusionMatrix:
     labels = tuple(label_set)
     if len(keys) != len(outputs):
@@ -60,8 +46,9 @@ def confusion_matrix(keys: list[str], outputs: list[str], label_set) -> Confusio
     return ConfusionMatrix(labels, tuple(tuple(row) for row in counts))
 
 
-def metric_report(m: ConfusionMatrix) -> MetricReport:
-    """Accuracy, and each label's precision, recall, F1 and support (row sum)."""
+def metric_report(m: ConfusionMatrix) -> dict:
+    """The metrics as a report stores them: {"accuracy", "per_label": {label:
+    {"precision", "recall", "f1"}}, "support": {label: row sum}}."""
     total = m.total
     if total == 0:
         raise EvaluationError("metrics on an empty matrix")
@@ -74,8 +61,8 @@ def metric_report(m: ConfusionMatrix) -> MetricReport:
         precision = tp / predicted if predicted else 0.0
         recall = tp / actual if actual else 0.0
         f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_label[label] = LabelMetrics(precision, recall, f1)
-    return MetricReport(m.trace / total, per_label, support)
+        per_label[label] = {"precision": precision, "recall": recall, "f1": f1}
+    return {"accuracy": m.trace / total, "per_label": per_label, "support": support}
 
 
 def round_half_up(value: float, places: int = 2) -> float:

@@ -25,7 +25,7 @@ from .classify import (
     WEIGHTINGS,
 )
 from .corpus import AccountRecord, Corpus, DateWindow, kfold_splits
-from .evaluate import ConfusionMatrix, MetricReport, confusion_matrix, mean_std, metric_report
+from .evaluate import ConfusionMatrix, confusion_matrix, mean_std, metric_report
 from .resources import Resources
 from .segmenter import segment
 from .textfile import check_int, check_keys
@@ -170,11 +170,11 @@ class AccountPrediction:
 @dataclass(frozen=True)
 class ScoredRun:
     """One scored run, a cross-validation fold or the held-out test: the
-    predictions in account_id order, their confusion matrix and metrics,
-    and the vocabulary the model was fitted on."""
-    label_set: tuple[str, ...]
+    predictions in account_id order, their confusion matrix (labels in the
+    label set's order) and metrics (metric_report's dict), and the
+    vocabulary the model was fitted on."""
     confusion: ConfusionMatrix
-    report: MetricReport
+    metrics: dict
     predictions: tuple[AccountPrediction, ...]
     vocabulary: frozenset[str]
 
@@ -275,7 +275,7 @@ class Pipeline:
         predictions against the queries' labels."""
         preds, vocabulary = self.predict(train, queries)
         m = confusion_matrix([p.label for p in preds], [p.predicted for p in preds], queries.label_set)
-        return ScoredRun(queries.label_set, m, metric_report(m), tuple(preds), vocabulary)
+        return ScoredRun(m, metric_report(m), tuple(preds), vocabulary)
 
     def cross_validate(self, corpus: Corpus) -> CrossValResult:
         """k-fold cross-validation; each fold's model (IDF and all) is
@@ -296,13 +296,9 @@ def _aggregate(folds: list[ScoredRun], label_set: tuple[str, ...]) -> dict:
         mean, std = mean_std(values)
         return {"mean": mean, "std": std}
 
-    per_label = {}
-    for label in label_set:
-        per_label[label] = {
-            metric: stats([getattr(f.report.per_label[label], metric) for f in folds])
-            for metric in ("precision", "recall", "f1")
-        }
     return {
-        "accuracy": stats([f.report.accuracy for f in folds]),
-        "per_label": per_label,
+        "accuracy": stats([f.metrics["accuracy"] for f in folds]),
+        "per_label": {label: {metric: stats([f.metrics["per_label"][label][metric] for f in folds])
+                              for metric in ("precision", "recall", "f1")}
+                      for label in label_set},
     }

@@ -37,18 +37,10 @@ def prediction_dict(p: AccountPrediction) -> dict:
     }
 
 
-def _scored_dict(result: ScoredRun) -> dict:
+def _scored_dict(run: ScoredRun) -> dict:
     """The confusion, metrics and predictions of a fold or a test run."""
-    return {
-        "confusion": [list(row) for row in result.confusion.counts],
-        "accuracy": result.report.accuracy,
-        "per_label": {
-            label: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-            for label, m in result.report.per_label.items()
-        },
-        "support": dict(result.report.support),
-        "predictions": [prediction_dict(p) for p in result.predictions],
-    }
+    return {"confusion": [list(row) for row in run.confusion.counts], **run.metrics,
+            "predictions": [prediction_dict(p) for p in run.predictions]}
 
 
 def crossval_report(result: CrossValResult, config: PipelineConfig) -> dict:
@@ -62,7 +54,8 @@ def crossval_report(result: CrossValResult, config: PipelineConfig) -> dict:
 
 
 def test_report(result: ScoredRun, config: PipelineConfig) -> dict:
-    return {"config": config.to_echo(), "label_set": list(result.label_set), **_scored_dict(result)}
+    return {"config": config.to_echo(), "label_set": list(result.confusion.labels),
+            **_scored_dict(result)}
 
 
 # The readers below take a value and its key path in the report, as
@@ -87,10 +80,12 @@ def _count(node, where: str, key: str) -> int:
 
 
 def _labels(payload: dict) -> list[str]:
-    """The payload's label_set, required to be a non-empty list of strings."""
+    """The payload's label_set, required to be a non-empty list of distinct strings."""
     labels = _get(payload, "", "label_set")
     if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
         raise ReportError(f"label_set must be a non-empty list of strings, got {labels!r}")
+    if len(set(labels)) < len(labels):
+        raise ReportError(f"label_set must hold distinct labels, got {labels!r}")
     return labels
 
 

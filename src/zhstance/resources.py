@@ -12,8 +12,8 @@ from functools import cached_property
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .segmenter import HmmModel, Lexicon, build_lexicon, load_hmm, load_lexicon
-from .textfile import read_words
+from .segmenter import HmmModel, Lexicon, LexiconError, build_lexicon, load_hmm, load_lexicon
+from .textfile import MAX_WORD_LENGTH, read_words
 from .zh_convert import ConversionTable, load_conversion_table, to_simplified
 
 BUNDLED_TABLE = "t2s.tsv"
@@ -56,12 +56,16 @@ class Resources:
         the table, so that 國家 matches 国家, and words that convert to the
         same word add their frequencies. Derived on first use, like
         token_stopwords. When conversion changes no entry, this is the
-        loaded lexicon itself, not a second copy of it."""
+        loaded lexicon itself, not a second copy of it. A word that conversion
+        lengthens past MAX_WORD_LENGTH is an error naming the word as written."""
         entries: dict[str, int] = {}
         # One conversion over all the words: they hold no whitespace, and no
         # table key or value holds a newline, so the lines stay the words.
         converted = to_simplified("\n".join(self.lexicon.entries), self.table).split("\n")
-        for word, freq in zip(converted, self.lexicon.entries.values()):
+        for (written, freq), word in zip(self.lexicon.entries.items(), converted):
+            if len(word) > MAX_WORD_LENGTH:
+                raise LexiconError(f"word {written!r} is longer than {MAX_WORD_LENGTH} characters"
+                                   f" after conversion, which lengthens it to {len(word)}")
             entries[word] = entries.get(word, 0) + freq
         if entries == self.lexicon.entries:
             return self.lexicon

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
-from .textfile import check_int, check_keys, check_number, read_data_lines, read_json
+from .textfile import MAX_WORD_LENGTH, check_int, check_keys, check_number, read_data_lines, read_json
 
 NEG_INF = float("-inf")
 
@@ -33,9 +33,6 @@ _TRANS_ORDER = tuple((src, dst) for src in STATES for dst in ALLOWED_TRANS[src])
 _STATE_INDEX = {s: i for i, s in enumerate(STATES)}
 
 DEFAULT_FLOOR_LOGP = math.log(1e-12)
-# The route dictionary holds every proper prefix of every word, about L**2 / 2
-# characters for a word of L, so one overlong line could exhaust memory.
-MAX_WORD_LENGTH = 100
 
 # Han ideographs: CJK Unified Ideographs and Extension A, the compatibility
 # ideographs, and Extensions B-H with their supplement (planes 2 and 3).

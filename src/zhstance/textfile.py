@@ -9,6 +9,12 @@ import json
 import sys
 from contextlib import nullcontext
 
+# The longest lexicon word or conversion-table key. The route dictionary
+# holds every proper prefix of every word, about L**2 / 2 characters for a
+# word of L, and the phrase pattern spells out every key's rest, so one
+# overlong line could exhaust memory or take seconds to compile.
+MAX_WORD_LENGTH = 100
+
 
 def read_lines(path, error: type[ValueError], stream=None):
     """(line number, line) for each line of a UTF-8 text file, its line

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .textfile import read_data_lines
+from .textfile import MAX_WORD_LENGTH, read_data_lines
 
 
 class ConversionTableError(ValueError):
@@ -70,7 +70,8 @@ class ConversionTable:
 
 def load_conversion_table(path) -> ConversionTable:
     """Load a tab-separated conversion table; single-character keys go to
-    char_map, longer keys to phrase_map. A key may appear on one line only."""
+    char_map, longer keys to phrase_map. A key may appear on one line only,
+    and may be at most MAX_WORD_LENGTH characters long."""
     pairs: dict[str, str] = {}
     for lineno, line in read_data_lines(path, ConversionTableError):
         if "\t" not in line:
@@ -79,6 +80,9 @@ def load_conversion_table(path) -> ConversionTable:
         value = value.split(" ")[0].strip()
         if not key or not value:
             raise ConversionTableError(f"{path}: line {lineno}: empty mapping side")
+        if len(key) > MAX_WORD_LENGTH:
+            raise ConversionTableError(
+                f"{path}: line {lineno}: key is longer than {MAX_WORD_LENGTH} characters")
         if len(value.split()) > 1:
             raise ConversionTableError(f"{path}: line {lineno}: value {value!r} holds whitespace")
         if key in pairs:

@@ -50,9 +50,9 @@ from zhstance.vectorize import cosine_similarity, fit_vectorizer
 
 def check_table(counts, accuracy, f1_by_label):
     report = metric_report(ConfusionMatrix(("Beijing", "Democracy"), counts))
-    assert round_half_up(report.accuracy) == accuracy
+    assert round_half_up(report["accuracy"]) == accuracy
     for label, want in f1_by_label.items():
-        assert round_half_up(report.per_label[label].f1) == want
+        assert round_half_up(report["per_label"][label]["f1"]) == want
 
 
 def test_criterion_1_metric_reproduction():

@@ -10,6 +10,7 @@ neighbor order exactly.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +56,59 @@ def test_frozen_report_neighbors_are_all_same_class(fixtures_dir):
         classes = {nb["label"] for nb in prediction["neighbors"]}
         assert classes == {prediction["label"]}
         assert len(prediction["neighbors"]) == 5
+
+
+# `zhstance report` of the frozen test report, and of a default-config
+# `crossval` of the fixture corpus, byte for byte
+RENDERED = {
+    "test": """\
+Key \\ Output  Beijing  Democracy
+Beijing             2          0
+Democracy           0          2
+
+accuracy: 1.00
+label      precision  recall    f1  support
+Beijing         1.00    1.00  1.00        2
+Democracy       1.00    1.00  1.00        2
+""",
+    "crossval": """\
+5-fold cross-validation, pooled predictions:
+Key \\ Output  Beijing  Democracy
+Beijing            10          0
+Democracy           0         10
+
+fold 0: accuracy 1.00 (4 accounts)
+fold 1: accuracy 1.00 (4 accounts)
+fold 2: accuracy 1.00 (4 accounts)
+fold 3: accuracy 1.00 (4 accounts)
+fold 4: accuracy 1.00 (4 accounts)
+mean accuracy 1.00 (std 0.00)
+
+label      precision  recall    f1  (fold means)
+Beijing         1.00    1.00  1.00
+Democracy       1.00    1.00  1.00
+""",
+}
+
+
+@pytest.mark.parametrize("kind", RENDERED)
+def test_report_renders_exactly(capsys, tmp_path, fixtures_dir, synthetic_corpus_path, kind):
+    path = fixtures_dir / "expected_test_report.json"
+    if kind == "crossval":
+        path = tmp_path / "report.json"
+        assert main(["crossval", "--corpus", str(synthetic_corpus_path), "--output", str(path)]) == 0
+        capsys.readouterr()
+    assert main(["report", str(path)]) == 0
+    assert capsys.readouterr() == (RENDERED[kind], "")
+
+
+def test_readme_library_example_runs(capsys, tmp_path, monkeypatch, synthetic_corpus_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "corpus.jsonl").write_bytes(synthetic_corpus_path.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(code, names)
+    assert len(names["corpus"].accounts) == 20
+    assert names["result"].aggregate["accuracy"]["mean"] == 1.0
+    assert capsys.readouterr().out == "{'mean': 1.0, 'std': 0.0}\n1.0\n"

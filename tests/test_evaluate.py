@@ -8,7 +8,6 @@ import pytest
 from zhstance.evaluate import (
     ConfusionMatrix,
     EvaluationError,
-    LabelMetrics,
     confusion_matrix,
     mean_std,
     metric_report,
@@ -67,27 +66,27 @@ def reference_metrics(m, p):
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return LabelMetrics(precision, recall, f1)
+    return {"precision": precision, "recall": recall, "f1": f1}
 
 
 class TestMetrics:
     def test_values(self):
-        got = metric_report(THREE_CLASS).per_label["B"]
-        assert got.precision == pytest.approx(3 / 4)
-        assert got.recall == pytest.approx(3 / 6)
-        assert got.f1 == pytest.approx(2 * 0.75 * 0.5 / 1.25)
+        got = metric_report(THREE_CLASS)["per_label"]["B"]
+        assert got["precision"] == pytest.approx(3 / 4)
+        assert got["recall"] == pytest.approx(3 / 6)
+        assert got["f1"] == pytest.approx(2 * 0.75 * 0.5 / 1.25)
 
     def test_zero_denominators_yield_zero(self):
         # nothing predicted as X and nothing truly X
         m = ConfusionMatrix(("X", "Y"), ((0, 0), (0, 5)))
-        assert metric_report(m).per_label["X"] == LabelMetrics(0.0, 0.0, 0.0)
+        assert metric_report(m)["per_label"]["X"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
 
     def test_zero_recall_with_nonzero_precision_denominator(self):
         m = ConfusionMatrix(("X", "Y"), ((0, 3), (2, 1)))
-        got = metric_report(m).per_label["X"]
-        assert got.precision == 0.0
-        assert got.recall == 0.0
-        assert got.f1 == 0.0
+        got = metric_report(m)["per_label"]["X"]
+        assert got["precision"] == 0.0
+        assert got["recall"] == 0.0
+        assert got["f1"] == 0.0
 
     def test_bit_equal_to_one_vs_rest_oracle(self):
         rng = random.Random(20211)
@@ -101,22 +100,22 @@ class TestMetrics:
             if m.total == 0:
                 continue
             report = metric_report(m)
-            assert report.accuracy == m.trace / m.total
-            assert report.per_label == {label: reference_metrics(m, p)
-                                        for p, label in enumerate(m.labels)}
-            assert report.support == {label: sum(row) for label, row in zip(m.labels, counts)}
-            assert all(0.0 <= x <= 1.0 for scores in report.per_label.values()
-                       for x in (scores.precision, scores.recall, scores.f1))
+            assert report["accuracy"] == m.trace / m.total
+            assert report["per_label"] == {label: reference_metrics(m, p)
+                                           for p, label in enumerate(m.labels)}
+            assert report["support"] == {label: sum(row) for label, row in zip(m.labels, counts)}
+            assert all(0.0 <= x <= 1.0 for scores in report["per_label"].values()
+                       for x in (scores["precision"], scores["recall"], scores["f1"]))
             checked += 1
 
 
 class TestMetricReport:
     def test_report(self):
         report = metric_report(THREE_CLASS)
-        assert report.accuracy == pytest.approx(12 / 16)
-        assert set(report.per_label) == {"A", "B", "C"}
-        assert report.per_label["B"].precision == pytest.approx(0.75)
-        assert report.support == {"A": 6, "B": 6, "C": 4}
+        assert report["accuracy"] == pytest.approx(12 / 16)
+        assert set(report["per_label"]) == {"A", "B", "C"}
+        assert report["per_label"]["B"]["precision"] == pytest.approx(0.75)
+        assert report["support"] == {"A": 6, "B": 6, "C": 4}
 
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError):

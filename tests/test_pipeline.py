@@ -249,7 +249,7 @@ class TestCrossValidate:
         assert sorted(seen) == sorted(corpus.account_ids)
         for fold in result.folds:
             assert list(fold.validation_ids) == sorted(fold.validation_ids)
-            assert fold.report.accuracy == 1.0
+            assert fold.metrics["accuracy"] == 1.0
         assert result.aggregate["accuracy"] == {"mean": 1.0, "std": 0.0}
 
     def test_aggregate_shape(self, pipeline):
@@ -316,7 +316,7 @@ class TestEvaluateTestSet:
                                                if a.account_id not in ("b0", "d0")))
         result = pipeline.evaluate_test_set(train, test)
         assert result.confusion.counts == ((1, 0), (0, 1))
-        assert result.report.accuracy == 1.0
+        assert result.metrics["accuracy"] == 1.0
         assert [p.account_id for p in result.predictions] == ["b0", "d0"]
 
     def test_unlabeled_test_rejected(self, pipeline):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from zhstance.classify import Neighbor
-from zhstance.evaluate import ConfusionMatrix, LabelMetrics, MetricReport
+from zhstance.evaluate import ConfusionMatrix
 from zhstance.pipeline import AccountPrediction, CrossValResult, PipelineConfig, ScoredRun
 from zhstance.report import (
     ReportError,
@@ -31,13 +31,14 @@ def sample_prediction():
 
 def sample_test_result():
     matrix = ConfusionMatrix(("X", "Y"), ((1, 1), (0, 2)))
-    report = MetricReport(
-        accuracy=0.75,
-        per_label={"X": LabelMetrics(1.0, 0.5, 2 / 3), "Y": LabelMetrics(2 / 3, 1.0, 0.8)},
-        support={"X": 2, "Y": 2},
-    )
+    metrics = {
+        "accuracy": 0.75,
+        "per_label": {"X": {"precision": 1.0, "recall": 0.5, "f1": 2 / 3},
+                      "Y": {"precision": 2 / 3, "recall": 1.0, "f1": 0.8}},
+        "support": {"X": 2, "Y": 2},
+    }
     predictions = (sample_prediction(),)
-    return ScoredRun(("X", "Y"), matrix, report, predictions, frozenset({"t"}))
+    return ScoredRun(matrix, metrics, predictions, frozenset({"t"}))
 
 
 class TestDumpsReport:

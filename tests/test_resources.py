@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from zhstance.cli import main
 from zhstance.resources import (
     BUNDLED_HMM,
     BUNDLED_LEXICON,
@@ -95,6 +96,21 @@ def test_token_lexicon_keeps_the_word_bound(tmp_path):
     res = load_resources(dictionary=lexicon, table=table)
     with pytest.raises(LexiconError, match=f"is longer than {MAX_WORD_LENGTH} characters"):
         res.token_lexicon
+
+
+def test_lengthened_word_error_names_the_word_as_written(tmp_path, synthetic_corpus_path, capsys):
+    lexicon, table = tmp_path / "lexicon.txt", tmp_path / "t2s.tsv"
+    lexicon.write_text("髮" * 51 + " 1\n", encoding="utf-8")
+    table.write_text("髮\t发发\n", encoding="utf-8")
+    message = (f"word {'髮' * 51!r} is longer than {MAX_WORD_LENGTH} characters"
+               " after conversion, which lengthens it to 102")
+    with pytest.raises(LexiconError) as info:
+        load_resources(dictionary=lexicon, table=table).token_lexicon
+    assert str(info.value) == message
+    argv = ["crossval", "--corpus", str(synthetic_corpus_path), "--dict", str(lexicon),
+            "--convert-table", str(table)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_lexicon_converts_as_word_by_word(tmp_path):

@@ -144,6 +144,8 @@ UNKNOWN_KEY_ROWS = [
 REPORT_VALUE_ROWS = [
     *((kind, ("label_set",), value, f"label_set must be a non-empty list of strings, got {value!r}")
       for kind in ("test report", "crossval report") for value in ("A", ["A", 1])),
+    *((kind, ("label_set",), ["A", "A"], "label_set must hold distinct labels, got ['A', 'A']")
+      for kind in ("test report", "crossval report")),
     *(("crossval report", ("folds", 0, "validation_ids"), value,
        f"folds.0.validation_ids must be a list of strings, got {value!r}") for value in ("a1", [1], [1, None])),
 ]

@@ -2,7 +2,9 @@
 
 import pytest
 
+from zhstance.cli import main
 from zhstance.resources import bundled_path
+from zhstance.textfile import MAX_WORD_LENGTH
 from zhstance.zh_convert import (
     ConversionTable,
     ConversionTableError,
@@ -91,6 +93,23 @@ class TestLoadConversionTable:
         with pytest.raises(ConversionTableError) as info:
             load_conversion_table(path)
         assert str(info.value).startswith(f"{path}: line 2: ")
+
+    def test_key_at_the_word_bound_loads(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        key = "髮" * MAX_WORD_LENGTH
+        path.write_text(f"發\t发\n{key}\t发\n", encoding="utf-8")
+        assert load_conversion_table(path).phrase_map == {key: "发"}
+
+    def test_key_past_the_word_bound_rejected(self, tmp_path, capsys):
+        # the lexicon's bound: a key's prefixes cost memory and compile time
+        path = tmp_path / "t.tsv"
+        path.write_text(f"發\t发\n{'髮' * (MAX_WORD_LENGTH + 1)}\t发\n", encoding="utf-8")
+        message = f"{path}: line 2: key is longer than {MAX_WORD_LENGTH} characters"
+        with pytest.raises(ConversionTableError) as info:
+            load_conversion_table(path)
+        assert str(info.value) == message
+        assert main(["convert", "--convert-table", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestToSimplified:
