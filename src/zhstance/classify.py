@@ -14,9 +14,9 @@ import heapq
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, sqrt
 
-from .vectorize import SparseVector, cosine_similarity
+from .vectorize import SparseVector, TfidfVectorizer, cosine_similarity
 
 WEIGHTINGS = ("uniform", "inverse")
 EPSILON = 1e-9
@@ -24,7 +24,7 @@ _BITS = 15  # a unit weight becomes about 2**15 in the k-NN lanes
 _LANES = 112  # keeps each k-NN accumulator within CPython's 512-byte small objects
 _MIN_NORM = 2.0 ** -450
 
-KnnExample = tuple[str, str, SparseVector]  # (account_id, label, vector)
+KnnExample = tuple[str, str, dict[str, int]]  # (account_id, label, term counts)
 SetExample = tuple[str, str, frozenset[str]]
 
 
@@ -76,11 +76,11 @@ def _vote(neighbors: list[Neighbor], weighting: str) -> Prediction:
     return Prediction(min(tied), tuple(neighbors), votes)
 
 
-def _check_vector(vec: SparseVector):
-    if vec.weights and min(vec.weights.values()) < 0.0:
+def _check_vector(negative: bool, norm: float):
+    if negative:
         raise ClassifierError("k-NN vectors must have non-negative weights")
-    if vec.norm and not _MIN_NORM <= vec.norm <= 1.0 / _MIN_NORM:
-        raise ClassifierError(f"k-NN vector norm {vec.norm!r} is outside [2**-450, 2**450]")
+    if norm and not _MIN_NORM <= norm <= 1.0 / _MIN_NORM:
+        raise ClassifierError(f"k-NN vector norm {norm!r} is outside [2**-450, 2**450]")
 
 
 def _lanes(m: int, top: int):
@@ -97,47 +97,49 @@ def _lanes(m: int, top: int):
 
 
 class KnnIndex:
-    """Training vectors in account_id order plus an inverted index over
-    them: term -> [position, weight, position, weight, ...], one flat list
-    per term (the vectors' own floats), built once per training set.
+    """Training accounts in account_id order, each kept as its term counts
+    and its TF-IDF norm under the fitted vectorizer (transform's weights,
+    added left to right). No training vector and no postings are built: a
+    re-scored account's vector comes from vectorizer.transform, once.
 
     Weights must be non-negative, as TF-IDF weights are, and a nonzero
     norm must lie in [2**-450, 2**450], which keeps under- and overflow
-    out of the bounds below. Zero weights and zero-norm vectors are left
-    out of the postings: they add nothing to any dot product.
-    """
+    out of the bounds below. Zero weights and zero-norm accounts are never
+    scored: they add nothing to any dot product."""
 
-    def __init__(self, train: Iterable[KnnExample]):
+    def __init__(self, train: Iterable[KnnExample], vectorizer: TfidfVectorizer):
         examples = sorted(train, key=lambda e: e[0])
         self.ids = [account_id for account_id, _, _ in examples]
         self.labels = [label for _, label, _ in examples]
-        self.vectors = [vec for _, _, vec in examples]
-        self.scales = [2.0 ** _BITS / vec.norm if vec.norm else 0.0 for vec in self.vectors]
-        self.postings: dict[str, list] = {}
-        for i, vec in enumerate(self.vectors):
-            _check_vector(vec)
-            if vec.norm == 0.0:
-                continue
-            for term, w in vec.weights.items():
-                if w:
-                    entry = self.postings.get(term)
-                    if entry is None:
-                        self.postings[term] = [i, w]
-                    else:
-                        entry += (i, w)
+        self.vectorizer = vectorizer
+        self.accounts = []  # (counts, tf_divisor(counts), 2**B / norm or 0.0)
+        self._vectors: dict[int, SparseVector] = {}  # by position, on first re-score
+        idf = vectorizer.idf
+        for _, _, counts in examples:
+            total, squares, negative = vectorizer.tf_divisor(counts), 0.0, False
+            for term, count in counts.items():
+                term_idf = idf.get(term)
+                if term_idf is not None:
+                    w = count / total * term_idf
+                    if w < 0.0:
+                        negative = True
+                    squares += w * w
+            norm = sqrt(squares)
+            _check_vector(negative, norm)
+            self.accounts.append((counts, total, 2.0 ** _BITS / norm if norm else 0.0))
 
     def nearest(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
         """For each query, the first k accounts by (-cosine_similarity(query,
         vec), account_id), scored together, at most _LANES queries per pass
-        over the postings; no queries need no valid k.
+        over the training accounts; no queries need no valid k.
 
         With B = 15 and u = 2**-53, a positive weight w of a vector of norm
         N becomes U = floor(w * (2**B / N)) + 1 >= 1, both operations
         rounded, so a * 2**B * (1 - 2u) <= U <= a * 2**B * (1 + 3u) + 1 for
         a = w / N. Each query's V sits in its own 32-bit lane of one int
-        per term, and one pass over a term's postings adds U * lanes[term]
-        to each account's int; lane j of account i is L = sum U * V over
-        their n' <= n = len(query) shared terms. Let r = sum a * b there.
+        per term, and each account's int is the sum of U * lanes[term] over
+        its terms in that lane dict; lane j of account i is L = sum U * V
+        over their n' <= n = len(query) shared terms. Let r = sum a * b there.
         For vectors of under 2**29 terms the norms are within 2**-13 of
         exact, so sum a**2 <= 1 + 2**-11, and by Cauchy-Schwarz
         L <= (2**B * (1 + 2**-11) + sqrt(n'))**2 < 2**32: no lane carries.
@@ -161,7 +163,7 @@ class KnnIndex:
             return []
         _check_k(k, len(self.ids))
         for query in queries:
-            _check_vector(query)
+            _check_vector(bool(query.weights) and min(query.weights.values()) < 0.0, query.norm)
         m = len(queries)
         step = -(-m // -(-m // _LANES))  # passes of equal size, none above _LANES
         found = []
@@ -170,7 +172,6 @@ class KnnIndex:
         return found
 
     def _pass(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
-        postings, scales = self.postings, self.scales
         shifts, columns = _lanes(len(queries), 2 ** 32 - 1)
         lanes: dict[str, int] = {}
         for shift, query in zip(shifts, queries):
@@ -178,23 +179,33 @@ class KnnIndex:
                 continue
             r = 2.0 ** _BITS / query.norm
             for term, qw in query.weights.items():
-                if qw and term in postings:
+                if qw:
                     lanes[term] = lanes.get(term, 0) | (int(qw * r) + 1) << shift
-        acc = [0] * len(self.ids)
-        for term, lane in lanes.items():
-            it = iter(postings[term])
-            for i, w in zip(it, it):
-                acc[i] += (int(w * scales[i]) + 1) * lane
+        idf, get, acc = self.vectorizer.idf, lanes.get, []
+        for counts, total, scale in self.accounts:
+            a = 0
+            if scale:
+                for term, count in counts.items():
+                    lane = get(term)
+                    if lane and (w := count / total * idf.get(term, 0.0)):
+                        a += (int(w * scale) + 1) * lane
+            acc.append(a)
         del lanes
         found = []
         for query, col in zip(queries, columns(acc)):
             n = len(query)
             line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 1))
-            scored = sorted(((cosine_similarity(query, self.vectors[i]) if lane else 0.0, i)
+            scored = sorted(((cosine_similarity(query, self._vector(i)) if lane else 0.0, i)
                              for i, lane in enumerate(col) if lane >= line),
                             key=lambda si: (-si[0], si[1]))
             found.append([Neighbor(self.ids[i], self.labels[i], sim) for sim, i in scored[:k]])
         return found
+
+    def _vector(self, i: int) -> SparseVector:
+        vec = self._vectors.get(i)
+        if vec is None:
+            vec = self._vectors[i] = self.vectorizer.transform(self.accounts[i][0])
+        return vec
 
 
 def knn_predict(queries: list[SparseVector], index: KnnIndex, k: int = 5,

@@ -242,7 +242,7 @@ class Pipeline:
 
     def fit_transform(self, corpus: Corpus) -> tuple[TfidfVectorizer, list[SparseVector]]:
         """TF-IDF fitted on the corpus's accounts, and each of their
-        vectors under it, in corpus order."""
+        vectors under it, in corpus order (for `zhstance vectorize`)."""
         docs = [self.account_counts(a) for a in corpus.accounts]
         vectorizer = fit_vectorizer(docs, tf_mode=self.config.tf)
         return vectorizer, [vectorizer.transform(doc) for doc in docs]
@@ -262,8 +262,9 @@ class Pipeline:
             preds = baseline1_predict([self.top_terms(q) for q in ordered], index, cfg.k)
             vocabulary = frozenset(index.postings)
         else:
-            vectorizer, vectors = self.fit_transform(train)
-            index = KnnIndex((a.account_id, a.label, v) for a, v in zip(train.accounts, vectors))
+            docs = [self.account_counts(a) for a in train.accounts]
+            vectorizer = fit_vectorizer(docs, tf_mode=cfg.tf)
+            index = KnnIndex(((a.account_id, a.label, c) for a, c in zip(train.accounts, docs)), vectorizer)
             preds = knn_predict([vectorizer.transform(self.account_counts(q)) for q in ordered],
                                 index, cfg.k, cfg.weighting)
             vocabulary = vectorizer.vocabulary

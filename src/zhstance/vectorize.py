@@ -60,7 +60,7 @@ class TfidfVectorizer:
     corpus_size: int
     tf_mode: str = "raw"
     log_base: float | None = None  # None means natural log
-    _idf: dict[str, float] = field(init=False, repr=False, compare=False)
+    idf: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tf_mode not in TF_MODES:
@@ -78,23 +78,26 @@ class TfidfVectorizer:
                 if self.log_base is not None:
                     value /= math.log(self.log_base)
                 by_df[df] = value
-        object.__setattr__(self, "_idf", {
+        object.__setattr__(self, "idf", {
             term: by_df[df] for term, df in self.document_frequency.items()})
 
     @property
     def vocabulary(self) -> frozenset[str]:
         return frozenset(self.document_frequency)
 
+    def tf_divisor(self, counts: dict[str, int]) -> int:
+        """d in a term's weight count / d * idf[term]: the counts' total under
+        relative TF, 1 under raw TF (count / 1 is float(count) exactly)."""
+        return sum(counts.values()) if self.tf_mode == "relative" else 1
+
     def transform(self, counts: dict[str, int]) -> SparseVector:
-        total = sum(counts.values())
-        relative = self.tf_mode == "relative"
-        idf = self._idf
+        idf, total = self.idf, self.tf_divisor(counts)
         weights: dict[str, float] = {}
         for term, count in counts.items():
             term_idf = idf.get(term)
             if term_idf is None:
                 continue
-            w = (count / total if relative else float(count)) * term_idf
+            w = count / total * term_idf
             if w != 0.0:
                 weights[term] = w
         return SparseVector(weights)

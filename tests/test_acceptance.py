@@ -41,7 +41,7 @@ from zhstance.segmenter import (
     max_prob_route,
     viterbi,
 )
-from zhstance.vectorize import cosine_similarity, fit_vectorizer
+from zhstance.vectorize import TfidfVectorizer, cosine_similarity, fit_vectorizer
 
 
 # ----------------------------------------------------------------------
@@ -294,12 +294,20 @@ def random_knn_instance(rng):
     return q, train, k, weighting
 
 
+def knn_index(train):
+    """KnnIndex over hand-made (account_id, label, vector) triples, each
+    vector stated as counts under an IDF of 1.0 (log(2) / log(2)) for
+    every term: raw TF weighs a count w as w / 1 * 1.0 == w."""
+    unit = TfidfVectorizer(dict.fromkeys({t for _, _, v in train for t in v.weights}, 1), 2, log_base=2)
+    return KnnIndex([(account_id, label, v.weights) for account_id, label, v in train], unit)
+
+
 def test_criterion_5_knn_oracle():
     started = time.monotonic()
     rng = random.Random(55)
     for _ in range(150):
         query, train, k, weighting = random_knn_instance(rng)
-        pred = knn_predict([query], KnnIndex(train), k, weighting)[0]
+        pred = knn_predict([query], knn_index(train), k, weighting)[0]
         want_label, want_ids, want_votes = oracle_knn(query, train, k, weighting)
         assert pred.label == want_label
         assert [n.account_id for n in pred.neighbors] == want_ids
@@ -310,7 +318,7 @@ def test_criterion_5_knn_oracle():
         # training order must not matter
         shuffled_train = train[:]
         rng.shuffle(shuffled_train)
-        again = knn_predict([query], KnnIndex(shuffled_train), k, weighting)[0]
+        again = knn_predict([query], knn_index(shuffled_train), k, weighting)[0]
         assert again.label == pred.label
         assert again.neighbors == pred.neighbors
         assert again.votes == pred.votes

@@ -24,17 +24,37 @@ from zhstance.classify import (
     top_k_terms,
     vote_weight,
 )
-from zhstance.vectorize import SparseVector, cosine_similarity
+from zhstance.vectorize import SparseVector, TfidfVectorizer, cosine_similarity
 
 
 def vec(**weights):
     return SparseVector({k: float(v) for k, v in weights.items()})
 
 
+def unit_idf(terms):
+    """A vectorizer with IDF 1.0 (log(2) / log(2)) for every term: raw TF
+    weighs a count w as w / 1 * 1.0 == w."""
+    return TfidfVectorizer(dict.fromkeys(terms, 1), 2, log_base=2)
+
+
+def knn_index(train):
+    """KnnIndex over hand-made (account_id, label, vector) triples, each
+    vector stated as counts under unit_idf, so it is scored as written."""
+    unit = unit_idf({term for _, _, v in train for term in v.weights})
+    return KnnIndex([(account_id, label, v.weights) for account_id, label, v in train], unit)
+
+
+def stated(v):
+    """A hand-made vector as knn_index states it: transform drops its zero
+    weights, and with them one vector's length, which can change the
+    vector dot() walks and so its rounding."""
+    return unit_idf(v.weights).transform(v.weights)
+
+
 def oracle_knn(query, train, k, weighting):
     """Reference prediction: full sort, then the documented vote rules."""
     ranked = sorted(
-        ((cosine_similarity(query, v), account_id, label) for account_id, label, v in train),
+        ((cosine_similarity(query, stated(v)), account_id, label) for account_id, label, v in train),
         key=lambda t: (-t[0], t[1]),
     )[:k]
     votes, sim_sum = {}, {}
@@ -86,7 +106,7 @@ class TestKnnPredict:
     ]
 
     def test_basic(self):
-        p = knn_predict([vec(a=1)], KnnIndex(self.TRAIN), k=2)[0]
+        p = knn_predict([vec(a=1)], knn_index(self.TRAIN), k=2)[0]
         assert p.label == "X"
         assert [nb.account_id for nb in p.neighbors] == ["a1", "a2"]
         assert p.neighbors[0].similarity == pytest.approx(1.0)
@@ -94,7 +114,7 @@ class TestKnnPredict:
 
     def test_similarity_tie_broken_by_id(self):
         train = [("z9", "X", vec(a=1)), ("a1", "Y", vec(a=2))]
-        p = knn_predict([vec(a=1)], KnnIndex(train), k=2)[0]
+        p = knn_predict([vec(a=1)], knn_index(train), k=2)[0]
         assert [nb.account_id for nb in p.neighbors] == ["a1", "z9"]
 
     def test_vote_tie_prefers_larger_summed_similarity(self):
@@ -102,13 +122,13 @@ class TestKnnPredict:
         # and Y winning shows the similarity tier fires before the
         # lexicographic one
         train = [("a1", "X", vec(a=1)), ("a2", "Y", vec(b=1))]
-        p = knn_predict([vec(a=1, b=2)], KnnIndex(train), k=2)[0]
+        p = knn_predict([vec(a=1, b=2)], knn_index(train), k=2)[0]
         assert p.votes == {"X": 1.0, "Y": 1.0}
         assert p.label == "Y"
 
     def test_full_tie_prefers_smaller_label(self):
         train = [("a1", "Y", vec(a=1)), ("a2", "X", vec(b=1))]
-        p = knn_predict([vec(a=1, b=1)], KnnIndex(train), k=2)[0]
+        p = knn_predict([vec(a=1, b=1)], knn_index(train), k=2)[0]
         assert p.neighbors[0].similarity == pytest.approx(p.neighbors[1].similarity)
         assert p.label == "X"
 
@@ -119,24 +139,24 @@ class TestKnnPredict:
             ("a3", "Y", vec(c=1, b=9)),
         ]
         q = vec(a=9, b=1)
-        assert knn_predict([q], KnnIndex(train), k=3, weighting="uniform")[0].label == "Y"
-        assert knn_predict([q], KnnIndex(train), k=3, weighting="inverse")[0].label == "X"
+        assert knn_predict([q], knn_index(train), k=3, weighting="uniform")[0].label == "Y"
+        assert knn_predict([q], knn_index(train), k=3, weighting="inverse")[0].label == "X"
 
     def test_k_bounds(self):
         with pytest.raises(ClassifierError):
-            knn_predict([vec(a=1)], KnnIndex(self.TRAIN), k=0)
+            knn_predict([vec(a=1)], knn_index(self.TRAIN), k=0)
         with pytest.raises(ClassifierError):
-            knn_predict([vec(a=1)], KnnIndex(self.TRAIN), k=4)
+            knn_predict([vec(a=1)], knn_index(self.TRAIN), k=4)
 
     def test_unknown_weighting(self):
         with pytest.raises(ClassifierError):
-            knn_predict([vec(a=1)], KnnIndex(self.TRAIN), k=1, weighting="softmax")
+            knn_predict([vec(a=1)], knn_index(self.TRAIN), k=1, weighting="softmax")
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(500)
         for _ in range(100):
             q, train, k, weighting = random_knn_instance(rng)
-            p = knn_predict([q], KnnIndex(train), k=k, weighting=weighting)[0]
+            p = knn_predict([q], knn_index(train), k=k, weighting=weighting)[0]
             label, neighbor_ids, votes = oracle_knn(q, train, k, weighting)
             assert p.label == label
             assert [nb.account_id for nb in p.neighbors] == neighbor_ids
@@ -146,17 +166,17 @@ class TestKnnPredict:
         rng = random.Random(600)
         for _ in range(50):
             q, train, k, _ = random_knn_instance(rng)
-            p = knn_predict([q], KnnIndex(train), k=k, weighting="uniform")[0]
+            p = knn_predict([q], knn_index(train), k=k, weighting="uniform")[0]
             assert sum(p.votes.values()) == float(k)
 
     def test_invariant_under_training_permutation(self):
         rng = random.Random(700)
         for _ in range(50):
             q, train, k, weighting = random_knn_instance(rng)
-            p1 = knn_predict([q], KnnIndex(train), k=k, weighting=weighting)[0]
+            p1 = knn_predict([q], knn_index(train), k=k, weighting=weighting)[0]
             shuffled_train = list(train)
             rng.shuffle(shuffled_train)
-            p2 = knn_predict([q], KnnIndex(shuffled_train), k=k, weighting=weighting)[0]
+            p2 = knn_predict([q], knn_index(shuffled_train), k=k, weighting=weighting)[0]
             assert p1.label == p2.label
             assert p1.neighbors == p2.neighbors
             assert p1.votes == p2.votes
@@ -165,7 +185,7 @@ class TestKnnPredict:
 def oracle_neighbors(query, train, k):
     """Reference neighbors: every similarity computed, then a full sort."""
     ranked = sorted(
-        (Neighbor(account_id, label, cosine_similarity(query, v)) for account_id, label, v in train),
+        (Neighbor(account_id, label, cosine_similarity(query, stated(v))) for account_id, label, v in train),
         key=lambda nb: (-nb.similarity, nb.account_id),
     )
     return ranked[:k]
@@ -175,11 +195,11 @@ def assert_exact(query, train, k):
     """Neighbors, similarities (==, not approx), label and votes all equal
     the exhaustive oracle's, for every weighting and training order."""
     want = oracle_neighbors(query, train, k)
-    assert KnnIndex(train).nearest([query], k) == [want]
+    assert knn_index(train).nearest([query], k) == [want]
     for weighting in ("uniform", "inverse"):
         label, _, votes = oracle_knn(query, train, k, weighting)
         for order in (train, train[::-1]):
-            p = knn_predict([query], KnnIndex(order), k, weighting)[0]
+            p = knn_predict([query], knn_index(order), k, weighting)[0]
             assert list(p.neighbors) == want
             assert p.label == label
             assert p.votes == votes
@@ -221,7 +241,7 @@ class TestKnnIndexEdgeCases:
     def test_empty_query_picks_smallest_ids_at_zero(self):
         train = [("c", "X", vec(a=1)), ("a", "Y", vec(b=2)), ("b", "X", vec(a=1, b=1))]
         for k in (1, 2, 3):
-            got = KnnIndex(train).nearest([SparseVector({})], k)[0]
+            got = knn_index(train).nearest([SparseVector({})], k)[0]
             assert got == [Neighbor(i, lab, 0.0) for i, lab in (("a", "Y"), ("b", "X"), ("c", "X"))][:k]
             assert_exact(SparseVector({}), train, k)
 
@@ -241,9 +261,9 @@ class TestKnnIndexEdgeCases:
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ClassifierError):
-            KnnIndex([("a", "X", vec(p=-1))])
+            knn_index([("a", "X", vec(p=-1))])
         with pytest.raises(ClassifierError):
-            knn_predict([vec(p=-1)], KnnIndex([("a", "X", vec(p=1))]), k=1)
+            knn_predict([vec(p=-1)], knn_index([("a", "X", vec(p=1))]), k=1)
 
 
 def random_batch(rng):
@@ -292,7 +312,7 @@ class TestNearestMany:
         rng = random.Random(1300)
         for _ in range(40):
             train, queries = random_batch(rng)
-            index = KnnIndex(train)
+            index = knn_index(train)
             for k in range(1, len(train) + 1):
                 got = index.nearest(queries, k)
                 assert len(got) == len(queries)
@@ -311,7 +331,7 @@ class TestNearestMany:
                 train, queries = random_batch(rng)
                 batch = [queries[j % len(queries)] for j in range(size)]
                 rng.shuffle(batch)
-                index = KnnIndex(train)
+                index = knn_index(train)
                 for k in {1, len(train) // 2 + 1, len(train)}:
                     got = index.nearest(batch, k)
                     assert len(got) == size
@@ -328,7 +348,7 @@ class TestNearestMany:
             train.append((f"a{i:02d}", "XY"[i % 2], SparseVector(weights)))
         queries = [v for _, _, v in train]
         rng.shuffle(queries)
-        got = KnnIndex(train).nearest(queries, 3)
+        got = knn_index(train).nearest(queries, 3)
         assert got == [oracle_neighbors(query, train, 3) for query in queries]
         assert all(neighbors[0].similarity > 0.999 for neighbors in got)
 
@@ -337,20 +357,20 @@ class TestNearestMany:
         # quantised weight is at least 1, so the lane is not zero.
         train = [("a", "X", vec(p=1)), ("b", "Y", SparseVector({"q": 1.0, "r": 1e-310})),
                  ("c", "X", SparseVector({"p": 1.0, "r": 5e-324}))]
-        got = KnnIndex(train).nearest([vec(r=1), SparseVector({"p": 1e-310, "s": 1.0})], 2)
+        got = knn_index(train).nearest([vec(r=1), SparseVector({"p": 1e-310, "s": 1.0})], 2)
         assert [[nb.account_id for nb in nbs] for nbs in got] == [["b", "c"], ["a", "c"]]
         assert 0.0 < got[0][0].similarity < 1e-300
 
     def test_knn_predict_takes_a_batch(self):
         train = [(f"a{i}", "XY"[i % 2], vec(**{f"t{i % 3}": i + 1})) for i in range(6)]
         queries = [vec(t0=1), vec(), vec(t1=2, t2=1)]
-        index = KnnIndex(train)
+        index = knn_index(train)
         for weighting in ("uniform", "inverse"):
             assert knn_predict(queries, index, 3, weighting) == [
                 knn_predict([q], index, 3, weighting)[0] for q in queries]
 
     @pytest.mark.parametrize("index, predict, query", [
-        (KnnIndex([("a", "X", vec(p=1))]), knn_predict, vec(p=1)),
+        (knn_index([("a", "X", vec(p=1))]), knn_predict, vec(p=1)),
         (TermSetIndex([("a", "X", frozenset({"p"}))]), baseline1_predict, frozenset({"p"})),
     ], ids=["knn", "baseline1"])
     def test_empty_batch_checks_nothing(self, index, predict, query):
@@ -362,9 +382,9 @@ class TestNearestMany:
     def test_norms_outside_the_lane_range_rejected(self):
         for weights in ({"p": 1e-160}, {"p": 1e140}):
             with pytest.raises(ClassifierError, match="norm"):
-                KnnIndex([("a", "X", SparseVector(weights))])
+                knn_index([("a", "X", SparseVector(weights))])
             with pytest.raises(ClassifierError, match="norm"):
-                KnnIndex([("a", "X", vec(p=1))]).nearest([SparseVector(weights)], 1)
+                knn_index([("a", "X", vec(p=1))]).nearest([SparseVector(weights)], 1)
 
 
 class TestBaseline0:

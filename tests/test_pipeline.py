@@ -16,6 +16,7 @@ from zhstance.pipeline import (
 )
 from zhstance.resources import Resources, load_resources
 from zhstance.segmenter import load_lexicon
+from zhstance.vectorize import TfidfVectorizer
 
 WHEN = parse_timestamp("2021-02-01T00:00:00Z")
 
@@ -185,6 +186,35 @@ class TestPredict:
         assert preds[1].predicted == "Beijing"
         assert all(len(p.neighbors) == 3 for p in preds)
         assert "民主" in vocabulary
+
+    def test_knn_transforms_each_query_and_only_rescored_accounts(self, resources, monkeypatch):
+        # Ten of the twelve training accounts share no term with any query,
+        # so their lanes are 0: they are never re-scored and never get a
+        # vector. b0 is re-scored for two queries and transformed once. q3
+        # shares no term with training, so every lane of it is 0 and every
+        # account is a candidate at similarity 0.0, still with no vector.
+        transform = TfidfVectorizer.transform
+        calls = []
+
+        def counting(vectorizer, counts):
+            calls.append(counts)
+            return transform(vectorizer, counts)
+
+        monkeypatch.setattr(TfidfVectorizer, "transform", counting)
+        unrelated = tuple(account(f"t{i}", ("Beijing", "Democracy")[i % 2], f"alpha{i} beta{i} gamma{i}")
+                          for i in range(10))
+        b0, d0 = account("b0", "Beijing", BEIJING_TWEETS[0]), account("d0", "Democracy", DEMOCRACY_TWEETS[0])
+        train = Corpus(("Beijing", "Democracy"), unrelated + (b0, d0))
+        queries = Corpus(train.label_set, (account("q0", None, "统一稳定 繁荣富强"),
+                                           account("q1", None, "统一稳定 复兴团结"),
+                                           account("q2", None, "民主自由 法治普选"),
+                                           account("q3", None, "zeta")))
+        pipe = Pipeline(resources, PipelineConfig(k=1))
+        preds, _ = pipe.predict(train, queries)
+        assert [(p.account_id, p.predicted) for p in preds] == [
+            ("q0", "Beijing"), ("q1", "Beijing"), ("q2", "Democracy"), ("q3", "Beijing")]
+        assert [id(c) for c in calls[:4]] == [id(pipe.account_counts(q)) for q in queries.accounts]
+        assert sorted(map(id, calls[4:])) == sorted(id(pipe.account_counts(a)) for a in (b0, d0))
 
     def test_vocabulary_is_train_only(self, pipeline):
         corpus = make_corpus()

@@ -11,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from zhstance.classify import Neighbor, TermSetIndex, _vote, baseline1_predict  # noqa: E402
+from zhstance.classify import _LANES, KnnIndex, Neighbor, TermSetIndex, _vote, baseline1_predict  # noqa: E402
 from zhstance.corpus import AccountRecord, Tweet, parse_timestamp  # noqa: E402
 from zhstance.pipeline import Pipeline, PipelineConfig  # noqa: E402
 from zhstance.resources import Resources, load_resources  # noqa: E402
@@ -28,6 +28,7 @@ from zhstance.segmenter import (  # noqa: E402
     segment,
     viterbi,
 )
+from zhstance.vectorize import TF_MODES, SparseVector, cosine_similarity, fit_vectorizer  # noqa: E402
 from zhstance.zh_convert import ConversionTable, to_simplified  # noqa: E402
 
 RESOURCES = load_resources()
@@ -572,3 +573,52 @@ def test_baseline1_index_matches_exhaustive_sort(train, query, batch):
         assert baseline1_predict([tuple(query)], TermSetIndex(train[::-1]), k) == [want]
         # A longer batch is scored together
         assert baseline1_predict(batch, index, k) == [exhaustive_baseline1(q, train, k) for q in batch]
+
+
+def exhaustive_knn(query, train, vectorizer, k):
+    """Every training account's vector transformed from its counts, every
+    similarity computed, then a full sort on (-similarity, account_id)."""
+    ranked = sorted(((cosine_similarity(query, vectorizer.transform(counts)), account_id, label)
+                     for account_id, label, counts in train), key=lambda t: (-t[0], t[1]))
+    return [Neighbor(account_id, label, sim) for sim, account_id, label in ranked[:k]]
+
+
+# Term counts over a-e; x and y never occur in training, so they are
+# outside every fitted vocabulary.
+term_counts = st.dictionaries(st.sampled_from("abcde"), st.integers(1, 9), max_size=5)
+
+
+@st.composite
+def count_training(draw):
+    """1-8 accounts plus "z". Every account holds "u" somewhere in its
+    counts, so u's IDF is 0, and "z" holds only "u", so its norm is 0."""
+    n = draw(st.integers(1, 8))
+    train = []
+    for account_id in draw(st.permutations([f"v{i}" for i in range(n)] + ["z"])):
+        items = [] if account_id == "z" else list(draw(term_counts).items())
+        items.insert(draw(st.integers(0, len(items))), ("u", draw(st.integers(1, 3))))
+        train.append((account_id, draw(st.sampled_from("ABC")), dict(items)))
+    return train
+
+
+@settings(PROPERTY, max_examples=100)
+@given(count_training(), st.sampled_from(TF_MODES),
+       st.lists(st.dictionaries(st.sampled_from("abcdeuxy"), st.integers(1, 9), max_size=6),
+                min_size=1, max_size=4),
+       st.data())
+def test_knn_index_over_counts_matches_exhaustive_sort(train, tf_mode, query_counts, data):
+    vectorizer = fit_vectorizer([counts for _, _, counts in train], tf_mode)
+    # Each query's TF-IDF vector, and the same counts written as weights,
+    # which keeps u (IDF 0 in training) and x, y (outside the vocabulary);
+    # {"x": 1.0} shares no term with any training account.
+    queries = [vectorizer.transform(c) for c in query_counts]
+    queries += [SparseVector({t: float(n) for t, n in c.items()}) for c in query_counts]
+    queries.append(SparseVector({"x": 1.0}))
+    index = KnnIndex(train, vectorizer)
+    k = data.draw(st.integers(1, len(train)))
+    wants = [exhaustive_knn(q, train, vectorizer, k) for q in queries]
+    # Two passes of 57 and 56 queries, then three of 75; every query's
+    # similarities must equal the oracle's (Neighbor compares with ==).
+    for size in (_LANES + 1, 2 * _LANES + 1):
+        assert index.nearest([queries[j % len(queries)] for j in range(size)], k) == [
+            wants[j % len(queries)] for j in range(size)]
