@@ -100,7 +100,8 @@ class KnnIndex:
     """Training accounts in account_id order, each kept as its term counts
     and its TF-IDF norm under the fitted vectorizer (transform's weights,
     added left to right). No training vector and no postings are built: a
-    re-scored account's vector comes from vectorizer.transform, once.
+    re-scored account's vector comes from vectorizer.transform, once per
+    nearest call, and is dropped once its queries are scored.
 
     Weights must be non-negative, as TF-IDF weights are, and a nonzero
     norm must lie in [2**-450, 2**450], which keeps under- and overflow
@@ -113,7 +114,6 @@ class KnnIndex:
         self.labels = [label for _, label, _ in examples]
         self.vectorizer = vectorizer
         self.accounts = []  # (counts, tf_divisor(counts), 2**B / norm or 0.0)
-        self._vectors: dict[int, SparseVector] = {}  # by position, on first re-score
         idf = vectorizer.idf
         for _, _, counts in examples:
             total, squares, negative = vectorizer.tf_divisor(counts), 0.0, False
@@ -154,10 +154,10 @@ class KnnIndex:
         2 * isqrt(n) + 3 >= 2 * sqrt(n) + 1, 2**(B-10) * sqrt(n) <= n / 2
         + 512 and (n + 4) * 2**-20 < n / 2 + 8. So an account whose lane is
         more than slack below the k-th best has k accounts with a larger c.
-        The rest are re-scored with cosine_similarity and sorted on
-        (-c, account_id), except that a zero lane (no shared term positive
-        on both sides) scores exactly 0.0. So every similarity, and the
-        order, is the exhaustive sort's.
+        The rest are re-scored with cosine_similarity, account by account
+        after the last pass, and sorted on (-c, account_id), except that a
+        zero lane (no shared term positive on both sides) scores exactly
+        0.0. So every similarity, and the order, is the exhaustive sort's.
         """
         if not queries:
             return []
@@ -166,12 +166,30 @@ class KnnIndex:
             _check_vector(bool(query.weights) and min(query.weights.values()) < 0.0, query.norm)
         m = len(queries)
         step = -(-m // -(-m // _LANES))  # passes of equal size, none above _LANES
-        found = []
+        scored = [[] for _ in queries]  # per query, (similarity, position) of each candidate
+        rescore: dict[int, list[int]] = {}  # position -> the queries that re-score it
         for start in range(0, m, step):
-            found += self._pass(queries[start:start + step], k)
-        return found
+            batch = queries[start:start + step]
+            for j, query, col in zip(range(start, m), batch, self._pass(batch)):
+                n = len(query)
+                line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 1))
+                for i, lane in enumerate(col):
+                    if lane >= line:
+                        if lane:
+                            rescore.setdefault(i, []).append(j)
+                        else:
+                            scored[j].append((0.0, i))
+        for i, js in rescore.items():
+            vec = self.vectorizer.transform(self.accounts[i][0])
+            for j in js:
+                scored[j].append((cosine_similarity(queries[j], vec), i))
+            del vec  # so that the next account's vector is built with this one gone
+        for pairs in scored:
+            pairs.sort(key=lambda si: (-si[0], si[1]))
+        return [[Neighbor(self.ids[i], self.labels[i], sim) for sim, i in pairs[:k]] for pairs in scored]
 
-    def _pass(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
+    def _pass(self, queries: list[SparseVector]):
+        """Each query's lane column: its L for every account, in position order."""
         shifts, columns = _lanes(len(queries), 2 ** 32 - 1)
         lanes: dict[str, int] = {}
         for shift, query in zip(shifts, queries):
@@ -179,8 +197,7 @@ class KnnIndex:
                 continue
             r = 2.0 ** _BITS / query.norm
             for term, qw in query.weights.items():
-                if qw:
-                    lanes[term] = lanes.get(term, 0) | (int(qw * r) + 1) << shift
+                lanes[term] = lanes.get(term, 0) | (int(qw * r) + 1) << shift
         idf, get, acc = self.vectorizer.idf, lanes.get, []
         for counts, total, scale in self.accounts:
             a = 0
@@ -191,21 +208,7 @@ class KnnIndex:
                         a += (int(w * scale) + 1) * lane
             acc.append(a)
         del lanes
-        found = []
-        for query, col in zip(queries, columns(acc)):
-            n = len(query)
-            line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 1))
-            scored = sorted(((cosine_similarity(query, self._vector(i)) if lane else 0.0, i)
-                             for i, lane in enumerate(col) if lane >= line),
-                            key=lambda si: (-si[0], si[1]))
-            found.append([Neighbor(self.ids[i], self.labels[i], sim) for sim, i in scored[:k]])
-        return found
-
-    def _vector(self, i: int) -> SparseVector:
-        vec = self._vectors.get(i)
-        if vec is None:
-            vec = self._vectors[i] = self.vectorizer.transform(self.accounts[i][0])
-        return vec
+        return columns(acc)
 
 
 def knn_predict(queries: list[SparseVector], index: KnnIndex, k: int = 5,

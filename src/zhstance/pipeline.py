@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from collections import Counter
+from collections.abc import KeysView
 from dataclasses import dataclass
 from datetime import date
 
@@ -171,12 +172,10 @@ class AccountPrediction:
 class ScoredRun:
     """One scored run, a cross-validation fold or the held-out test: the
     predictions in account_id order, their confusion matrix (labels in the
-    label set's order) and metrics (metric_report's dict), and the
-    vocabulary the model was fitted on."""
+    label set's order) and metrics (metric_report's dict)."""
     confusion: ConfusionMatrix
     metrics: dict
     predictions: tuple[AccountPrediction, ...]
-    vocabulary: frozenset[str]
 
     @property
     def validation_ids(self) -> tuple[str, ...]:
@@ -247,36 +246,36 @@ class Pipeline:
         vectorizer = fit_vectorizer(docs, tf_mode=self.config.tf)
         return vectorizer, [vectorizer.transform(doc) for doc in docs]
 
-    def predict(self, train: Corpus, queries: Corpus) -> tuple[list[AccountPrediction], frozenset[str]]:
+    def predict(self, train: Corpus, queries: Corpus) -> tuple[list[AccountPrediction], KeysView[str]]:
         """Train the configured model on `train` and predict every query
         account, returned sorted by account_id along with the vocabulary
-        the model was fitted on."""
+        the model was fitted on, a view of the model's own term keys."""
         _require_labeled(train, "training")
         cfg = self.config
         ordered = sorted(queries.accounts, key=lambda a: a.account_id)
         if cfg.model == "baseline0":
             preds = [baseline0_predict([a.label for a in train.accounts])] * len(ordered)
-            vocabulary = frozenset()
+            vocabulary = {}.keys()
         elif cfg.model == "baseline1":
             index = TermSetIndex((a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
             preds = baseline1_predict([self.top_terms(q) for q in ordered], index, cfg.k)
-            vocabulary = frozenset(index.postings)
+            vocabulary = index.postings.keys()
         else:
             docs = [self.account_counts(a) for a in train.accounts]
             vectorizer = fit_vectorizer(docs, tf_mode=cfg.tf)
             index = KnnIndex(((a.account_id, a.label, c) for a, c in zip(train.accounts, docs)), vectorizer)
             preds = knn_predict([vectorizer.transform(self.account_counts(q)) for q in ordered],
                                 index, cfg.k, cfg.weighting)
-            vocabulary = vectorizer.vocabulary
+            vocabulary = vectorizer.document_frequency.keys()
         return [AccountPrediction(q.account_id, q.label, p.label, p.neighbors, dict(p.votes))
                 for q, p in zip(ordered, preds)], vocabulary
 
     def score(self, train: Corpus, queries: Corpus) -> ScoredRun:
         """Train on `train`, predict every query account and score the
         predictions against the queries' labels."""
-        preds, vocabulary = self.predict(train, queries)
+        preds = self.predict(train, queries)[0]
         m = confusion_matrix([p.label for p in preds], [p.predicted for p in preds], queries.label_set)
-        return ScoredRun(m, metric_report(m), tuple(preds), vocabulary)
+        return ScoredRun(m, metric_report(m), tuple(preds))
 
     def cross_validate(self, corpus: Corpus) -> CrossValResult:
         """k-fold cross-validation; each fold's model (IDF and all) is

@@ -24,6 +24,8 @@ class SparseVector:
     norm: float = field(init=False)
 
     def __post_init__(self):
+        if 0.0 in self.weights.values():  # copied only when a zero is to go
+            object.__setattr__(self, "weights", {t: w for t, w in self.weights.items() if w})
         # Added left to right, like dot(), and for the same reason.
         squares = 0.0
         for w in self.weights.values():

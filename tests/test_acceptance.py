@@ -23,6 +23,7 @@ from zhstance.corpus import (
     Corpus,
     Tweet,
     filter_accounts,
+    kfold_splits,
     labeled_accounts,
     load_corpus,
     parse_timestamp,
@@ -356,14 +357,17 @@ def test_criterion_6_synthetic_separability(crossval_run):
 
 def test_criterion_7_no_validation_leakage(crossval_run, synthetic_corpus_path):
     run = crossval_run
+    cfg = run.config
     tokens_of = {a.account_id: set(run.pipe.account_tokens(a))
                  for a in run.corpus.accounts}
-    for fold in run.result.folds:
+    splits = kfold_splits(run.corpus, cfg.folds, cfg.seed)
+    for fold, (train, validation) in zip(run.result.folds, splits, strict=True):
         held_out = set(fold.validation_ids)
+        assert held_out == set(validation.account_ids)
         train_terms = set().union(
             *(toks for aid, toks in tokens_of.items() if aid not in held_out))
         val_only = set().union(*(tokens_of[aid] for aid in held_out)) - train_terms
-        assert not (val_only & fold.vocabulary)
+        assert not (val_only & run.pipe.predict(train, validation)[1])
 
     # every surviving term in the bundled corpus is shared across many
     # accounts, so the check above can pass vacuously; plant a term
@@ -380,15 +384,17 @@ def test_criterion_7_no_validation_leakage(crossval_run, synthetic_corpus_path):
         accounts.append(account)
     probe_corpus = labeled_accounts(filter_accounts(
         Corpus(base.label_set, tuple(accounts)),
-        run.config.min_followers, run.config.min_tweets, run.config.window))
-    probe = Pipeline(load_resources(), run.config).cross_validate(probe_corpus)
-    held = [f for f in probe.folds if "b03" in f.validation_ids]
-    trained = [f for f in probe.folds if "b03" not in f.validation_ids]
+        cfg.min_followers, cfg.min_tweets, cfg.window))
+    probe = Pipeline(load_resources(), cfg)
+    held, trained = [], []
+    for train, validation in kfold_splits(probe_corpus, cfg.folds, cfg.seed):
+        vocabulary = probe.predict(train, validation)[1]
+        (held if "b03" in validation.account_ids else trained).append(vocabulary)
     assert held and trained
-    for fold in held:
-        assert marker not in fold.vocabulary
-    for fold in trained:
-        assert marker in fold.vocabulary
+    for vocabulary in held:
+        assert marker not in vocabulary
+    for vocabulary in trained:
+        assert marker in vocabulary
 
 
 def test_criterion_8_determinism(crossval_run, capsys, tmp_path, synthetic_corpus_path):

@@ -7,6 +7,7 @@ chain from scratch.
 
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -44,17 +45,10 @@ def knn_index(train):
     return KnnIndex([(account_id, label, v.weights) for account_id, label, v in train], unit)
 
 
-def stated(v):
-    """A hand-made vector as knn_index states it: transform drops its zero
-    weights, and with them one vector's length, which can change the
-    vector dot() walks and so its rounding."""
-    return unit_idf(v.weights).transform(v.weights)
-
-
 def oracle_knn(query, train, k, weighting):
     """Reference prediction: full sort, then the documented vote rules."""
     ranked = sorted(
-        ((cosine_similarity(query, stated(v)), account_id, label) for account_id, label, v in train),
+        ((cosine_similarity(query, v), account_id, label) for account_id, label, v in train),
         key=lambda t: (-t[0], t[1]),
     )[:k]
     votes, sim_sum = {}, {}
@@ -185,7 +179,7 @@ class TestKnnPredict:
 def oracle_neighbors(query, train, k):
     """Reference neighbors: every similarity computed, then a full sort."""
     ranked = sorted(
-        (Neighbor(account_id, label, cosine_similarity(query, stated(v))) for account_id, label, v in train),
+        (Neighbor(account_id, label, cosine_similarity(query, v)) for account_id, label, v in train),
         key=lambda nb: (-nb.similarity, nb.account_id),
     )
     return ranked[:k]
@@ -258,6 +252,24 @@ class TestKnnIndexEdgeCases:
         train.append(("b0", "X", vec(t1=1, t3=2)))
         for k in range(1, 8):
             assert_exact(vec(t1=1, t3=1), train, k)
+
+    def test_rescore_slack_is_not_halved(self):
+        # x sits on the query's 64 "s" terms and y on its one "t" term, so
+        # every quantised weight of x errs upwards by a whole unit, or
+        # nearly: x's lane beats y's by more than half the slack, while y's
+        # cosine is the larger. Half the slack would leave y out.
+        query = SparseVector({**{f"s{i}": 1.0 for i in range(64)}, "t": 8.0001})
+        x = SparseVector({f"s{i}": 1.0 for i in range(64)})
+        y = vec(t=1)
+
+        def lane(v):
+            return sum((int(w * 2 ** 15 / v.norm) + 1) * (int(query.weights[t] * 2 ** 15 / query.norm) + 1)
+                       for t, w in v.weights.items())
+        n = len(query)
+        slack = (2 * math.isqrt(n) + 3) * 2 ** 15 + 2 * (n + 4)
+        assert slack / 2 < lane(x) - lane(y) <= slack
+        assert cosine_similarity(query, y) > cosine_similarity(query, x)
+        assert_exact(query, [("x", "X", x), ("y", "Y", y)], 1)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ClassifierError):
@@ -336,6 +348,34 @@ class TestNearestMany:
                     got = index.nearest(batch, k)
                     assert len(got) == size
                     assert got == [oracle_neighbors(query, train, k) for query in batch]
+
+    def test_rescores_account_by_account(self, monkeypatch):
+        # Three passes: each re-scored account's vector is built once for
+        # the whole batch, and is gone before the next account's is built.
+        transform, built, alive = TfidfVectorizer.transform, [], []
+
+        def tracked(self, counts):
+            assert all(ref() is None for ref in alive), "two training vectors alive"
+            built.append(id(counts))
+            v = transform(self, counts)
+            alive.append(weakref.ref(v))
+            return v
+
+        train, queries = random_batch(random.Random(2500))  # 8 accounts, 20 queries
+        batch = [queries[j % len(queries)] for j in range(2 * _LANES + 1)]
+        index = knn_index(train)
+        monkeypatch.setattr(TfidfVectorizer, "transform", tracked)
+        got = index.nearest(batch, 3)
+        assert got == [oracle_neighbors(query, train, 3) for query in batch]
+        assert all(ref() is None for ref in alive)
+        account_of = {id(v.weights): account_id for account_id, _, v in train}
+        rescored = [account_of[i] for i in built]
+        assert len(rescored) == len(set(rescored))
+        third = len(batch) // 3  # the size of each pass
+        first, last = ({nb.account_id for nbs in got[part] for nb in nbs if nb.similarity > 0.0}
+                       for part in (slice(0, third), slice(2 * third, None)))
+        assert first & last  # some account is re-scored for queries of two passes
+        assert first | last <= set(rescored)
 
     def test_self_matches_fill_a_lane_without_carrying(self):
         # A query equal to a training vector puts about 2**30 in that

@@ -1,18 +1,20 @@
 """Tests for the pipeline: configuration, orchestration, and hygiene."""
 
+import dataclasses
 from collections import Counter
 from datetime import date
 
 import pytest
 
 import zhstance.pipeline
-from zhstance.corpus import AccountRecord, Corpus, DateWindow, Tweet, parse_timestamp
+from zhstance.corpus import AccountRecord, Corpus, DateWindow, Tweet, kfold_splits, parse_timestamp
 from zhstance.pipeline import (
     DEFAULT_WINDOW,
     ConfigError,
     Pipeline,
     PipelineConfig,
     PipelineError,
+    ScoredRun,
 )
 from zhstance.resources import Resources, load_resources
 from zhstance.segmenter import load_lexicon
@@ -294,16 +296,22 @@ class TestCrossValidate:
     def test_no_validation_terms_leak_into_fold_vocabulary(self, pipeline):
         # 集会 is unique to d3, so whenever d3 is held out the fitted
         # vocabulary must not contain it
-        result = pipeline.cross_validate(make_corpus())
-        held_out = [f for f in result.folds if "d3" in f.validation_ids]
+        cfg = pipeline.config
+        held_out = [pipeline.predict(train, validation)[1]
+                    for train, validation in kfold_splits(make_corpus(), cfg.folds, cfg.seed)
+                    if "d3" in validation.account_ids]
         assert held_out
-        for fold in held_out:
-            assert "集会" not in fold.vocabulary
+        for vocabulary in held_out:
+            assert "集会" not in vocabulary
 
     def test_unlabeled_rejected(self, pipeline):
         corpus = Corpus(("B",), (account("a", None, "民主"), account("b", "B", "统一")))
         with pytest.raises(PipelineError):
             pipeline.cross_validate(corpus)
+
+    def test_scored_run_keeps_no_model_state(self):
+        # a fold's vocabulary is read from Pipeline.predict, not kept per run
+        assert [f.name for f in dataclasses.fields(ScoredRun)] == ["confusion", "metrics", "predictions"]
 
     def test_baseline1_top_terms_once_per_account(self, resources, monkeypatch):
         top_k_terms = zhstance.pipeline.top_k_terms
@@ -316,12 +324,12 @@ class TestCrossValidate:
         monkeypatch.setattr(zhstance.pipeline, "top_k_terms", counting)
         pipe = Pipeline(resources, PipelineConfig(model="baseline1", k=3, folds=4))
         corpus = make_corpus()
-        result = pipe.cross_validate(corpus)
+        splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
+        vocabularies = [pipe.predict(train, validation)[1] for train, validation in splits]
         assert len(calls) == len(corpus.accounts)
         # each fold's vocabulary is the union of its training top-term sets
-        for fold in result.folds:
-            train = [a for a in corpus.accounts if a.account_id not in fold.validation_ids]
-            assert fold.vocabulary == frozenset().union(*map(pipe.top_terms, train))
+        for (train, _), vocabulary in zip(splits, vocabularies):
+            assert vocabulary == frozenset().union(*map(pipe.top_terms, train.accounts))
 
     def test_knn_segments_each_account_once(self, resources, monkeypatch):
         segment = zhstance.pipeline.segment

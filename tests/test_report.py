@@ -38,7 +38,7 @@ def sample_test_result():
         "support": {"X": 2, "Y": 2},
     }
     predictions = (sample_prediction(),)
-    return ScoredRun(matrix, metrics, predictions, frozenset({"t"}))
+    return ScoredRun(matrix, metrics, predictions)
 
 
 class TestDumpsReport:

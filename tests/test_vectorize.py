@@ -34,6 +34,24 @@ class TestSparseVector:
     def test_zero_vector(self):
         assert SparseVector({}).norm == 0.0
 
+    def test_zero_weights_not_stored(self):
+        weights = {"a": 1.0, "zero": 0.0, "b": -0.0}
+        v = SparseVector(weights)
+        assert v.weights == {"a": 1.0} and len(v) == 1
+        assert weights == {"a": 1.0, "zero": 0.0, "b": -0.0}  # the caller's dict is not changed
+        kept = {"a": 1.0}
+        assert SparseVector(kept).weights is kept
+
+    def test_stored_zero_leaves_cosine_bit_identical(self):
+        # with the zero stored, the 4-term vector and the 4-term query tie
+        # on length, dot walks the query instead, and the sum's order
+        # moved the last bit: 0.8480900561049907 against ...904
+        query = SparseVector({"a": 2.2, "b": 2.7, "c": 2.1, "d": 1.5})
+        plain = SparseVector({"c": 0.4, "b": 1.4, "a": 1.9})
+        padded = SparseVector({"c": 0.4, "b": 1.4, "a": 1.9, "zero": 0.0})
+        assert cosine_similarity(query, padded) == cosine_similarity(query, plain) == 0.8480900561049907
+        assert cosine_similarity(padded, query) == cosine_similarity(plain, query)
+
 
 class TestDotAndCosine:
     def test_dot_known_value(self):
