@@ -11,9 +11,9 @@ Subcommands compose the library end to end:
     report     re-render a stored JSON report as human-readable tables
 
 Configuration resolves defaults < --config file < flags; every report
-embeds the resolved config, so any report is reproducible from its own
-header. Exit status is 0 on success, 1 for validation errors, 2 for I/O
-errors.
+embeds the resolved config, from which it can be reproduced (`test` and
+`crossval --test-ids` also need the id file, which it does not record).
+Exit status is 0 on success, 1 for validation errors, 2 for I/O errors.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     PipelineError,
-    echo_shape,
+    config_values,
 )
 from .report import (
     ReportError,
@@ -153,20 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_overrides(args) -> dict:
-    values = {dest: value for dest, value in vars(args).items() if dest in CONFIG_SCHEMA}
-    window = {key: getattr(args, f"window_{key}") for key in ("start", "end")
-              if hasattr(args, f"window_{key}")}
-    if window:
-        values["window"] = window
-    return echo_shape(values)
-
-
 def _resolve_config(args) -> PipelineConfig:
-    config = PipelineConfig()
-    if hasattr(args, "config"):
-        config = read_json(args.config, ConfigError, config.merged)  # errors name the file
-    return config.merged(_flag_overrides(args))
+    """Defaults < the --config file's values < the flags whose dests are config fields."""
+    values = read_json(args.config, ConfigError, config_values) if hasattr(args, "config") else {}
+    values.update((dest, value) for dest, value in vars(args).items() if dest in CONFIG_SCHEMA)
+    return PipelineConfig(**values)
 
 
 def _load_pipeline(config: PipelineConfig) -> tuple[Pipeline, Corpus]:
@@ -219,8 +210,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_vectorize(args) -> int:
-    config = _resolve_config(args)
-    pipe, corpus = _load_pipeline(config)
+    pipe, corpus = _load_pipeline(_resolve_config(args))
     _, vectors = pipe.fit_transform(corpus)
     lines = [
         json.dumps({"account_id": a.account_id, "weights": v.weights}, ensure_ascii=False, sort_keys=True)

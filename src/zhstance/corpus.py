@@ -196,11 +196,11 @@ def labeled_accounts(c: Corpus) -> Corpus:
 
 
 def split_corpus(c: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
-    """Partition into (non_test, test) by the spec's test_ids."""
+    """Partition the filtered corpus into (non_test, test) by the spec's test_ids."""
     ids = set(c.account_ids)
     missing = sorted(spec.test_ids - ids)
     if missing:
-        raise CorpusError(f"test ids not present in corpus: {missing}")
+        raise CorpusError(f"test ids not among the accounts kept after filtering: {missing}")
     for a in c.accounts:
         if a.account_id in spec.test_ids and a.label is None:
             raise CorpusError(f"test account {a.account_id!r} has no label")

@@ -1,14 +1,13 @@
 """End-to-end orchestration: configuration, per-account tokenization,
 training, prediction, and the cross-validation harness.
 
-Every run is a pure function of (corpus file, resource files, config);
-the only randomness is the seeded fold shuffle, so reports are
-reproducible byte for byte from their embedded config echo.
+Every run is a pure function of (corpus file, resource files, config,
+and any test id file); the only randomness is the seeded fold shuffle,
+so a report is reproducible byte for byte from those inputs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from collections import Counter
 from collections.abc import KeysView
@@ -35,11 +34,10 @@ from .zh_convert import to_simplified
 
 MODELS = ("knn", "baseline0", "baseline1")
 
-DEFAULT_WINDOW = DateWindow(date(2021, 1, 1), date(2021, 4, 15))
 _WINDOW_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # date.fromisoformat takes more from 3.11 on
 
 # Each config field and its place in the config echo, which is also the
-# shape of a config file; the window's value there is {"start", "end"}.
+# shape of a config file.
 CONFIG_SCHEMA = {
     "corpus": ("paths", "corpus"),
     "dictionary": ("paths", "dictionary"),
@@ -48,7 +46,8 @@ CONFIG_SCHEMA = {
     "stopwords": ("paths", "stopwords"),
     "min_followers": ("filters", "min_followers"),
     "min_tweets": ("filters", "min_tweets"),
-    "window": ("filters", "window"),
+    "window_start": ("filters", "window", "start"),
+    "window_end": ("filters", "window", "end"),
     "clean": ("clean",),
     "model": ("model", "kind"),
     "k": ("model", "k"),
@@ -59,7 +58,7 @@ CONFIG_SCHEMA = {
     "seed": ("seed",),
 }
 _FIELD_AT = {place: name for name, place in CONFIG_SCHEMA.items()}
-# the rules of the fields that are not paths or clean
+# the rules of the fields that are not paths, clean or window dates
 _CHOICES = {"model": MODELS, "weighting": WEIGHTINGS, "tf": TF_MODES}
 _INT_MINIMUMS = {"min_followers": 0, "min_tweets": 0, "k": 1, "top_n": 1, "folds": 2, "seed": None}
 
@@ -72,6 +71,25 @@ class PipelineError(ValueError):
     """Raised when a run's inputs cannot support the requested operation."""
 
 
+def _checked(name: str, value):
+    """value, if config field `name` can hold it; errors name its key path."""
+    where = ".".join(CONFIG_SCHEMA[name])
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise ConfigError(f"{where} must be one of {_CHOICES[name]}, got {value!r}")
+    if name in _INT_MINIMUMS:
+        check_int(value, ConfigError, where, _INT_MINIMUMS[name])
+    if where.startswith("paths.") and value is not None and not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string or null, got {value!r}")
+    if name == "clean" and not isinstance(value, bool):
+        raise ConfigError(f"clean must be true or false, got {value!r}")
+    if where.startswith("filters.window."):
+        try:
+            date.fromisoformat(value if _WINDOW_DATE.fullmatch(value) else "")
+        except (TypeError, ValueError):
+            raise ConfigError(f"invalid date {value!r} for {where}") from None
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     corpus: str | None = None
@@ -81,7 +99,8 @@ class PipelineConfig:
     stopwords: str | None = None
     min_followers: int = 10000
     min_tweets: int = 10
-    window: DateWindow = DEFAULT_WINDOW
+    window_start: str = "2021-01-01"
+    window_end: str = "2021-04-15"
     clean: bool = True
     model: str = "knn"
     k: int = 5
@@ -92,71 +111,40 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, place in CONFIG_SCHEMA.items():  # errors name the field's key path
-            value, where = getattr(self, name), ".".join(place)
-            if name in _CHOICES and value not in _CHOICES[name]:
-                raise ConfigError(f"{where} must be one of {_CHOICES[name]}, got {value!r}")
-            if name in _INT_MINIMUMS:
-                check_int(value, ConfigError, where, _INT_MINIMUMS[name])
-            if place[0] == "paths" and value is not None and not isinstance(value, str):
-                raise ConfigError(f"{where} must be a string or null, got {value!r}")
-        if not isinstance(self.clean, bool):
-            raise ConfigError(f"clean must be true or false, got {self.clean!r}")
+        for name in CONFIG_SCHEMA:
+            _checked(name, getattr(self, name))
+        if self.window_start > self.window_end:  # ISO dates order as their strings do
+            raise ConfigError(f"window start {self.window_start} is after end {self.window_end}")
+
+    @property
+    def window(self) -> DateWindow:
+        """The collection window the two dates bound."""
+        return DateWindow(date.fromisoformat(self.window_start), date.fromisoformat(self.window_end))
 
     def to_echo(self) -> dict:
         """The config as the nested JSON shape embedded in every report;
         the same shape is accepted back as a config file."""
-        values = {name: getattr(self, name) for name in CONFIG_SCHEMA}
-        values["window"] = {"start": self.window.start.isoformat(),
-                            "end": self.window.end.isoformat()}
-        return echo_shape(values)
-
-    def merged(self, overrides: dict) -> "PipelineConfig":
-        """A new config with the echo-shaped overrides applied; unknown
-        keys are rejected rather than ignored."""
-        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-        def apply(section: tuple, value):
-            keys = {place[len(section)] for place in _FIELD_AT if place[:len(section)] == section}
-            check_keys(value, ConfigError, ".".join(("config", *section)), keys)
-            for key, v in value.items():
-                place = (*section, key)
-                name = _FIELD_AT.get(place)
-                if name == "window":
-                    fields[name] = _merge_window(fields[name], v)
-                elif name is not None:
-                    fields[name] = v
-                else:
-                    apply(place, v)
-
-        apply((), overrides)
-        return PipelineConfig(**fields)
+        echo: dict = {}
+        for name, (*sections, key) in CONFIG_SCHEMA.items():
+            node = echo
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = getattr(self, name)
+        return echo
 
 
-def echo_shape(values: dict) -> dict:
-    """Config field values, keyed by field name, placed as CONFIG_SCHEMA
-    places them in the config echo."""
-    echo: dict = {}
-    for name, value in values.items():
-        *sections, key = CONFIG_SCHEMA[name]
-        node = echo
-        for section in sections:
-            node = node.setdefault(section, {})
-        node[key] = value
-    return echo
-
-
-def _merge_window(current: DateWindow, value: dict) -> DateWindow:
-    dates = {"start": current.start, "end": current.end}
-    for key, raw in check_keys(value, ConfigError, "config.filters.window", dates).items():
-        try:
-            dates[key] = date.fromisoformat(raw if _WINDOW_DATE.fullmatch(raw) else "")
-        except (TypeError, ValueError):
-            raise ConfigError(f"invalid date {raw!r} for filters.window.{key}") from None
-    try:
-        return DateWindow(**dates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def config_values(doc, section: tuple = ()) -> dict:
+    """{field: value} of an echo-shaped config document, or of its object at
+    section; each value is checked as it is read, and unknown keys rejected."""
+    keys = {place[len(section)] for place in _FIELD_AT if place[:len(section)] == section}
+    values = {}
+    for key, value in check_keys(doc, ConfigError, ".".join(("config", *section)), keys).items():
+        place = (*section, key)
+        if place in _FIELD_AT:
+            values[_FIELD_AT[place]] = _checked(_FIELD_AT[place], value)
+        else:
+            values.update(config_values(value, place))
+    return values
 
 
 @dataclass(frozen=True)

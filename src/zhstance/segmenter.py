@@ -55,12 +55,12 @@ class HmmModelError(ValueError):
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Word frequencies and their total. The private fields are derived
-    once, when the lexicon is built, so routes do not follow later changes
-    to entries. The route dictionary is laid out like jieba's."""
+    """Word frequencies and their total. The total and the private fields
+    are derived once, when the lexicon is built, so routes do not follow
+    later changes to entries. The route dictionary is laid out like jieba's."""
 
     entries: dict[str, int]
-    total: int
+    total: int = field(init=False)  # the frequencies' sum
     # (route dictionary, ln(1/total) for characters outside entries): the
     # dictionary maps each word to ln(freq / total) and each proper prefix
     # that is not a word, of two or more characters, to -inf
@@ -71,6 +71,7 @@ class Lexicon:
     _singles: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "total", sum(self.entries.values()))
         log_total = math.log(self.total) if self.total > 0 else 0.0
         routes = {word[:i]: NEG_INF for word in self.entries for i in range(2, len(word))}
         routes.update((word, math.log(freq) - log_total) for word, freq in self.entries.items())
@@ -130,7 +131,7 @@ def build_lexicon(entries: dict[str, int]) -> Lexicon:
         if len(word) > MAX_WORD_LENGTH:
             raise LexiconError(f"word {word[:10]!r}... is longer than {MAX_WORD_LENGTH} characters")
         check_int(freq, LexiconError, f"word {word!r}: frequency", 1)
-    return Lexicon(dict(entries), sum(entries.values()))
+    return Lexicon(dict(entries))
 
 
 def load_lexicon(path) -> Lexicon:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, config resolution,
 and the exit-code contract (0 success, 1 validation, 2 I/O)."""
 
+import argparse
 import io
 import json
 import os
@@ -12,7 +13,8 @@ import pytest
 
 import zhstance
 import zhstance.cli
-from zhstance.cli import main
+from zhstance.cli import build_parser, main
+from zhstance.pipeline import CONFIG_SCHEMA
 from zhstance.resources import BUNDLED_LEXICON, BUNDLED_TABLE, bundled_path
 
 WHEN = "2021-02-01T12:00:00Z"
@@ -33,7 +35,7 @@ def write_jsonl(path, objs):
                     encoding="utf-8")
 
 
-def corpus_file(tmp_path, name="corpus.jsonl"):
+def corpus_file(tmp_path, name="corpus.jsonl", when=(WHEN,)):
     lines = [{"label_set": ["Beijing", "Democracy"]}]
     for account_id, texts in ACCOUNT_TEXTS.items():
         label = "Beijing" if account_id.startswith("b") else "Democracy"
@@ -41,7 +43,7 @@ def corpus_file(tmp_path, name="corpus.jsonl"):
             "account_id": account_id,
             "follower_count": 20000,
             "label": label,
-            "tweets": [{"text": t, "timestamp": WHEN} for t in texts],
+            "tweets": [{"text": t, "timestamp": w} for t in texts for w in when],
         })
     path = tmp_path / name
     write_jsonl(path, lines)
@@ -343,6 +345,14 @@ class TestTestCommand:
         code, _, _ = run(capsys, "test", "--corpus", str(corpus_file(tmp_path)),
                          *RELAXED, "--test-ids", str(ids))
         assert code == 1
+
+    def test_id_removed_by_the_filters_exits_1(self, capsys, tmp_path, synthetic_corpus_path):
+        # x01 is in the corpus file, with 900 followers: below the default floor
+        ids = tmp_path / "ids.txt"
+        ids.write_text("x01\n", encoding="utf-8")
+        code, out, err = run(capsys, "test", "--corpus", str(synthetic_corpus_path), "--test-ids", str(ids))
+        assert (code, out) == (1, "")
+        assert err == "error: test ids not among the accounts kept after filtering: ['x01']\n"
 
 
 class TestReportCommand:
@@ -663,3 +673,45 @@ class TestConfigResolution:
                          *RELAXED, "--window-start", "2020-01-01",
                          "--window-end", "2020-12-31", "--folds", "3")
         assert code == 1
+
+    @pytest.mark.parametrize("flag, window", [
+        (("--window-end", "2021-12-31"), {"start": "2021-05-01", "end": "2021-12-31"}),
+        (("--window-start", "2021-01-01"), {"start": "2021-01-01", "end": "2021-04-15"}),
+    ])
+    def test_window_order_is_checked_after_the_flags(self, capsys, tmp_path, flag, window):
+        # the file's start is after the default end; either flag puts the window in order
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"filters": {"window": {"start": "2021-05-01"}}}), encoding="utf-8")
+        corpus = corpus_file(tmp_path, when=(WHEN, "2021-06-01T12:00:00Z"))
+        code, out, err = run(capsys, "crossval", "--corpus", str(corpus), *RELAXED,
+                             "--folds", "3", "--k", "3", "--config", str(cfg), *flag)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["filters"]["window"] == window
+
+    def test_window_still_inverted_after_the_flags_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"filters": {"window": {"start": "2021-05-01"}}}), encoding="utf-8")
+        for flags in ((), ("--window-end", "2021-04-30")):
+            code, out, err = run(capsys, "crossval", "--corpus", str(corpus_file(tmp_path)), *RELAXED,
+                                 "--config", str(cfg), *flags)
+            end = flags[1] if flags else "2021-04-15"
+            assert (code, out, err) == (1, "", f"error: window start 2021-05-01 is after end {end}\n")
+
+    def test_report_replays_from_its_config_echo(self, capsys, tmp_path, synthetic_corpus_path):
+        code, out, _ = run(capsys, "crossval", "--corpus", str(synthetic_corpus_path),
+                           "--k", "3", "--seed", "7", "--window-start", "2021-01-08")
+        assert code == 0
+        echo = json.loads(out)["config"]
+        assert (echo["model"]["k"], echo["seed"], echo["filters"]["window"]["start"]) == (3, 7, "2021-01-08")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(echo), encoding="utf-8")
+        assert run(capsys, "crossval", "--config", str(cfg)) == (0, out, "")
+
+
+@pytest.mark.parametrize("command", ["vectorize", "classify", "crossval", "test"])
+def test_every_pipeline_flag_is_a_config_field(command):
+    """The config is resolved from the flags whose dests are config fields,
+    so a flag under any other dest would be dropped without an error."""
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for action in subparsers.choices[command]._actions}
+    assert dests - {"config", "output", "queries", "test_ids", "help"} <= CONFIG_SCHEMA.keys()

@@ -9,12 +9,12 @@ import pytest
 import zhstance.pipeline
 from zhstance.corpus import AccountRecord, Corpus, DateWindow, Tweet, kfold_splits, parse_timestamp
 from zhstance.pipeline import (
-    DEFAULT_WINDOW,
     ConfigError,
     Pipeline,
     PipelineConfig,
     PipelineError,
     ScoredRun,
+    config_values,
 )
 from zhstance.resources import Resources, load_resources
 from zhstance.segmenter import load_lexicon
@@ -65,7 +65,7 @@ class TestPipelineConfig:
         cfg = PipelineConfig()
         assert cfg.min_followers == 10000
         assert cfg.min_tweets == 10
-        assert cfg.window == DEFAULT_WINDOW
+        assert cfg.window == DateWindow(date(2021, 1, 1), date(2021, 4, 15))
         assert cfg.model == "knn"
         assert cfg.k == 5
         assert cfg.weighting == "uniform"
@@ -107,23 +107,23 @@ class TestPipelineConfig:
 
     def test_echo_merge_roundtrip(self):
         cfg = PipelineConfig(corpus="c.jsonl", k=7, model="baseline1",
-                             window=DateWindow(date(2021, 2, 1), date(2021, 3, 1)),
+                             window_start="2021-02-01", window_end="2021-03-01",
                              seed=11, clean=False)
-        assert PipelineConfig().merged(cfg.to_echo()) == cfg
+        assert PipelineConfig(**config_values(cfg.to_echo())) == cfg
 
     def test_merged_is_partial(self):
-        cfg = PipelineConfig().merged({"model": {"k": 9}})
+        cfg = PipelineConfig(**config_values({"model": {"k": 9}}))
         assert cfg.k == 9
         assert cfg.model == "knn"
         assert cfg.folds == 5
 
     def test_merged_window_is_partial(self):
-        cfg = PipelineConfig().merged({"filters": {"window": {"start": "2021-02-03"}}})
+        cfg = PipelineConfig(**config_values({"filters": {"window": {"start": "2021-02-03"}}}))
         assert cfg.window.start == date(2021, 2, 3)
-        assert cfg.window.end == DEFAULT_WINDOW.end
+        assert cfg.window.end == date(2021, 4, 15)
 
     def test_merged_kind_selects_model(self):
-        assert PipelineConfig().merged({"model": {"kind": "baseline0"}}).model == "baseline0"
+        assert PipelineConfig(**config_values({"model": {"kind": "baseline0"}})).model == "baseline0"
 
     @pytest.mark.parametrize("overrides", [
         {"mystery": 1},
@@ -140,7 +140,7 @@ class TestPipelineConfig:
     ])
     def test_merged_rejects_bad_overrides(self, overrides):
         with pytest.raises(ConfigError):
-            PipelineConfig().merged(overrides)
+            PipelineConfig(**config_values(overrides))
 
 
 class TestAccountTokens:

@@ -185,6 +185,14 @@ class TestLexicon:
         assert lex.total == 10
         assert build_dag("中国国", lex) == {0: [0, 1], 1: [1], 2: [2]}
 
+    def test_total_is_the_entries_sum(self):
+        # a hand-built lexicon cannot be given a total its entries do not have
+        lex = Lexicon({"中国": 3, "中": 1})
+        assert lex.total == 4
+        assert lex == build_lexicon({"中国": 3, "中": 1})
+        with pytest.raises(TypeError):
+            Lexicon({"中": 1}, 5)
+
     @pytest.mark.parametrize("entries", [
         {"": 1},
         {"中": 0},
