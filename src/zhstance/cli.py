@@ -10,10 +10,11 @@ Subcommands compose the library end to end:
     test       train on the non-test accounts, score a held-out test set
     report     re-render a stored JSON report as human-readable tables
 
-Configuration resolves defaults < --config file < flags; every report
-embeds the resolved config, from which it can be reproduced (`test` and
-`crossval --test-ids` also need the id file, which it does not record).
-Exit status is 0 on success, 1 for validation errors, 2 for I/O errors.
+Configuration resolves PipelineConfig's defaults < --config file < flags;
+the help text shows those defaults. Every report embeds the resolved
+config, from which it can be reproduced (`test` and `crossval --test-ids`
+also need the id file, which it does not record). Exit status is 0 on
+success, 1 for validation and usage errors, 2 for I/O errors.
 """
 
 from __future__ import annotations
@@ -23,18 +24,10 @@ import io
 import json
 import sys
 
-from .classify import WEIGHTINGS
-from .corpus import (
-    Corpus,
-    SplitSpec,
-    filter_accounts,
-    labeled_accounts,
-    load_corpus,
-    split_corpus,
-)
+from .corpus import Corpus, SplitSpec, filter_accounts, labeled_accounts, load_corpus, split_corpus
 from .pipeline import (
+    CHOICES,
     CONFIG_SCHEMA,
-    MODELS,
     ConfigError,
     Pipeline,
     PipelineConfig,
@@ -52,29 +45,20 @@ from .report import (
 from .resources import BUNDLED_TABLE, bundled_path, load_resources
 from .segmenter import load_hmm, load_lexicon, segment
 from .textfile import read_json, read_lines, read_words
-from .vectorize import TF_MODES
 from .zh_convert import load_conversion_table, to_simplified
 
 SUPPRESS = argparse.SUPPRESS
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; the CLI contract reserves 2 for
-    I/O problems, so usage errors are remapped to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _pipeline_flags(parser):
     """The flags of the commands that run the pipeline."""
+    defaults = PipelineConfig()
     parser.add_argument("--corpus", default=SUPPRESS, metavar="PATH",
                         help="JSONL corpus file")
     parser.add_argument("--config", default=SUPPRESS, metavar="PATH",
                         help="JSON config file (same shape as the report's config echo)")
     parser.add_argument("--seed", type=int, default=SUPPRESS,
-                        help="seed for the fold shuffle (default 0)")
+                        help=f"seed for the fold shuffle (default {defaults.seed})")
     parser.add_argument("--output", default=SUPPRESS, metavar="PATH",
                         help="write JSON here instead of stdout")
     parser.add_argument("--no-clean", action="store_false", dest="clean", default=SUPPRESS,
@@ -88,28 +72,28 @@ def _pipeline_flags(parser):
     parser.add_argument("--stopwords", default=SUPPRESS, metavar="PATH",
                         help="optional stopword list for top-term sets")
     parser.add_argument("--min-followers", type=int, default=SUPPRESS, metavar="N",
-                        help="minimum follower count (default 10000)")
+                        help=f"minimum follower count (default {defaults.min_followers})")
     parser.add_argument("--min-tweets", type=int, default=SUPPRESS, metavar="N",
-                        help="minimum in-window tweet count (default 10)")
+                        help=f"minimum in-window tweet count (default {defaults.min_tweets})")
     parser.add_argument("--window-start", default=SUPPRESS, metavar="DATE",
-                        help="first collection date, ISO format (default 2021-01-01)")
+                        help=f"first collection date, ISO format (default {defaults.window_start})")
     parser.add_argument("--window-end", default=SUPPRESS, metavar="DATE",
-                        help="last collection date, ISO format (default 2021-04-15)")
-    parser.add_argument("--model", choices=MODELS, default=SUPPRESS,
-                        help="predictor (default knn)")
+                        help=f"last collection date, ISO format (default {defaults.window_end})")
+    parser.add_argument("--model", choices=CHOICES["model"], default=SUPPRESS,
+                        help=f"predictor (default {defaults.model})")
     parser.add_argument("--k", type=int, default=SUPPRESS,
-                        help="neighbor count (default 5)")
-    parser.add_argument("--weighting", choices=WEIGHTINGS, default=SUPPRESS,
-                        help="k-NN vote weighting (default uniform)")
+                        help=f"neighbor count (default {defaults.k})")
+    parser.add_argument("--weighting", choices=CHOICES["weighting"], default=SUPPRESS,
+                        help=f"k-NN vote weighting (default {defaults.weighting})")
     parser.add_argument("--top-n", type=int, default=SUPPRESS, metavar="N",
-                        help="term-list size for baseline1 (default 25)")
-    parser.add_argument("--tf", choices=TF_MODES, default=SUPPRESS,
-                        help="term-frequency variant (default raw)")
+                        help=f"term-list size for baseline1 (default {defaults.top_n})")
+    parser.add_argument("--tf", choices=CHOICES["tf"], default=SUPPRESS,
+                        help=f"term-frequency variant (default {defaults.tf})")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="zhstance",
-                     description="Stance classification for Chinese-language Twitter accounts.")
+    parser = argparse.ArgumentParser(
+        prog="zhstance", description="Stance classification for Chinese-language Twitter accounts.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = sub.add_parser("convert", help="convert stdin to simplified characters")
@@ -135,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossval", help="k-fold cross-validation")
     _pipeline_flags(p)
     p.add_argument("--folds", type=int, default=SUPPRESS,
-                   help="number of folds (default 5)")
+                   help=f"number of folds (default {PipelineConfig().folds})")
     p.add_argument("--test-ids", default=SUPPRESS, metavar="PATH",
                    help="account ids to hold out entirely, one per line")
     p.set_defaults(handler=cmd_crossval)
@@ -153,20 +137,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> PipelineConfig:
-    """Defaults < the --config file's values < the flags whose dests are config fields."""
+def _load_pipeline(args) -> tuple[PipelineConfig, Pipeline, Corpus]:
+    """The config (defaults < the --config file's values < the flags whose
+    dests are config fields), its pipeline, and its filtered corpus."""
     values = read_json(args.config, ConfigError, config_values) if hasattr(args, "config") else {}
     values.update((dest, value) for dest, value in vars(args).items() if dest in CONFIG_SCHEMA)
-    return PipelineConfig(**values)
-
-
-def _load_pipeline(config: PipelineConfig) -> tuple[Pipeline, Corpus]:
+    config = PipelineConfig(**values)
     if config.corpus is None:
         raise ConfigError("a corpus path is required (--corpus or config file)")
     corpus = load_corpus(config.corpus)
     filtered = filter_accounts(corpus, config.min_followers, config.min_tweets, config.window)
     resources = load_resources(config.dictionary, config.hmm, config.table, config.stopwords)
-    return Pipeline(resources, config), filtered
+    return config, Pipeline(resources, config), filtered
 
 
 def _read_ids(path) -> frozenset[str]:
@@ -182,15 +164,22 @@ def _read_ids(path) -> frozenset[str]:
     return frozenset(ids)
 
 
-def _emit(args, text: str, human: str | None):
-    output = getattr(args, "output", None)
-    if output is not None:  # "" too: a missing file
-        with open(output, "w", encoding="utf-8") as f:
-            f.write(text)
-        if human:
-            print(human)
+def _write(args, out: dict | list[dict]) -> int:
+    """A report (a dict) as canonical JSON, or records (a list) as JSON lines, to
+    --output or stdout; a report sent to --output prints its tables instead."""
+    if isinstance(out, dict):
+        text = dumps_report(out)
     else:
+        text = "".join(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in out)
+    output = getattr(args, "output", None)
+    if output is None:  # "" is a path: a missing file
         sys.stdout.write(text)
+        return 0
+    with open(output, "w", encoding="utf-8") as f:
+        f.write(text)
+    if isinstance(out, dict):
+        print(format_payload(out))
+    return 0
 
 
 def cmd_convert(args) -> int:
@@ -210,19 +199,14 @@ def cmd_segment(args) -> int:
 
 
 def cmd_vectorize(args) -> int:
-    pipe, corpus = _load_pipeline(_resolve_config(args))
+    _, pipe, corpus = _load_pipeline(args)
     _, vectors = pipe.fit_transform(corpus)
-    lines = [
-        json.dumps({"account_id": a.account_id, "weights": v.weights}, ensure_ascii=False, sort_keys=True)
-        for a, v in sorted(zip(corpus.accounts, vectors), key=lambda av: av[0].account_id)
-    ]
-    _emit(args, "".join(line + "\n" for line in lines), None)
-    return 0
+    return _write(args, [{"account_id": a.account_id, "weights": v.weights}
+                         for a, v in sorted(zip(corpus.accounts, vectors), key=lambda av: av[0].account_id)])
 
 
 def cmd_classify(args) -> int:
-    config = _resolve_config(args)
-    pipe, corpus = _load_pipeline(config)
+    config, pipe, corpus = _load_pipeline(args)
     train = labeled_accounts(corpus)
     if len(train) == 0:
         raise PipelineError("no labeled training accounts after filtering")
@@ -231,30 +215,22 @@ def cmd_classify(args) -> int:
     # tweets are still restricted to the collection window for comparability.
     trimmed = filter_accounts(queries, 0, 0, config.window)
     preds, _ = pipe.predict(train, trimmed)
-    lines = [json.dumps(prediction_dict(p), ensure_ascii=False, sort_keys=True) for p in preds]
-    _emit(args, "".join(line + "\n" for line in lines), None)
-    return 0
+    return _write(args, [prediction_dict(p) for p in preds])
 
 
 def cmd_crossval(args) -> int:
-    config = _resolve_config(args)
-    pipe, corpus = _load_pipeline(config)
+    config, pipe, corpus = _load_pipeline(args)
     if hasattr(args, "test_ids"):
         corpus, _ = split_corpus(corpus, SplitSpec(_read_ids(args.test_ids), config.folds, config.seed))
     result = pipe.cross_validate(labeled_accounts(corpus))
-    payload = crossval_report(result, config)
-    _emit(args, dumps_report(payload), format_payload(payload))
-    return 0
+    return _write(args, crossval_report(result, config))
 
 
 def cmd_test(args) -> int:
-    config = _resolve_config(args)
-    pipe, corpus = _load_pipeline(config)
+    config, pipe, corpus = _load_pipeline(args)
     non_test, test = split_corpus(corpus, SplitSpec(_read_ids(args.test_ids), config.folds, config.seed))
     result = pipe.evaluate_test_set(labeled_accounts(non_test), test)
-    payload = test_report(result, config)
-    _emit(args, dumps_report(payload), format_payload(payload))
-    return 0
+    return _write(args, test_report(result, config))
 
 
 def cmd_report(args) -> int:
@@ -268,8 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse's usage errors exit 2, which is reserved for I/O errors
+        return 1 if exc.code == 2 else int(exc.code or 0)
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from json import JSONDecodeError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 
 from .rng import shuffled

@@ -59,7 +59,7 @@ CONFIG_SCHEMA = {
 }
 _FIELD_AT = {place: name for name, place in CONFIG_SCHEMA.items()}
 # the rules of the fields that are not paths, clean or window dates
-_CHOICES = {"model": MODELS, "weighting": WEIGHTINGS, "tf": TF_MODES}
+CHOICES = {"model": MODELS, "weighting": WEIGHTINGS, "tf": TF_MODES}
 _INT_MINIMUMS = {"min_followers": 0, "min_tweets": 0, "k": 1, "top_n": 1, "folds": 2, "seed": None}
 
 
@@ -74,8 +74,8 @@ class PipelineError(ValueError):
 def _checked(name: str, value):
     """value, if config field `name` can hold it; errors name its key path."""
     where = ".".join(CONFIG_SCHEMA[name])
-    if name in _CHOICES and value not in _CHOICES[name]:
-        raise ConfigError(f"{where} must be one of {_CHOICES[name]}, got {value!r}")
+    if name in CHOICES and value not in CHOICES[name]:
+        raise ConfigError(f"{where} must be one of {CHOICES[name]}, got {value!r}")
     if name in _INT_MINIMUMS:
         check_int(value, ConfigError, where, _INT_MINIMUMS[name])
     if where.startswith("paths.") and value is not None and not isinstance(value, str):

@@ -14,7 +14,7 @@ import pytest
 import zhstance
 import zhstance.cli
 from zhstance.cli import build_parser, main
-from zhstance.pipeline import CONFIG_SCHEMA
+from zhstance.pipeline import CONFIG_SCHEMA, PipelineConfig
 from zhstance.resources import BUNDLED_LEXICON, BUNDLED_TABLE, bundled_path
 
 WHEN = "2021-02-01T12:00:00Z"
@@ -75,11 +75,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subparser(command) -> argparse.ArgumentParser:
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[command]
+
+
 class TestParsing:
+    # argparse exits 2 on a usage error; main maps it to 1, keeping argparse's own lines
     def test_no_command_exits_1(self, capsys):
-        code, _, err = run(capsys, )
-        assert code == 1
-        assert "error" in err
+        code, out, err = run(capsys, )
+        assert (code, out) == (1, "")
+        assert err == build_parser().format_usage() + (
+            "zhstance: error: the following arguments are required: COMMAND\n")
+
+    def test_bad_int_exits_1_with_usage_and_error_lines(self, capsys):
+        code, out, err = run(capsys, "crossval", "--k", "x")
+        assert (code, out) == (1, "")
+        assert err == subparser("crossval").format_usage() + (
+            "zhstance crossval: error: argument --k: invalid int value: 'x'\n")
 
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run(capsys, "bogus")
@@ -712,6 +725,19 @@ class TestConfigResolution:
 def test_every_pipeline_flag_is_a_config_field(command):
     """The config is resolved from the flags whose dests are config fields,
     so a flag under any other dest would be dropped without an error."""
-    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    dests = {action.dest for action in subparsers.choices[command]._actions}
+    dests = {action.dest for action in subparser(command)._actions}
     assert dests - {"config", "output", "queries", "test_ids", "help"} <= CONFIG_SCHEMA.keys()
+
+
+@pytest.mark.parametrize("command", ["vectorize", "classify", "crossval", "test"])
+def test_help_shows_the_config_defaults(command):
+    """A flag's help names its field's default, so --help cannot go stale
+    when a default changes; paths (None) and --no-clean name none."""
+    defaults = PipelineConfig()
+    fields = {name for name in CONFIG_SCHEMA if not isinstance(getattr(defaults, name), (bool, type(None)))}
+    shown = set()
+    for action in subparser(command)._actions:
+        if action.dest in fields:
+            assert action.help.endswith(f"(default {getattr(defaults, action.dest)})"), action.option_strings
+            shown.add(action.dest)
+    assert shown == fields - ({"folds"} if command != "crossval" else set())
