@@ -8,6 +8,10 @@ The corpus file is UTF-8 JSON-lines, one account per line:
 An optional header ``{"label_set": [...]}`` on the first non-blank line
 declares the allowed labels; account labels outside a declared set,
 keys not shown here, and a key repeated in one object are rejected.
+
+A tweet is a ``Tweet`` named tuple. An account's tweets are checked as
+columns, its stamps by one match; when a check fails they are walked in
+turn, so the error names the first bad tweet. A naive timestamp is UTC.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import re
 from json import JSONDecodeError
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from operator import itemgetter
+from typing import NamedTuple
 
 from .rng import shuffled
 from .textfile import JSON_DECODER, check_int, check_keys, read_lines
@@ -25,8 +31,7 @@ class CorpusError(ValueError):
     """Raised for malformed corpus files or invariant violations."""
 
 
-@dataclass(frozen=True)
-class Tweet:
+class Tweet(NamedTuple):
     text: str
     timestamp: datetime
 
@@ -64,7 +69,7 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class DateWindow:
-    """Inclusive calendar-date range; timestamps are compared on their UTC date."""
+    """Inclusive calendar-date range, compared on UTC dates; a naive timestamp is UTC."""
 
     start: date
     end: date
@@ -74,30 +79,45 @@ class DateWindow:
             raise ValueError(f"window start {self.start} is after end {self.end}")
 
     def contains(self, ts: datetime) -> bool:
-        d = ts.astimezone(timezone.utc).date()
+        d = (ts if ts.tzinfo is None else ts.astimezone(timezone.utc)).date()
         return self.start <= d <= self.end
 
 
-_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}"
-                        r"(\.[0-9]+)?([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")  # fraction, offset
+# An RFC 3339 date-time: date, time, an optional fraction and an optional offset
+_STAMP = (r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}"
+          r"(?:\.[0-9]+)?(?:[Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")
+_STAMPS = re.compile(rf"{_STAMP}(?:\n{_STAMP})*")  # the stamps joined with "\n"
+_FRACTION = re.compile(r"\.[0-9]+")
+
+
+def parse_timestamps(raws: list) -> list[datetime]:
+    """Parse RFC 3339 date-times; naive values are taken as UTC. The stamps
+    are joined with newlines and checked by one match. Fractions are cut or
+    padded to 6 digits and Z written +00:00, as datetime.fromisoformat
+    needs before Python 3.11. A ValueError names the first bad stamp."""
+    if not raws:
+        return []
+    try:
+        joined = "\n".join(raws)  # a TypeError if a stamp is not a string
+        if _STAMPS.fullmatch(joined) is None or joined.count("\n") != len(raws) - 1:
+            raise ValueError("not an RFC 3339 date-time")  # the count: a stamp holding "\n"
+        if "." in joined:
+            joined = _FRACTION.sub(lambda m: m[0][:7].ljust(7, "0"), joined)
+        joined = joined.replace("Z", "+00:00").replace("z", "+00:00")
+        stamps = list(map(datetime.fromisoformat, joined.split("\n")))
+    except (TypeError, ValueError) as exc:
+        if len(raws) > 1:
+            for raw in raws:
+                parse_timestamps([raw])  # raises the first bad stamp's own error
+        if not isinstance(raws[0], str):
+            raise ValueError(f"timestamp must be a string, got {type(raws[0]).__name__}") from None
+        raise ValueError(f"invalid timestamp {raws[0]!r}: {exc}") from None
+    return [ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc) for ts in stamps]
 
 
 def parse_timestamp(raw: str) -> datetime:
-    """Parse an RFC 3339 date-time; naive values are taken as UTC. The
-    fraction is cut or padded to 6 digits and Z written +00:00, as
-    datetime.fromisoformat needs before Python 3.11."""
-    if not isinstance(raw, str):
-        raise ValueError(f"timestamp must be a string, got {type(raw).__name__}")
-    m = _TIMESTAMP.fullmatch(raw)
-    try:
-        if m is None:
-            raise ValueError("not an RFC 3339 date-time")
-        fraction, offset = m.groups()
-        text = raw if fraction is None else raw[:19] + fraction[:7].ljust(7, "0") + (offset or "")
-        ts = datetime.fromisoformat(text[:-1] + "+00:00" if offset in ("Z", "z") else text)
-    except ValueError as exc:
-        raise ValueError(f"invalid timestamp {raw!r}: {exc}") from None
-    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
+    """parse_timestamps of one stamp."""
+    return parse_timestamps([raw])[0]
 
 
 _ACCOUNT_KEYS = frozenset({"account_id", "follower_count", "label", "tweets"})
@@ -123,19 +143,24 @@ def _parse_account(obj: dict, where: str, declared: tuple[str, ...] | None) -> A
     raw_tweets = obj.get("tweets", [])
     if not isinstance(raw_tweets, list):
         fail(f"account {account_id!r}: tweets must be a list")
-    tweets = []
+    try:  # one C-level call per check over each column; a failure walks the tweets in turn
+        texts = list(map(itemgetter("text"), raw_tweets))  # a TypeError for a non-object
+        stamps = parse_timestamps(list(map(itemgetter("timestamp"), raw_tweets)))
+        if set(map(len, raw_tweets)) <= {2} and all(map(str.strip, texts)):  # no third key, no blank
+            return AccountRecord(account_id, followers, label, tuple(map(Tweet, texts, stamps)))
+    except (KeyError, TypeError, ValueError):
+        pass
     for i, t in enumerate(raw_tweets):
-        if not (isinstance(t, dict) and _TWEET_KEYS.issuperset(t)):  # inline: runs per tweet
+        if not (isinstance(t, dict) and _TWEET_KEYS.issuperset(t)):
             check_keys(t, CorpusError, f"{where}: account {account_id!r}: tweet {i}", _TWEET_KEYS)
         text = t.get("text")
         if not isinstance(text, str) or not text.strip():
             fail(f"account {account_id!r}: tweet {i} has empty text")
         try:
-            ts = parse_timestamp(t.get("timestamp"))
+            parse_timestamp(t.get("timestamp"))
         except ValueError as exc:
             fail(f"account {account_id!r}: tweet {i}: {exc}")
-        tweets.append(Tweet(text=text, timestamp=ts))
-    return AccountRecord(account_id, followers, label, tuple(tweets))
+    raise AssertionError(f"{where}: a column check failed where no tweet does")
 
 
 def load_corpus(path) -> Corpus:
@@ -184,8 +209,10 @@ def filter_accounts(c: Corpus, min_followers: int, min_tweets: int, window: Date
     """
     kept = []
     for a in c.accounts:
+        if a.follower_count < min_followers:
+            continue
         in_window = tuple(t for t in a.tweets if window.contains(t.timestamp))
-        if a.follower_count >= min_followers and len(in_window) >= min_tweets:
+        if len(in_window) >= min_tweets:
             kept.append(AccountRecord(a.account_id, a.follower_count, a.label, in_window))
     return Corpus(label_set=c.label_set, accounts=tuple(kept))
 

@@ -39,6 +39,8 @@ class ConversionTable:
         for key, value in pairs:
             if not key:
                 raise ConversionTableError("empty key")
+            if len(key) > MAX_WORD_LENGTH:  # the phrase pattern spells out every key
+                raise ConversionTableError(f"key {key[:10]!r}... is longer than {MAX_WORD_LENGTH} characters")
             if "\n" in key + value:
                 # tweets, and lexicon words, are converted joined with "\n"
                 raise ConversionTableError(f"pair {key!r}: {value!r} holds a newline")

@@ -1,6 +1,7 @@
 """Tests for corpus loading, validation, filtering, and splitting."""
 
 import json
+import time
 from datetime import date, datetime, timezone
 
 import pytest
@@ -139,6 +140,16 @@ class TestParseTimestamp:
         return obj
 
 
+@pytest.fixture(params=["UTC", "Asia/Shanghai"])
+def local_zone(request, monkeypatch):
+    """The process's local time zone, set through TZ."""
+    monkeypatch.setenv("TZ", request.param)
+    time.tzset()
+    yield request.param
+    monkeypatch.undo()
+    time.tzset()
+
+
 class TestDateWindow:
     def test_bounds_are_inclusive(self):
         w = DateWindow(date(2021, 1, 1), date(2021, 1, 31))
@@ -154,9 +165,82 @@ class TestDateWindow:
         # 20:00 on Dec 31 at UTC-8 is already Jan 1 in UTC
         assert w.contains(parse_timestamp("2020-12-31T20:00:00-08:00"))
 
+    def test_naive_timestamp_read_as_utc(self, local_zone):
+        # the machine's zone must not move a naive value across midnight
+        assert time.localtime().tm_gmtoff == {"UTC": 0, "Asia/Shanghai": 8 * 3600}[local_zone]
+        w = DateWindow(date(2021, 1, 1), date(2021, 4, 15))
+        assert w.contains(datetime(2021, 1, 1, 2, 0))
+        assert not w.contains(datetime(2020, 12, 31, 23, 0))
+        assert w.contains(datetime(2021, 4, 15, 23, 0))
+
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError):
             DateWindow(date(2021, 2, 1), date(2021, 1, 1))
+
+
+class TestTweet:
+    def test_immutable(self):
+        tweet = Tweet("x", parse_timestamp("2021-01-05T12:00:00Z"))
+        with pytest.raises(AttributeError):
+            tweet.text = "y"
+
+    def test_equal_tweets_hash_equal(self):
+        a = Tweet("x", parse_timestamp("2021-01-05T12:00:00Z"))
+        b = Tweet(text="x", timestamp=parse_timestamp("2021-01-05T20:00:00+08:00"))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Tweet("y", a.timestamp)}) == 2
+
+
+class TestLoadTweetColumns:
+    """An account's tweets are checked together; the errors are still the
+    first bad tweet's own."""
+
+    def load_tweets(self, tmp_path, tweets):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, [{**account_line("a", None), "tweets": tweets}])
+        return load_corpus(path).accounts[0].tweets
+
+    def load_error(self, tmp_path, tweets):
+        with pytest.raises(CorpusError) as info:
+            self.load_tweets(tmp_path, tweets)
+        return str(info.value)
+
+    def test_every_accepted_form_in_one_account(self, tmp_path):
+        raws = [raw for raw, _ in ACCEPTED_TIMESTAMPS] + ["2021-01-05T12:00:00+08:00"]
+        tweets = self.load_tweets(tmp_path, [{"text": f"t{i}", "timestamp": raw}
+                                             for i, raw in enumerate(raws)])
+        assert [t.text for t in tweets] == [f"t{i}" for i in range(len(raws))]
+        want = [parse_timestamp(raw) for raw in raws]
+        assert [t.timestamp for t in tweets] == want
+        assert [t.timestamp.tzinfo for t in tweets] == [ts.tzinfo for ts in want]
+        assert all(type(t) is Tweet for t in tweets)
+
+    def test_empty_account_loads(self, tmp_path):
+        assert self.load_tweets(tmp_path, []) == ()
+
+    def test_first_bad_tweet_is_named(self, tmp_path):
+        ok = {"text": "x", "timestamp": "2021-01-05T12:00:00Z"}
+        tweets = [ok, {**ok, "text": " \t"}, ok, {**ok, "timestamp": "2021-01-05T12:00:60Z"}]
+        path = tmp_path / "c.jsonl"
+        assert self.load_error(tmp_path, tweets) == f"{path}: line 1: account 'a': tweet 1 has empty text"
+        tweets[1] = ok
+        with pytest.raises(ValueError) as want:
+            parse_timestamp("2021-01-05T12:00:60Z")
+        assert self.load_error(tmp_path, tweets) == f"{path}: line 1: account 'a': tweet 3: {want.value}"
+
+    @pytest.mark.parametrize("bad, message", [
+        (["text"], "tweet 1 must be an object"),
+        ("x", "tweet 1 must be an object"),
+        ({"text": "x", "timestamp": "2021-01-05T12:00:00Z", "lang": "zh"},
+         "tweet 1 has unknown key(s) ['lang']"),
+        ({"text": "x"}, "tweet 1: timestamp must be a string, got NoneType"),
+        ({"timestamp": "2021-01-05T12:00:00Z"}, "tweet 1 has empty text"),
+        ({"text": 7, "timestamp": "2021-01-05T12:00:00Z"}, "tweet 1 has empty text"),
+    ])
+    def test_malformed_tweet_message(self, tmp_path, bad, message):
+        ok = {"text": "x", "timestamp": "2021-01-05T12:00:00Z"}
+        path = tmp_path / "c.jsonl"
+        assert self.load_error(tmp_path, [ok, bad, ok]) == f"{path}: line 1: account 'a': {message}"
 
 
 class TestLoadCorpus:

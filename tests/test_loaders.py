@@ -3,6 +3,7 @@ tests that each loader round-trips what it accepts and rejects everything
 else with its own error (Hypothesis)."""
 
 import io
+import json
 import re
 
 import pytest
@@ -11,12 +12,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zhstance.cli import _read_ids  # noqa: E402
-from zhstance.corpus import CorpusError, load_corpus  # noqa: E402
+from zhstance.corpus import CorpusError, load_corpus, parse_timestamp  # noqa: E402
 from zhstance.pipeline import ConfigError  # noqa: E402
 from zhstance.resources import StopwordError, load_stopwords  # noqa: E402
 from zhstance.segmenter import LexiconError, load_lexicon  # noqa: E402
 from zhstance.textfile import read_json, read_lines  # noqa: E402
 from zhstance.zh_convert import ConversionTableError, load_conversion_table  # noqa: E402
+
+from test_corpus import ACCEPTED_TIMESTAMPS, REJECTED_TIMESTAMPS  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -106,6 +109,36 @@ def test_stopwords_round_trip(scratch, data, words):
 @given(st.data(), st.lists(word, min_size=1, max_size=8, unique=True))
 def test_test_ids_round_trip(scratch, data, ids):
     assert load_text(scratch, _read_ids, data.draw(file_text(ids))) == frozenset(ids)
+
+
+accepted_stamp = st.sampled_from([raw for raw, _ in ACCEPTED_TIMESTAMPS]
+                                 + ["2021-01-05T12:00:00Z", "2021-01-05T12:00:00+08:00"])
+rejected_stamp = st.sampled_from(REJECTED_TIMESTAMPS + [
+    "2021-01-05T12:00:00Z\n2021-01-05T12:00:00Z", "2021-01-05T12:00:00Z\n", None, 20210105])
+
+
+@PROPERTY
+@given(st.data(), st.lists(accepted_stamp, max_size=8))
+def test_corpus_stamps_load_as_parse_timestamp(scratch, data, stamps):
+    """An account's stamps, checked together, load as parse_timestamp reads
+    each one, or fail with the first bad stamp's error and index."""
+    for _ in range(data.draw(st.integers(0, 2))):
+        stamps.insert(data.draw(st.integers(0, len(stamps))), data.draw(rejected_stamp))
+    account = {"account_id": "a", "follower_count": 1, "label": None,
+               "tweets": [{"text": "t", "timestamp": raw} for raw in stamps]}
+    scratch.write_text(json.dumps(account) + "\n", encoding="utf-8")
+    want = []
+    for i, raw in enumerate(stamps):
+        try:
+            want.append(parse_timestamp(raw))
+        except ValueError as exc:
+            with pytest.raises(CorpusError) as got:
+                load_corpus(scratch)
+            assert str(got.value) == f"{scratch}: line 1: account 'a': tweet {i}: {exc}"
+            return
+    got = [tweet.timestamp for tweet in load_corpus(scratch).accounts[0].tweets]
+    assert got == want
+    assert [ts.tzinfo for ts in got] == [ts.tzinfo for ts in want]
 
 
 # Arbitrary lines, biased towards the characters the formats give meaning

@@ -46,6 +46,15 @@ class TestFromPairs:
         with pytest.raises(ConversionTableError, match="newline"):
             table_from(("頭", "头\n"))
 
+    def test_key_past_the_word_bound_rejected(self):
+        # the file loader's bound: the phrase pattern spells out every key,
+        # and an overlong one makes it slow to compile
+        key = "髮" * (MAX_WORD_LENGTH + 1)
+        with pytest.raises(ConversionTableError) as info:
+            table_from(("發", "发"), (key, "发"))
+        assert str(info.value) == f"key {key[:10]!r}... is longer than {MAX_WORD_LENGTH} characters"
+        assert table_from((key[1:], "发")).phrase_map == {key[1:]: "发"}
+
 
 class TestLoadConversionTable:
     def test_basic_load(self, tmp_path):
