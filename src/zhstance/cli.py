@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 
 from .corpus import Corpus, SplitSpec, filter_accounts, labeled_accounts, load_corpus, split_corpus
@@ -165,12 +164,9 @@ def _read_ids(path) -> frozenset[str]:
 
 
 def _write(args, out: dict | list[dict]) -> int:
-    """A report (a dict) as canonical JSON, or records (a list) as JSON lines, to
+    """A report (a dict), or records (a list) one per line, as canonical JSON to
     --output or stdout; a report sent to --output prints its tables instead."""
-    if isinstance(out, dict):
-        text = dumps_report(out)
-    else:
-        text = "".join(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in out)
+    text = "".join(map(dumps_report, out)) if isinstance(out, list) else dumps_report(out)
     output = getattr(args, "output", None)
     if output is None:  # "" is a path: a missing file
         sys.stdout.write(text)

@@ -1,8 +1,8 @@
 """Report assembly: canonical JSON payloads and human-readable tables.
 
 JSON output keeps full float precision and a canonical layout (sorted
-keys, two-space indent, UTF-8 text) so identical runs serialize to
-identical bytes. The human-readable views render from the payload dict
+keys, no whitespace, UTF-8 text, one line) so identical runs serialize
+to identical bytes. The human-readable views render from the payload dict
 itself (any stored report can be re-rendered) and round to two decimals,
 half up, the way the metrics are usually quoted.
 """
@@ -21,7 +21,8 @@ class ReportError(ValueError):
 
 
 def dumps_report(payload: dict) -> str:
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    """payload as one canonical line; without an indent, json encodes in C."""
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def prediction_dict(p: AccountPrediction) -> dict:

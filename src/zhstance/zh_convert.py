@@ -29,25 +29,32 @@ class ConversionTableError(ValueError):
 
 @dataclass(frozen=True)
 class ConversionTable:
+    """Keys are non-empty, at most MAX_WORD_LENGTH characters, one character
+    in char_map and longer in phrase_map. No key or value holds a newline:
+    tweets, and lexicon words, are converted joined with newlines."""
+
     phrase_map: dict[str, str]
     char_map: dict[str, str]
 
+    def __post_init__(self):
+        for is_char, mapping in ((False, self.phrase_map), (True, self.char_map)):
+            for key, value in mapping.items():
+                if not key:
+                    raise ConversionTableError("empty key")
+                if len(key) > MAX_WORD_LENGTH:  # the phrase pattern spells out every key
+                    raise ConversionTableError(f"key {key[:10]!r}... is longer than {MAX_WORD_LENGTH} characters")
+                if "\n" in key + value:
+                    raise ConversionTableError(f"pair {key!r}: {value!r} holds a newline")
+                if (len(key) == 1) != is_char:
+                    raise ConversionTableError(f"key {key!r} belongs in {'phrase' if is_char else 'char'}_map")
+
     @staticmethod
     def from_pairs(pairs) -> "ConversionTable":
+        """One-character keys go to char_map, longer ones to phrase_map."""
         phrase_map: dict[str, str] = {}
         char_map: dict[str, str] = {}
         for key, value in pairs:
-            if not key:
-                raise ConversionTableError("empty key")
-            if len(key) > MAX_WORD_LENGTH:  # the phrase pattern spells out every key
-                raise ConversionTableError(f"key {key[:10]!r}... is longer than {MAX_WORD_LENGTH} characters")
-            if "\n" in key + value:
-                # tweets, and lexicon words, are converted joined with "\n"
-                raise ConversionTableError(f"pair {key!r}: {value!r} holds a newline")
-            if len(key) == 1:
-                char_map[key] = value
-            else:
-                phrase_map[key] = value
+            (char_map if len(key) == 1 else phrase_map)[key] = value
         return ConversionTable(phrase_map, char_map)
 
     @cached_property

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from zhstance.cli import main
+from zhstance.report import dumps_report
 
 SEMANTIC_KEYS = ("label_set", "confusion", "accuracy", "per_label", "support", "predictions")
 
@@ -100,6 +101,26 @@ def test_report_renders_exactly(capsys, tmp_path, fixtures_dir, synthetic_corpus
         capsys.readouterr()
     assert main(["report", str(path)]) == 0
     assert capsys.readouterr() == (RENDERED[kind], "")
+
+
+@pytest.mark.parametrize("kind", RENDERED)
+def test_report_renders_the_same_from_either_layout(capsys, tmp_path, fixtures_dir,
+                                                    synthetic_corpus_path, kind):
+    # a report stored with indent=2, as reports were before the one-line
+    # layout, renders as the one-line report of the same run does
+    path = fixtures_dir / "expected_test_report.json"
+    if kind == "crossval":
+        path = tmp_path / "report.json"
+        assert main(["crossval", "--corpus", str(synthetic_corpus_path)]) == 0
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    layouts = {"compact": dumps_report(payload),
+               "indented": json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"}
+    for name, text in layouts.items():
+        stored = tmp_path / f"{name}.json"
+        stored.write_text(text, encoding="utf-8")
+        assert main(["report", str(stored)]) == 0
+        assert capsys.readouterr() == (RENDERED[kind], "")
 
 
 def test_readme_library_example_runs(capsys, tmp_path, monkeypatch, synthetic_corpus_path):

@@ -28,6 +28,7 @@ from zhstance.segmenter import (  # noqa: E402
     segment,
     viterbi,
 )
+from zhstance.textfile import MAX_WORD_LENGTH  # noqa: E402
 from zhstance.vectorize import TF_MODES, SparseVector, cosine_similarity, fit_vectorizer  # noqa: E402
 from zhstance.zh_convert import ConversionTable, to_simplified  # noqa: E402
 
@@ -154,14 +155,13 @@ def test_to_simplified_matches_width_loop_on_a_large_table():
     assert to_simplified(text, table) == width_loop_to_simplified(text, table)
 
 
-def test_to_simplified_matches_width_loop_on_a_1000_character_key():
+def test_to_simplified_matches_width_loop_on_a_longest_allowed_key():
     rng = random.Random(19)
     alphabet = "甲乙丙丁"
-    long_key = "".join(rng.choices(alphabet, k=1000))
-    keys = [long_key[:i] for i in range(2, 1001)]
-    # built directly: from_pairs, like the file loader, rejects keys over MAX_WORD_LENGTH
-    table = ConversionTable({key: str(len(key)) for key in keys}, {})
-    text = long_key + "z" + long_key[:999] + long_key[:2] + "z" + long_key[1:100]
+    n = MAX_WORD_LENGTH
+    long_key = "".join(rng.choices(alphabet, k=n))
+    table = ConversionTable.from_pairs((long_key[:i], str(i)) for i in range(1, n + 1))
+    text = long_key + "z" + long_key[:n - 1] + long_key[:2] + "z" + long_key[1:n // 10]
     assert to_simplified(text, table) == width_loop_to_simplified(text, table)
 
 

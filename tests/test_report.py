@@ -44,7 +44,16 @@ def sample_test_result():
 class TestDumpsReport:
     def test_canonical_form(self):
         text = dumps_report({"b": 1, "a": {"d": 2, "c": [3]}})
-        assert text == '{\n  "a": {\n    "c": [\n      3\n    ],\n    "d": 2\n  },\n  "b": 1\n}\n'
+        assert text == '{"a":{"c":[3],"d":2},"b":1}\n'
+
+    @pytest.mark.parametrize("kind", ["crossval", "test"])
+    def test_report_is_one_line_and_round_trips(self, kind):
+        result = sample_test_result()
+        payload = (crossval_report(CrossValResult(("X", "Y"), (result, result), {}), PipelineConfig())
+                   if kind == "crossval" else build_test_report(result, PipelineConfig()))
+        text = dumps_report(payload)
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert dumps_report(json.loads(text)) == text
 
     def test_utf8_not_escaped(self):
         assert "民主" in dumps_report({"term": "民主"})

@@ -56,6 +56,29 @@ class TestFromPairs:
         assert table_from((key[1:], "发")).phrase_map == {key[1:]: "发"}
 
 
+class TestConstructor:
+    """The constructor checks what from_pairs used to, so no table skips it."""
+
+    def test_valid_table(self):
+        t = ConversionTable({"頭髮": "头发"}, {"發": "发"})
+        assert to_simplified("頭髮發", t) == "头发发"
+
+    @pytest.mark.parametrize("phrase_map, char_map, message", [
+        ({"": "x"}, {}, "empty key"),
+        ({}, {"": "x"}, "empty key"),
+        ({"髮" * (MAX_WORD_LENGTH + 1): "x"}, {}, f"is longer than {MAX_WORD_LENGTH} characters"),
+        ({"a\nb": "X"}, {}, "newline"),  # would convert across the tweet-joining newline
+        ({}, {"\n": "x"}, "newline"),
+        ({"頭髮": "头\n发"}, {}, "newline"),
+        ({}, {"發": "\n"}, "newline"),
+        ({}, {"頭髮": "头发"}, "key '頭髮' belongs in phrase_map"),
+        ({"發": "发"}, {}, "key '發' belongs in char_map"),
+    ])
+    def test_rejected(self, phrase_map, char_map, message):
+        with pytest.raises(ConversionTableError, match=message):
+            ConversionTable(phrase_map, char_map)
+
+
 class TestLoadConversionTable:
     def test_basic_load(self, tmp_path):
         path = tmp_path / "t.tsv"
