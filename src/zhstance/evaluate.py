@@ -8,9 +8,10 @@ vanishes is defined as 0.
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 
 
 class EvaluationError(ValueError):
@@ -72,9 +73,22 @@ def round_half_up(value: float, places: int = 2) -> float:
 
 
 def mean_std(values: list[float]) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (0 for fewer than 2)."""
+    """Arithmetic mean and sample standard deviation (0 for fewer than 2),
+    as statistics.fmean and, from Python 3.11 on, statistics.stdev give
+    them; unlike stdev's, they are the same floats on every Python."""
     if not values:
         raise EvaluationError("no values to aggregate")
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, std
+    center = sum(map(Fraction, values)) / len(values)
+    variance = sum((Fraction(v) - center) ** 2 for v in values) / max(len(values) - 1, 1)
+    return math.fsum(values) / len(values), _sqrt(variance)
+
+
+def _sqrt(x: Fraction) -> float:
+    """sqrt(x >= 0) correctly rounded, as statistics.stdev takes it from 3.11
+    on: the integer root of x scaled to 2 * 53 + 3 bits, rounded to odd (its
+    last bit set if any bit below was), rounds to a float once, correctly."""
+    shift = (x.numerator.bit_length() - x.denominator.bit_length() - 109) // 2
+    scaled = x / Fraction(4) ** shift
+    root = math.isqrt(int(scaled))
+    root |= root * root != scaled
+    return float(root * Fraction(2) ** shift)

@@ -12,7 +12,7 @@ from functools import cached_property
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .segmenter import HmmModel, Lexicon, LexiconError, build_lexicon, load_hmm, load_lexicon
+from .segmenter import HmmModel, Lexicon, LexiconError, load_hmm, load_lexicon
 from .textfile import MAX_WORD_LENGTH, read_words
 from .zh_convert import ConversionTable, load_conversion_table, to_simplified
 
@@ -69,7 +69,7 @@ class Resources:
             entries[word] = entries.get(word, 0) + freq
         if entries == self.lexicon.entries:
             return self.lexicon
-        return build_lexicon(entries)
+        return Lexicon(entries)
 
 
 def load_resources(

@@ -55,9 +55,12 @@ class HmmModelError(ValueError):
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Word frequencies and their total. The total and the private fields
-    are derived once, when the lexicon is built, so routes do not follow
-    later changes to entries. The route dictionary is laid out like jieba's."""
+    """Word frequencies and their total. A word is non-empty, at most
+    MAX_WORD_LENGTH characters, and holds no whitespace (segmentation cuts
+    text there, so it could never match); a frequency is an integer >= 1.
+    The total and the private fields are derived once, when the lexicon is
+    built, so routes do not follow later changes to entries. The route
+    dictionary is laid out like jieba's."""
 
     entries: dict[str, int]
     total: int = field(init=False)  # the frequencies' sum
@@ -71,6 +74,12 @@ class Lexicon:
     _singles: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for word, freq in self.entries.items():
+            if word.split() != [word]:
+                raise LexiconError(f"word {word!r} is empty or holds whitespace")
+            if len(word) > MAX_WORD_LENGTH:
+                raise LexiconError(f"word {word[:10]!r}... is longer than {MAX_WORD_LENGTH} characters")
+            check_int(freq, LexiconError, f"word {word!r}: frequency", 1)
         object.__setattr__(self, "total", sum(self.entries.values()))
         log_total = math.log(self.total) if self.total > 0 else 0.0
         routes = {word[:i]: NEG_INF for word in self.entries for i in range(2, len(word))}
@@ -121,19 +130,6 @@ class HmmModel:
         object.__setattr__(self, "_unseen_cuts", {})
 
 
-def build_lexicon(entries: dict[str, int]) -> Lexicon:
-    """A lexicon of the entries. A word must be non-empty and hold no
-    whitespace: segmentation cuts text at whitespace, so such a word could
-    never match. Nor may it be longer than MAX_WORD_LENGTH characters."""
-    for word, freq in entries.items():
-        if word.split() != [word]:
-            raise LexiconError(f"word {word!r} is empty or holds whitespace")
-        if len(word) > MAX_WORD_LENGTH:
-            raise LexiconError(f"word {word[:10]!r}... is longer than {MAX_WORD_LENGTH} characters")
-        check_int(freq, LexiconError, f"word {word!r}: frequency", 1)
-    return Lexicon(dict(entries))
-
-
 def load_lexicon(path) -> Lexicon:
     """Load a ``word freq [tag]`` lexicon file, one line per word; the tag is ignored."""
     entries: dict[str, int] = {}
@@ -153,7 +149,7 @@ def load_lexicon(path) -> Lexicon:
         if freq <= 0:
             raise LexiconError(f"{path}: line {lineno}: frequency {digits!r} is not a positive integer")
         entries[word] = freq
-    return build_lexicon(entries)
+    return Lexicon(entries)
 
 
 def build_dag(sentence: str, lex: Lexicon) -> dict[int, list[int]]:

@@ -38,7 +38,7 @@ from zhstance.segmenter import (
     NEG_INF,
     STATES,
     HmmModel,
-    build_lexicon,
+    Lexicon,
     max_prob_route,
     viterbi,
 )
@@ -186,7 +186,7 @@ def random_cut_instance(rng):
         word = sentence[start:start + wlen] or rng.choice(alphabet)
         entries[word] = rng.randrange(1, 100)
     entries[rng.choice(alphabet)] = rng.randrange(1, 100)
-    return build_lexicon(entries), sentence
+    return Lexicon(entries), sentence
 
 
 def test_criterion_3_segmentation_oracle():

@@ -154,6 +154,13 @@ class TestMeanStd:
     def test_single_value(self):
         assert mean_std([0.9]) == (0.9, 0.0)
 
+    def test_std_is_correctly_rounded(self):
+        # the nearest float to the exact root; a float square root of a
+        # float variance gives ...368 here
+        precisions = [0.9655172413793104, 0.9646017699115044]
+        assert mean_std(precisions)[1] == 0.0006473360828684369
+        assert mean_std([0.25, 0.25, 0.25]) == (0.25, 0.0)
+
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError):
             mean_std([])

@@ -95,8 +95,7 @@ def test_conversion_table_round_trips(scratch, data, pairs):
     # extra space-separated candidates after the first are ignored
     lines = [f"{k}\t{v}" + data.draw(st.sampled_from(["", " x", " y z"])) for k, v in pairs.items()]
     table = load_text(scratch, load_conversion_table, data.draw(file_text(lines)))
-    assert {**table.char_map, **table.phrase_map} == pairs
-    assert all(len(k) == 1 for k in table.char_map)
+    assert table.mapping == pairs
 
 
 @PROPERTY

@@ -4,6 +4,7 @@ baseline (Hypothesis)."""
 import math
 import random
 import re
+import statistics
 import sys
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zhstance.classify import _LANES, KnnIndex, Neighbor, TermSetIndex, _vote, baseline1_predict  # noqa: E402
 from zhstance.corpus import AccountRecord, Tweet, parse_timestamp  # noqa: E402
+from zhstance.evaluate import mean_std  # noqa: E402
 from zhstance.pipeline import Pipeline, PipelineConfig  # noqa: E402
 from zhstance.resources import Resources, load_resources  # noqa: E402
 from zhstance.segmenter import (  # noqa: E402
@@ -21,8 +23,8 @@ from zhstance.segmenter import (  # noqa: E402
     NEG_INF,
     STATES,
     HmmModel,
+    Lexicon,
     build_dag,
-    build_lexicon,
     hmm_segment,
     max_prob_route,
     segment,
@@ -43,27 +45,29 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=
 
 def width_loop_to_simplified(text, table):
     """The earlier converter: at each position try every phrase width from
-    the longest key's down to 2, then the single-character map."""
-    max_len = max((len(k) for k in table.phrase_map), default=0)
+    the longest key's down to 2, then the character keys."""
+    phrases = {k: v for k, v in table.mapping.items() if len(k) > 1}
+    chars = {k: v for k, v in table.mapping.items() if len(k) == 1}
+    max_len = max(map(len, phrases), default=0)
     out = []
     i = 0
     while i < len(text):
         for width in range(min(max_len, len(text) - i), 1, -1):
-            mapped = table.phrase_map.get(text[i:i + width])
+            mapped = phrases.get(text[i:i + width])
             if mapped is not None:
                 out.append(mapped)
                 i += width
                 break
         else:
-            out.append(table.char_map.get(text[i], text[i]))
+            out.append(chars.get(text[i], text[i]))
             i += 1
     return "".join(out)
 
 
 # Phrase keys, their characters and their prefixes, so that partial
 # matches and overlapping phrases come up often; plus arbitrary noise.
-_KEYS = sorted(TABLE.phrase_map)
-_KEY_CHARS = sorted({c for k in _KEYS for c in k} | set(TABLE.char_map))
+_KEYS = sorted(k for k in TABLE.mapping if len(k) > 1)
+_KEY_CHARS = sorted({c for k in TABLE.mapping for c in k})
 table_text = st.lists(st.one_of(
     st.sampled_from(_KEYS),
     st.sampled_from(_KEYS).map(lambda k: k[:-1]),
@@ -103,12 +107,12 @@ def small_table(draw):
                         + draw(st.text(_KEY_ALPHABET, max_size=2)))
         else:
             keys.append(draw(_key_text))
-    return ConversionTable.from_pairs((key, draw(_output_text)) for key in keys)
+    return ConversionTable({key: draw(_output_text) for key in keys})
 
 
 # Tables without phrase keys: character keys only, or no entries at all.
-char_only_table = st.lists(st.tuples(st.sampled_from(_KEY_ALPHABET), _output_text),
-                           max_size=6).map(ConversionTable.from_pairs)
+char_only_table = st.dictionaries(st.sampled_from(_KEY_ALPHABET), _output_text,
+                                  max_size=6).map(ConversionTable)
 small_text = st.text(_KEY_ALPHABET + "E", max_size=20)
 
 
@@ -150,7 +154,7 @@ def test_to_simplified_matches_width_loop_on_a_large_table():
         keys.update([key] if rng.random() < 0.5 else (key[:i] for i in range(2, len(key) + 1)))
     keys = sorted(keys)[:20_000]
     pairs = [(key, "".join(rng.choices("xy" + alphabet, k=rng.randint(1, 3)))) for key in keys]
-    table = ConversionTable.from_pairs(pairs + [("甲", "J"), ("己", "j")])
+    table = ConversionTable({**dict(pairs), "甲": "J", "己": "j"})
     text = seeded_text(rng, keys, alphabet + "z", 3000)
     assert to_simplified(text, table) == width_loop_to_simplified(text, table)
 
@@ -160,7 +164,7 @@ def test_to_simplified_matches_width_loop_on_a_longest_allowed_key():
     alphabet = "甲乙丙丁"
     n = MAX_WORD_LENGTH
     long_key = "".join(rng.choices(alphabet, k=n))
-    table = ConversionTable.from_pairs((long_key[:i], str(i)) for i in range(1, n + 1))
+    table = ConversionTable({long_key[:i]: str(i) for i in range(1, n + 1)})
     text = long_key + "z" + long_key[:n - 1] + long_key[:2] + "z" + long_key[1:n // 10]
     assert to_simplified(text, table) == width_loop_to_simplified(text, table)
 
@@ -378,7 +382,7 @@ def per_edge_log_routes(sentence, dag, lex):
 # fallbacks then score like frequency-1 words, and equal-frequency words
 # give routes that tie exactly.
 small_lexicon = st.dictionaries(st.text("abc", min_size=1, max_size=3),
-                                st.integers(1, 3), min_size=1, max_size=8).map(build_lexicon)
+                                st.integers(1, 3), min_size=1, max_size=8).map(Lexicon)
 
 
 @PROPERTY
@@ -425,7 +429,7 @@ def dag_everywhere_cut_han(run, lex, hmm):
 # in no word and spaces, so that many runs hold no word start.
 han_words = st.dictionaries(st.text("甲乙丙丁戊", min_size=1, max_size=3),
                             st.integers(1, 3), min_size=1, max_size=8)
-han_lexicon = han_words.map(build_lexicon)
+han_lexicon = han_words.map(Lexicon)
 
 
 @PROPERTY
@@ -442,7 +446,7 @@ def test_segment_matches_dag_on_every_run(lex, text, with_hmm):
 def test_segment_matches_dag_with_class_metacharacter_words(words, metas, text, with_hmm):
     # gaps are cut at the one-character words through one character class,
     # which these words would break unless escaped
-    lex = build_lexicon({**dict.fromkeys(metas, 1), **words})
+    lex = Lexicon({**dict.fromkeys(metas, 1), **words})
     hmm = RESOURCES.hmm if with_hmm else None
     want = [t for run in text.split() for t in dag_everywhere_cut_han(run, lex, hmm)]
     assert segment(text, lex, hmm) == want
@@ -514,7 +518,7 @@ def han_account(draw):
         texts.append(head[draw(st.integers(0, len(head))):]
                      + "".join(draw(st.lists(piece, max_size=4)))
                      + tail[:draw(st.integers(0, len(tail)))])
-    return ConversionTable.from_pairs(pairs), draw(han_lexicon), texts
+    return ConversionTable(dict(pairs)), draw(han_lexicon), texts
 
 
 @PROPERTY
@@ -623,3 +627,14 @@ def test_knn_index_over_counts_matches_exhaustive_sort(train, tf_mode, query_cou
     for size in (_LANES + 1, 2 * _LANES + 1):
         assert index.nearest([queries[j % len(queries)] for j in range(size)], k) == [
             wants[j % len(queries)] for j in range(size)]
+
+
+# Metric-like values in [0, 1], and values far apart in magnitude.
+_metric_values = st.lists(st.one_of(st.floats(0, 1), st.floats(-1e150, 1e150)), min_size=2, max_size=10)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from 3.11")
+@PROPERTY
+@given(_metric_values)
+def test_mean_std_matches_statistics(values):
+    assert mean_std(values) == (statistics.fmean(values), statistics.stdev(values))

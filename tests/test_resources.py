@@ -25,7 +25,7 @@ def test_bundled_files_exist():
 
 def test_load_resources_defaults():
     res = load_resources()
-    assert res.table.char_map["發"] == "发"
+    assert res.table.mapping["發"] == "发"
     assert "民主" in res.lexicon.entries
     assert res.hmm is not None
     assert res.hmm.start_logp.keys() <= {"B", "M", "E", "S"}
@@ -38,7 +38,7 @@ def test_load_resources_overrides(tmp_path):
     res = load_resources(dictionary=lex)
     assert res.lexicon.entries == {"猫": 3}
     # other resources still fall back to the bundled files
-    assert res.table.char_map["發"] == "发"
+    assert res.table.mapping["發"] == "发"
 
 
 @pytest.mark.parametrize("name", ["dictionary", "hmm", "table", "stopwords"])
@@ -116,7 +116,9 @@ def test_lengthened_word_error_names_the_word_as_written(tmp_path, synthetic_cor
 def test_lexicon_converts_as_word_by_word(tmp_path):
     # one conversion over the joined words gives each word's own conversion
     table = load_resources().table
-    words = sorted({*table.phrase_map, *list(table.char_map)[:500], "頭髮頭", "國", "民主"})
+    phrases = [key for key in table.mapping if len(key) > 1]
+    chars = [key for key in table.mapping if len(key) == 1][:500]
+    words = sorted({*phrases, *chars, "頭髮頭", "國", "民主"})
     path = tmp_path / "lexicon.txt"
     path.write_text("".join(f"{w} {i + 1}\n" for i, w in enumerate(words)), encoding="utf-8")
     res = load_resources(dictionary=path)

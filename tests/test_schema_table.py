@@ -281,7 +281,7 @@ def test_repeated_report_key_table(read, kind, path):
 # blank, whitespace-only, # and indented # lines around the valid line
 LINE_FORMATS = [
     (load_lexicon, "民主 5", lambda lex: lex.entries, {"民主": 5}),
-    (load_conversion_table, "髮\t发", lambda t: {**t.char_map, **t.phrase_map}, {"髮": "发"}),
+    (load_conversion_table, "髮\t发", lambda t: t.mapping, {"髮": "发"}),
     (load_stopwords, "的", lambda words: words, frozenset({"的"})),
     (_read_ids, "a1", lambda ids: ids, frozenset({"a1"})),
 ]

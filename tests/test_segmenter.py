@@ -28,7 +28,6 @@ from zhstance.segmenter import (
     Lexicon,
     LexiconError,
     build_dag,
-    build_lexicon,
     hmm_segment,
     load_hmm,
     load_lexicon,
@@ -150,7 +149,7 @@ def random_lexicon_and_sentence(rng):
         word = sentence[start:start + wlen] or rng.choice(alphabet)
         entries[word] = rng.randrange(1, 100)
     entries[rng.choice(alphabet)] = rng.randrange(1, 100)
-    return build_lexicon(entries), sentence
+    return Lexicon(entries), sentence
 
 
 def random_hmm(rng, full_coverage=False):
@@ -181,7 +180,7 @@ def random_hmm(rng, full_coverage=False):
 
 class TestLexicon:
     def test_build(self):
-        lex = build_lexicon({"中国": 5, "中": 2, "国": 3})
+        lex = Lexicon({"中国": 5, "中": 2, "国": 3})
         assert lex.total == 10
         assert build_dag("中国国", lex) == {0: [0, 1], 1: [1], 2: [2]}
 
@@ -189,7 +188,7 @@ class TestLexicon:
         # a hand-built lexicon cannot be given a total its entries do not have
         lex = Lexicon({"中国": 3, "中": 1})
         assert lex.total == 4
-        assert lex == build_lexicon({"中国": 3, "中": 1})
+        assert lex == Lexicon({"中": 1, "中国": 3})
         with pytest.raises(TypeError):
             Lexicon({"中": 1}, 5)
 
@@ -206,13 +205,13 @@ class TestLexicon:
     ])
     def test_invalid_entries_rejected(self, entries):
         with pytest.raises(LexiconError):
-            build_lexicon(entries)
+            Lexicon(entries)
 
     def test_word_length_bound(self):
         word = "中" * segmenter.MAX_WORD_LENGTH
-        assert build_lexicon({word: 1}).entries == {word: 1}
+        assert Lexicon({word: 1}).entries == {word: 1}
         with pytest.raises(LexiconError, match=f"is longer than {segmenter.MAX_WORD_LENGTH} characters"):
-            build_lexicon({word + "国": 1})
+            Lexicon({word + "国": 1})
 
     def test_load_word_length_bound(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -225,7 +224,7 @@ class TestLexicon:
         assert str(info.value) == f"{path}: line 2: word is longer than {segmenter.MAX_WORD_LENGTH} characters"
 
     def test_later_changes_to_entries_have_no_effect(self, bundled_hmm):
-        lex = build_lexicon({"中国": 5})
+        lex = Lexicon({"中国": 5})
         lex.entries["呣"] = 1  # before the lexicon is first used
         # "呣嘸" stays one gap that the HMM joins, as for the lexicon as built
         assert segment("中国呣嘸", lex, hmm=bundled_hmm) == ["中国", "呣嘸"]
@@ -261,22 +260,22 @@ class TestLexicon:
 
 class TestBuildDag:
     def test_edges_are_dictionary_words_plus_fallback(self):
-        lex = build_lexicon({"AB": 1, "ABC": 1, "C": 1})
+        lex = Lexicon({"AB": 1, "ABC": 1, "C": 1})
         dag = build_dag("ABC", lex)
         assert dag == {0: [0, 1, 2], 1: [1], 2: [2]}
 
     def test_fallback_present_even_for_oov(self):
-        lex = build_lexicon({"Z": 1})
+        lex = Lexicon({"Z": 1})
         assert build_dag("AB", lex) == {0: [0], 1: [1]}
 
     def test_prefix_pruning_stops_scan(self):
         # 'AC' is not a prefix of any word, so no edge 0->1 exists even
         # though 'A' is a word
-        lex = build_lexicon({"A": 1, "AB": 1})
+        lex = Lexicon({"A": 1, "AB": 1})
         assert build_dag("ACB", lex) == {0: [0], 1: [1], 2: [2]}
 
     def test_empty_sentence(self):
-        assert build_dag("", build_lexicon({"A": 1})) == {}
+        assert build_dag("", Lexicon({"A": 1})) == {}
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +285,7 @@ class TestBuildDag:
 class TestMaxProbRoute:
     @staticmethod
     def route(sentence, entries):
-        lex = build_lexicon(entries)
+        lex = Lexicon(entries)
         return max_prob_route(sentence, lex)
 
     def test_prefers_frequent_word(self):
@@ -316,14 +315,14 @@ class TestMaxProbRoute:
             assert route_score(sentence, lex) == oracle_best_cut_score(sentence, lex)
 
     def test_route_score_matches_chosen_route(self):
-        lex = build_lexicon({"AB": 3, "A": 2, "B": 1, "C": 5})
+        lex = Lexicon({"AB": 3, "A": 2, "B": 1, "C": 5})
         assert max_prob_route("ABC", lex) == ["AB", "C"]
         log_total = math.log(lex.total)
         assert route_score("ABC", lex) == (math.log(3) - log_total) + ((math.log(5) - log_total) + 0.0)
         assert route_score("ABC", lex) == oracle_best_cut_score("ABC", lex)
 
     def test_empty_sentence(self):
-        lex = build_lexicon({"A": 1})
+        lex = Lexicon({"A": 1})
         assert max_prob_route("", lex) == []
 
 

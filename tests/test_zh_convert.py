@@ -14,19 +14,15 @@ from zhstance.zh_convert import (
 
 
 def table_from(*pairs):
-    return ConversionTable.from_pairs(pairs)
+    return ConversionTable(dict(pairs))
 
 
 class TestFromPairs:
-    def test_split_by_key_length(self):
-        t = table_from(("發", "发"), ("頭髮", "头发"))
-        assert t.char_map == {"發": "发"}
-        assert t.phrase_map == {"頭髮": "头发"}
-        assert to_simplified("頭髮發", t) == "头发发"
+    """Tables built from (key, value) pairs."""
 
     def test_empty_table(self):
         t = table_from()
-        assert t.phrase_map == {} and t.char_map == {}
+        assert t.mapping == {}
         assert to_simplified("abc", t) == "abc"
 
     def test_empty_key_rejected(self):
@@ -46,6 +42,18 @@ class TestFromPairs:
         with pytest.raises(ConversionTableError, match="newline"):
             table_from(("頭", "头\n"))
 
+    @pytest.mark.parametrize("key, value", [(" 發", "发"), ("發 ", "发"), ("國 家", "国家"),
+                                            ("發", "发 x"), ("發", "\u3000"), ("\t", "x")])
+    def test_whitespace_rejected(self, key, value):
+        # the converted text is segmented, which cuts it at whitespace: a
+        # key " 發" would delete the space before 發
+        with pytest.raises(ConversionTableError, match="whitespace"):
+            table_from((key, value))
+
+    def test_empty_value_allowed(self):
+        # a file's value is never empty, but a table may delete a character
+        assert to_simplified("a發b", table_from(("發", ""))) == "ab"
+
     def test_key_past_the_word_bound_rejected(self):
         # the file loader's bound: the phrase pattern spells out every key,
         # and an overlong one makes it slow to compile
@@ -53,14 +61,15 @@ class TestFromPairs:
         with pytest.raises(ConversionTableError) as info:
             table_from(("發", "发"), (key, "发"))
         assert str(info.value) == f"key {key[:10]!r}... is longer than {MAX_WORD_LENGTH} characters"
-        assert table_from((key[1:], "发")).phrase_map == {key[1:]: "发"}
+        assert table_from((key[1:], "发")).mapping == {key[1:]: "发"}
 
 
 class TestConstructor:
-    """The constructor checks what from_pairs used to, so no table skips it."""
+    """The constructor checks every table. Each case gives the phrase keys
+    and the character keys apart; the table takes them as one mapping."""
 
     def test_valid_table(self):
-        t = ConversionTable({"頭髮": "头发"}, {"發": "发"})
+        t = ConversionTable({"頭髮": "头发", "發": "发"})
         assert to_simplified("頭髮發", t) == "头发发"
 
     @pytest.mark.parametrize("phrase_map, char_map, message", [
@@ -71,12 +80,10 @@ class TestConstructor:
         ({}, {"\n": "x"}, "newline"),
         ({"頭髮": "头\n发"}, {}, "newline"),
         ({}, {"發": "\n"}, "newline"),
-        ({}, {"頭髮": "头发"}, "key '頭髮' belongs in phrase_map"),
-        ({"發": "发"}, {}, "key '發' belongs in char_map"),
     ])
     def test_rejected(self, phrase_map, char_map, message):
         with pytest.raises(ConversionTableError, match=message):
-            ConversionTable(phrase_map, char_map)
+            ConversionTable({**phrase_map, **char_map})
 
 
 class TestLoadConversionTable:
@@ -84,13 +91,12 @@ class TestLoadConversionTable:
         path = tmp_path / "t.tsv"
         path.write_text("# comment\n發\t发\n  # an indented comment\n頭髮\t头发\n\n", encoding="utf-8")
         t = load_conversion_table(path)
-        assert t.char_map["發"] == "发"
-        assert t.phrase_map["頭髮"] == "头发"
+        assert t.mapping == {"發": "发", "頭髮": "头发"}
 
     def test_first_candidate_of_multi_value(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("乾\t干 乾\n", encoding="utf-8")
-        assert load_conversion_table(path).char_map["乾"] == "干"
+        assert load_conversion_table(path).mapping == {"乾": "干"}
 
     def test_missing_tab_rejected(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -105,6 +111,15 @@ class TestLoadConversionTable:
         path.write_text("發\t发\t發\n", encoding="utf-8")
         with pytest.raises(ConversionTableError, match="line 1: value .* holds whitespace"):
             load_conversion_table(path)
+
+    @pytest.mark.parametrize("line", [" 發\t发", "發 \t发", "國 家\t国家", "\u3000發\t发"])
+    def test_key_with_whitespace_rejected(self, tmp_path, line):
+        # " 發" would load as a phrase key and "發 " as a two-character one
+        path = tmp_path / "t.tsv"
+        path.write_text(f"國\t国\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConversionTableError) as info:
+            load_conversion_table(path)
+        assert str(info.value) == f"{path}: line 2: key {line.split(chr(9))[0]!r} holds whitespace"
 
     def test_empty_side_rejected(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -130,7 +145,7 @@ class TestLoadConversionTable:
         path = tmp_path / "t.tsv"
         key = "髮" * MAX_WORD_LENGTH
         path.write_text(f"發\t发\n{key}\t发\n", encoding="utf-8")
-        assert load_conversion_table(path).phrase_map == {key: "发"}
+        assert load_conversion_table(path).mapping == {"發": "发", key: "发"}
 
     def test_key_past_the_word_bound_rejected(self, tmp_path, capsys):
         # the lexicon's bound: a key's prefixes cost memory and compile time
@@ -201,5 +216,5 @@ class TestBundledTable:
 
     def test_conversion_is_idempotent(self, table):
         # converting twice equals converting once, for every mapped value
-        for value in list(table.char_map.values()) + list(table.phrase_map.values()):
+        for value in table.mapping.values():
             assert to_simplified(value, table) == value

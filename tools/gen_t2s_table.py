@@ -48,7 +48,7 @@ def _keep(key: str, value: str) -> bool:
 def fixpoint(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
     pairs = [(k, v) for k, v in dict(pairs).items() if _keep(k, v)]
     for _ in range(10):
-        table = ConversionTable.from_pairs(pairs)
+        table = ConversionTable(dict(pairs))
         rewritten = [(k, to_simplified(v, table)) for k, v in pairs]
         rewritten = [(k, v) for k, v in rewritten if _keep(k, v)]
         if rewritten == pairs:
@@ -62,7 +62,7 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 1
     pairs = fixpoint(read_pairs(argv[0]) + read_pairs(argv[1]))
-    table = ConversionTable.from_pairs(pairs)
+    table = ConversionTable(dict(pairs))
     for key, value in pairs:
         assert to_simplified(key, table) == value, (key, value)
         assert to_simplified(value, table) == value, (key, value)
