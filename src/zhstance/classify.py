@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt, sqrt
 
-from .vectorize import SparseVector, TfidfVectorizer, cosine_similarity
+from .vectorize import SparseVector, TfidfVectorizer, cosine_similarity  # perfbench/spans.py counts its calls
 
 WEIGHTINGS = ("uniform", "inverse")
 EPSILON = 1e-9
@@ -97,11 +97,10 @@ def _lanes(m: int, top: int):
 
 
 class KnnIndex:
-    """Training accounts in account_id order, each kept as its term counts
-    and its TF-IDF norm under the fitted vectorizer (transform's weights,
-    added left to right). No training vector and no postings are built: a
-    re-scored account's vector comes from vectorizer.transform, once per
-    nearest call, and is dropped once its queries are scored.
+    """Training accounts in account_id order, each kept as its term counts,
+    its TF-IDF norm under the fitted vectorizer (transform's weights, added
+    left to right) and its number of nonzero weights. No training vector
+    and no postings are built: a candidate is re-scored from its counts.
 
     Weights must be non-negative, as TF-IDF weights are, and a nonzero
     norm must lie in [2**-450, 2**450], which keeps under- and overflow
@@ -112,21 +111,19 @@ class KnnIndex:
         examples = sorted(train, key=lambda e: e[0])
         self.ids = [account_id for account_id, _, _ in examples]
         self.labels = [label for _, label, _ in examples]
-        self.vectorizer = vectorizer
-        self.accounts = []  # (counts, tf_divisor(counts), 2**B / norm or 0.0)
-        idf = vectorizer.idf
+        self.vectorizer, idf_of = vectorizer, vectorizer.idf.get
+        self.accounts = []  # (counts, tf_divisor(counts), norm, nonzero weights, 2**B / norm or 0.0)
         for _, _, counts in examples:
-            total, squares, negative = vectorizer.tf_divisor(counts), 0.0, False
+            total, squares, negative, size = vectorizer.tf_divisor(counts), 0.0, False, len(counts)
             for term, count in counts.items():
-                term_idf = idf.get(term)
-                if term_idf is not None:
-                    w = count / total * term_idf
-                    if w < 0.0:
-                        negative = True
-                    squares += w * w
+                w = count / total * idf_of(term, 0.0)  # 0.0 outside the vocabulary, which adds nothing
+                if w <= 0.0:  # a zero is no weight of transform's vector; a negative fails below
+                    size -= 1
+                    negative = negative or w < 0.0
+                squares += w * w
             norm = sqrt(squares)
             _check_vector(negative, norm)
-            self.accounts.append((counts, total, 2.0 ** _BITS / norm if norm else 0.0))
+            self.accounts.append((counts, total, norm, size, 2.0 ** _BITS / norm if norm else 0.0))
 
     def nearest(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
         """For each query, the first k accounts by (-cosine_similarity(query,
@@ -154,8 +151,8 @@ class KnnIndex:
         2 * isqrt(n) + 3 >= 2 * sqrt(n) + 1, 2**(B-10) * sqrt(n) <= n / 2
         + 512 and (n + 4) * 2**-20 < n / 2 + 8. So an account whose lane is
         more than slack below the k-th best has k accounts with a larger c.
-        The rest are re-scored with cosine_similarity, account by account
-        after the last pass, and sorted on (-c, account_id), except that a
+        The rest are re-scored from their counts, as cosine_similarity
+        would (_similarity), and sorted on (-c, account_id), except that a
         zero lane (no shared term positive on both sides) scores exactly
         0.0. So every similarity, and the order, is the exhaustive sort's.
         """
@@ -167,26 +164,33 @@ class KnnIndex:
         m = len(queries)
         step = -(-m // -(-m // _LANES))  # passes of equal size, none above _LANES
         scored = [[] for _ in queries]  # per query, (similarity, position) of each candidate
-        rescore: dict[int, list[int]] = {}  # position -> the queries that re-score it
         for start in range(0, m, step):
             batch = queries[start:start + step]
-            for j, query, col in zip(range(start, m), batch, self._pass(batch)):
+            for query, col, pairs in zip(batch, self._pass(batch), scored[start:start + step]):
                 n = len(query)
                 line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 1))
                 for i, lane in enumerate(col):
                     if lane >= line:
-                        if lane:
-                            rescore.setdefault(i, []).append(j)
-                        else:
-                            scored[j].append((0.0, i))
-        for i, js in rescore.items():
-            vec = self.vectorizer.transform(self.accounts[i][0])
-            for j in js:
-                scored[j].append((cosine_similarity(queries[j], vec), i))
-            del vec  # so that the next account's vector is built with this one gone
+                        pairs.append((self._similarity(query, i) if lane else 0.0, i))
         for pairs in scored:
             pairs.sort(key=lambda si: (-si[0], si[1]))
         return [[Neighbor(self.ids[i], self.labels[i], sim) for sim, i in pairs[:k]] for pairs in scored]
+
+    def _similarity(self, query: SparseVector, i: int) -> float:
+        """cosine_similarity(query, transform(account i's counts)) to the bit, from the counts."""
+        counts, d, norm, size, _ = self.accounts[i]
+        idf_of, total = self.vectorizer.idf.get, 0.0
+        if len(query) <= size:
+            get = counts.get
+            for term, qw in query.weights.items():
+                if count := get(term):
+                    total += qw * (count / d * idf_of(term, 0.0))
+        else:
+            get = query.weights.get
+            for term, count in counts.items():
+                if qw := get(term):
+                    total += count / d * idf_of(term, 0.0) * qw
+        return total / (query.norm * norm)
 
     def _pass(self, queries: list[SparseVector]):
         """Each query's lane column: its L for every account, in position order."""
@@ -199,7 +203,7 @@ class KnnIndex:
             for term, qw in query.weights.items():
                 lanes[term] = lanes.get(term, 0) | (int(qw * r) + 1) << shift
         idf, get, acc = self.vectorizer.idf, lanes.get, []
-        for counts, total, scale in self.accounts:
+        for counts, total, _, _, scale in self.accounts:
             a = 0
             if scale:
                 for term, count in counts.items():

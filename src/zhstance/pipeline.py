@@ -234,10 +234,12 @@ class Pipeline:
         vectorizer = fit_vectorizer(docs, tf_mode=self.config.tf)
         return vectorizer, [vectorizer.transform(doc) for doc in docs]
 
-    def predict(self, train: Corpus, queries: Corpus) -> tuple[list[AccountPrediction], KeysView[str]]:
+    def predict(self, train: Corpus, queries: Corpus,
+                vectorizer: TfidfVectorizer | None = None) -> tuple[list[AccountPrediction], KeysView[str]]:
         """Train the configured model on `train` and predict every query
         account, returned sorted by account_id along with the vocabulary
-        the model was fitted on, a view of the model's own term keys."""
+        the model was fitted on, a view of the model's own term keys. k-NN
+        fits a vectorizer on `train` unless it is given that one."""
         _require_labeled(train, "training")
         cfg = self.config
         ordered = sorted(queries.accounts, key=lambda a: a.account_id)
@@ -250,7 +252,7 @@ class Pipeline:
             vocabulary = index.postings.keys()
         else:
             docs = [self.account_counts(a) for a in train.accounts]
-            vectorizer = fit_vectorizer(docs, tf_mode=cfg.tf)
+            vectorizer = vectorizer or fit_vectorizer(docs, tf_mode=cfg.tf)
             index = KnnIndex(((a.account_id, a.label, c) for a, c in zip(train.accounts, docs)), vectorizer)
             preds = knn_predict([vectorizer.transform(self.account_counts(q)) for q in ordered],
                                 index, cfg.k, cfg.weighting)
@@ -258,19 +260,24 @@ class Pipeline:
         return [AccountPrediction(q.account_id, q.label, p.label, p.neighbors, dict(p.votes))
                 for q, p in zip(ordered, preds)], vocabulary
 
-    def score(self, train: Corpus, queries: Corpus) -> ScoredRun:
+    def score(self, train: Corpus, queries: Corpus, vectorizer: TfidfVectorizer | None = None) -> ScoredRun:
         """Train on `train`, predict every query account and score the
         predictions against the queries' labels."""
-        preds = self.predict(train, queries)[0]
+        preds = self.predict(train, queries, vectorizer)[0]
         m = confusion_matrix([p.label for p in preds], [p.predicted for p in preds], queries.label_set)
         return ScoredRun(m, metric_report(m), tuple(preds))
 
     def cross_validate(self, corpus: Corpus) -> CrossValResult:
         """k-fold cross-validation; each fold's model (IDF and all) is
-        fitted on that fold's training accounts only."""
+        fitted on that fold's training accounts only, k-NN's document
+        frequencies by subtraction from the whole corpus's (see without)."""
         _require_labeled(corpus, "cross-validation")
-        folds = [self.score(train, validation)
-                 for train, validation in kfold_splits(corpus, self.config.folds, self.config.seed)]
+        cfg, whole = self.config, None
+        if cfg.model == "knn":
+            whole = fit_vectorizer([self.account_counts(a) for a in corpus.accounts], tf_mode=cfg.tf)
+        folds = [self.score(train, validation,
+                            whole and whole.without([self.account_counts(a) for a in validation.accounts]))
+                 for train, validation in kfold_splits(corpus, cfg.folds, cfg.seed)]
         return CrossValResult(corpus.label_set, tuple(folds), _aggregate(folds, corpus.label_set))
 
     def evaluate_test_set(self, non_test: Corpus, test: Corpus) -> ScoredRun:

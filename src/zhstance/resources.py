@@ -57,12 +57,14 @@ class Resources:
         same word add their frequencies. Derived on first use, like
         token_stopwords. When conversion changes no entry, this is the
         loaded lexicon itself, not a second copy of it. A word that conversion
-        lengthens past MAX_WORD_LENGTH is an error naming the word as written."""
+        empties or lengthens past MAX_WORD_LENGTH is an error naming it as written."""
         entries: dict[str, int] = {}
         # One conversion over all the words: they hold no whitespace, and no
         # table key or value holds a newline, so the lines stay the words.
         converted = to_simplified("\n".join(self.lexicon.entries), self.table).split("\n")
         for (written, freq), word in zip(self.lexicon.entries.items(), converted):
+            if not word:
+                raise LexiconError(f"word {written!r} is empty after conversion, which deletes it")
             if len(word) > MAX_WORD_LENGTH:
                 raise LexiconError(f"word {written!r} is longer than {MAX_WORD_LENGTH} characters"
                                    f" after conversion, which lengthens it to {len(word)}")

@@ -92,6 +92,17 @@ class TfidfVectorizer:
         relative TF, 1 under raw TF (count / 1 is float(count) exactly)."""
         return sum(counts.values()) if self.tf_mode == "relative" else 1
 
+    def without(self, documents: list[dict[str, int]]) -> TfidfVectorizer:
+        """fit_vectorizer's result on the fitted corpus less these documents,
+        by subtraction: work per document term, not per vocabulary term."""
+        df = dict(self.document_frequency)
+        for counts in documents:
+            for term in counts:
+                df[term] -= 1
+                if not df[term]:
+                    del df[term]
+        return TfidfVectorizer(df, self.corpus_size - len(documents), self.tf_mode, self.log_base)
+
     def transform(self, counts: dict[str, int]) -> SparseVector:
         idf, total = self.idf, self.tf_divisor(counts)
         weights: dict[str, float] = {}

@@ -7,7 +7,6 @@ chain from scratch.
 
 import math
 import random
-import weakref
 from collections import Counter
 
 import pytest
@@ -271,6 +270,22 @@ class TestKnnIndexEdgeCases:
         assert cosine_similarity(query, y) > cosine_similarity(query, x)
         assert_exact(query, [("x", "X", x), ("y", "Y", y)], 1)
 
+    @pytest.mark.parametrize("counts, terms, dot", [
+        ({"a": 10 ** 16, "b": 1, "c": 1, "d": 1}, "bca", 1e16 + 2),  # over the query's terms
+        ({"a": 10 ** 16, "b": 1, "c": 1, "u": 3}, "bca", 1e16 + 2),  # as long: the query's still
+        ({"a": 10 ** 16, "b": 1, "c": 1, "u": 3}, "bcax", 1e16),  # over the account's counts
+    ], ids=["query-shorter", "as-long", "query-longer"])
+    def test_rescore_adds_in_dots_order(self, counts, terms, dot):
+        # 1e16 + 1 rounds back to 1e16, so (1e16 + 1) + 1 and (1 + 1) + 1e16
+        # differ: the re-score must add in dot()'s order. u's IDF is 0, so
+        # u's weight is absent and the account has three nonzero weights,
+        # against the query's three or four.
+        vectorizer = TfidfVectorizer({"a": 1, "b": 1, "c": 1, "d": 1, "u": 2}, 2, log_base=2)
+        query = SparseVector(dict.fromkeys(terms, 1.0))
+        vector = vectorizer.transform(counts)
+        got = KnnIndex([("x", "X", counts)], vectorizer).nearest([query], 1)[0][0].similarity
+        assert got == dot / (query.norm * vector.norm) == cosine_similarity(query, vector)
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ClassifierError):
             knn_index([("a", "X", vec(p=-1))])
@@ -349,33 +364,23 @@ class TestNearestMany:
                     assert len(got) == size
                     assert got == [oracle_neighbors(query, train, k) for query in batch]
 
-    def test_rescores_account_by_account(self, monkeypatch):
-        # Three passes: each re-scored account's vector is built once for
-        # the whole batch, and is gone before the next account's is built.
-        transform, built, alive = TfidfVectorizer.transform, [], []
-
-        def tracked(self, counts):
-            assert all(ref() is None for ref in alive), "two training vectors alive"
-            built.append(id(counts))
-            v = transform(self, counts)
-            alive.append(weakref.ref(v))
-            return v
+    def test_rescores_from_counts_with_no_transform(self, monkeypatch):
+        # Three passes: every candidate is re-scored from the index's counts,
+        # so no training account is transformed, and one account is still
+        # re-scored for queries of two passes with the oracle's similarity.
+        def refused(self, counts):
+            raise AssertionError("a training account was transformed")
 
         train, queries = random_batch(random.Random(2500))  # 8 accounts, 20 queries
         batch = [queries[j % len(queries)] for j in range(2 * _LANES + 1)]
         index = knn_index(train)
-        monkeypatch.setattr(TfidfVectorizer, "transform", tracked)
+        monkeypatch.setattr(TfidfVectorizer, "transform", refused)
         got = index.nearest(batch, 3)
         assert got == [oracle_neighbors(query, train, 3) for query in batch]
-        assert all(ref() is None for ref in alive)
-        account_of = {id(v.weights): account_id for account_id, _, v in train}
-        rescored = [account_of[i] for i in built]
-        assert len(rescored) == len(set(rescored))
         third = len(batch) // 3  # the size of each pass
         first, last = ({nb.account_id for nbs in got[part] for nb in nbs if nb.similarity > 0.0}
                        for part in (slice(0, third), slice(2 * third, None)))
         assert first & last  # some account is re-scored for queries of two passes
-        assert first | last <= set(rescored)
 
     def test_self_matches_fill_a_lane_without_carrying(self):
         # A query equal to a training vector puts about 2**30 in that

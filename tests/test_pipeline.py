@@ -189,12 +189,12 @@ class TestPredict:
         assert all(len(p.neighbors) == 3 for p in preds)
         assert "民主" in vocabulary
 
-    def test_knn_transforms_each_query_and_only_rescored_accounts(self, resources, monkeypatch):
+    def test_knn_transforms_each_query_and_no_training_account(self, resources, monkeypatch):
         # Ten of the twelve training accounts share no term with any query,
-        # so their lanes are 0: they are never re-scored and never get a
-        # vector. b0 is re-scored for two queries and transformed once. q3
-        # shares no term with training, so every lane of it is 0 and every
-        # account is a candidate at similarity 0.0, still with no vector.
+        # so their lanes are 0 and they are never re-scored. b0 is re-scored
+        # for two queries and d0 for one, both from their counts. q3 shares
+        # no term with training, so every lane of it is 0 and every account
+        # is a candidate at similarity 0.0. Only the queries are transformed.
         transform = TfidfVectorizer.transform
         calls = []
 
@@ -215,8 +215,8 @@ class TestPredict:
         preds, _ = pipe.predict(train, queries)
         assert [(p.account_id, p.predicted) for p in preds] == [
             ("q0", "Beijing"), ("q1", "Beijing"), ("q2", "Democracy"), ("q3", "Beijing")]
-        assert [id(c) for c in calls[:4]] == [id(pipe.account_counts(q)) for q in queries.accounts]
-        assert sorted(map(id, calls[4:])) == sorted(id(pipe.account_counts(a)) for a in (b0, d0))
+        assert [p.neighbors[0].account_id for p in preds] == ["b0", "b0", "d0", "b0"]
+        assert [id(c) for c in calls] == [id(pipe.account_counts(q)) for q in queries.accounts]
 
     def test_vocabulary_is_train_only(self, pipeline):
         corpus = make_corpus()
@@ -254,6 +254,15 @@ class TestPredict:
         for p in preds:
             for nb in p.neighbors:
                 assert 0.0 < nb.similarity <= 1.0
+
+    def test_top_terms_are_exactly_top_n(self, resources):
+        # six distinct terms: the stopword 的 is the most frequent and goes;
+        # 统一 and 自由 tie for second place, and the smaller term takes it
+        res = Resources(resources.table, resources.lexicon, resources.hmm, frozenset({"的"}))
+        pipe = Pipeline(res, PipelineConfig(model="baseline1", top_n=2))
+        acct = account("a", "B", "民主 民主 民主 的 的 的 的 统一 统一 自由 自由 人权 法治")
+        assert len(pipe.account_counts(acct)) == 6
+        assert pipe.top_terms(acct) == {"民主", "统一"}
 
     def test_baseline1_traditional_stopword_removes_simplified_token(self, resources, tmp_path):
         path = tmp_path / "stopwords.txt"

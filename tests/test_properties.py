@@ -1,5 +1,5 @@
-"""Property-based tests for conversion, segmentation and the top-term
-baseline (Hypothesis)."""
+"""Property-based tests for conversion, segmentation, both neighbour
+searches, fold document frequencies and fold statistics (Hypothesis)."""
 
 import math
 import random
@@ -627,6 +627,37 @@ def test_knn_index_over_counts_matches_exhaustive_sort(train, tf_mode, query_cou
     for size in (_LANES + 1, 2 * _LANES + 1):
         assert index.nearest([queries[j % len(queries)] for j in range(size)], k) == [
             wants[j % len(queries)] for j in range(size)]
+
+
+@st.composite
+def folded_counts(draw):
+    """Term counts of 2-12 documents, each dealt to one of up to 5 folds,
+    so that fold sizes differ. A document may also hold its fold's own
+    term, v0-v4, which occurs only in that fold's validation documents."""
+    n = draw(st.integers(2, 12))
+    folds = draw(st.permutations([0, 1] + [draw(st.integers(0, 4)) for _ in range(n - 2)]))
+    docs = []
+    for fold in folds:
+        items = list(draw(term_counts).items())
+        if draw(st.booleans()):
+            items.insert(draw(st.integers(0, len(items))), (f"v{fold}", draw(st.integers(1, 9))))
+        docs.append(dict(items))
+    return docs, folds
+
+
+@PROPERTY
+@given(folded_counts(), st.sampled_from(TF_MODES), st.sampled_from([None, 2.0, 10.0]))
+def test_fold_vectorizer_by_subtraction_is_the_training_fit(case, tf_mode, log_base):
+    docs, folds = case
+    whole = fit_vectorizer(docs, tf_mode, log_base)
+    for fold in set(folds):
+        validation = [doc for doc, f in zip(docs, folds) if f == fold]
+        train = [doc for doc, f in zip(docs, folds) if f != fold]
+        got, want = whole.without(validation), fit_vectorizer(train, tf_mode, log_base)
+        assert got.document_frequency == want.document_frequency
+        assert got.corpus_size == want.corpus_size == len(train)
+        assert got.idf == want.idf  # dict equality: every value ==
+        assert got == want
 
 
 # Metric-like values in [0, 1], and values far apart in magnitude.

@@ -9,13 +9,14 @@ from zhstance.resources import (
     BUNDLED_HMM,
     BUNDLED_LEXICON,
     BUNDLED_TABLE,
+    Resources,
     StopwordError,
     bundled_path,
     load_resources,
     load_stopwords,
 )
-from zhstance.segmenter import MAX_WORD_LENGTH, LexiconError
-from zhstance.zh_convert import to_simplified
+from zhstance.segmenter import MAX_WORD_LENGTH, Lexicon, LexiconError
+from zhstance.zh_convert import ConversionTable, to_simplified
 
 
 def test_bundled_files_exist():
@@ -111,6 +112,14 @@ def test_lengthened_word_error_names_the_word_as_written(tmp_path, synthetic_cor
             "--convert-table", str(table)]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_emptied_word_error_names_the_word_as_written():
+    # a table built in code may map a character to nothing, which a file cannot
+    res = Resources(ConversionTable({"國": ""}), Lexicon({"國": 1, "家": 2}), None, frozenset())
+    with pytest.raises(LexiconError) as info:
+        res.token_lexicon
+    assert str(info.value) == "word '國' is empty after conversion, which deletes it"
 
 
 def test_lexicon_converts_as_word_by_word(tmp_path):
