@@ -8,9 +8,14 @@ so a report is reproducible byte for byte from those inputs.
 
 from __future__ import annotations
 
+import os
+import pickle
 import re
+import signal
+import threading
 from collections import Counter
-from collections.abc import KeysView
+from collections.abc import KeysView, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date
 
@@ -219,6 +224,45 @@ class Pipeline:
             cached = self._counts[account] = Counter(map(self._interned.setdefault, tokens, tokens))
         return cached
 
+    def count_batch(self, accounts: Sequence[AccountRecord]) -> list[Counter[str]]:
+        """account_counts of each account. The uncached ones are cut in order into one chunk
+        per usable CPU (one without os.fork, beside another thread, or for one account): this
+        process counts the first, a forked child each other, and this process, in order, what none sends."""
+        todo = list(dict.fromkeys(a for a in accounts if a not in self._counts))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        parts = 1 if not hasattr(os, "fork") or threading.active_count() > 1 else min(cpus, len(todo)) or 1
+        chunks = [todo[i * len(todo) // parts:(i + 1) * len(todo) // parts] for i in range(parts)]
+        children = []  # (pid, read end) per chunk after the first
+        try:
+            for chunk in chunks[1:]:  # what tokenising derives lazily is derived before a fork
+                self.resources.token_lexicon._single_words, to_simplified("", self.resources.table)
+                r, w = os.pipe()
+                if not (pid := os.fork()):  # the child counts all, then sends: a full pipe would stall it
+                    try:
+                        os.close(r)  # so that a write fails, not blocks, once the parent is gone
+                        counted = [self.account_counts(account) for account in chunk]
+                        with open(w, "wb") as pipe:
+                            pipe.writelines(pickle.dumps((list(c), list(c.values()))) for c in counted)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(w)
+                children.append((pid, open(r, "rb")))
+            for account in chunks[0]:
+                self.account_counts(account)
+            for (_, pipe), chunk in zip(children, chunks[1:]):
+                with suppress(EOFError, pickle.UnpicklingError):  # a failed child sends short
+                    for account in chunk:
+                        terms, counts = pickle.load(pipe)
+                        self._counts[account] = counted = Counter()  # filled from the pairs: no 2nd dict
+                        dict.update(counted, zip(map(self._interned.setdefault, terms, terms), counts))
+        finally:  # a child that has sent its counts has nothing left to do
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        return [self.account_counts(a) for a in accounts]  # counts what no child sent
+
     def top_terms(self, account: AccountRecord) -> frozenset[str]:
         """The account's top_n terms after stopword removal, as a set."""
         cached = self._top_terms.get(account)
@@ -230,7 +274,7 @@ class Pipeline:
     def fit_transform(self, corpus: Corpus) -> tuple[TfidfVectorizer, list[SparseVector]]:
         """TF-IDF fitted on the corpus's accounts, and each of their
         vectors under it, in corpus order (for `zhstance vectorize`)."""
-        docs = [self.account_counts(a) for a in corpus.accounts]
+        docs = self.count_batch(corpus.accounts)
         vectorizer = fit_vectorizer(docs, tf_mode=self.config.tf)
         return vectorizer, [vectorizer.transform(doc) for doc in docs]
 
@@ -247,11 +291,12 @@ class Pipeline:
             preds = [baseline0_predict([a.label for a in train.accounts])] * len(ordered)
             vocabulary = {}.keys()
         elif cfg.model == "baseline1":
+            self.count_batch(train.accounts + queries.accounts)
             index = TermSetIndex((a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
             preds = baseline1_predict([self.top_terms(q) for q in ordered], index, cfg.k)
             vocabulary = index.postings.keys()
         else:
-            docs = [self.account_counts(a) for a in train.accounts]
+            docs = self.count_batch(train.accounts + queries.accounts)[:len(train.accounts)]
             vectorizer = vectorizer or fit_vectorizer(docs, tf_mode=cfg.tf)
             index = KnnIndex(((a.account_id, a.label, c) for a, c in zip(train.accounts, docs)), vectorizer)
             preds = knn_predict([vectorizer.transform(self.account_counts(q)) for q in ordered],
@@ -274,7 +319,7 @@ class Pipeline:
         _require_labeled(corpus, "cross-validation")
         cfg, whole = self.config, None
         if cfg.model == "knn":
-            whole = fit_vectorizer([self.account_counts(a) for a in corpus.accounts], tf_mode=cfg.tf)
+            whole = fit_vectorizer(self.count_batch(corpus.accounts), tf_mode=cfg.tf)
         folds = [self.score(train, validation,
                             whole and whole.without([self.account_counts(a) for a in validation.accounts]))
                  for train, validation in kfold_splits(corpus, cfg.folds, cfg.seed)]

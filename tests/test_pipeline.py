@@ -1,13 +1,17 @@
 """Tests for the pipeline: configuration, orchestration, and hygiene."""
 
 import dataclasses
+import os
+import pickle
+import threading
+import time
 from collections import Counter
 from datetime import date
 
 import pytest
 
 import zhstance.pipeline
-from zhstance.corpus import AccountRecord, Corpus, DateWindow, Tweet, kfold_splits, parse_timestamp
+from zhstance.corpus import AccountRecord, Corpus, DateWindow, Tweet, kfold_splits, load_corpus, parse_timestamp
 from zhstance.pipeline import (
     ConfigError,
     Pipeline,
@@ -48,6 +52,35 @@ def make_corpus():
         accounts.append(account(f"b{i}", "Beijing", BEIJING_TWEETS[i]))
         accounts.append(account(f"d{i}", "Democracy", DEMOCRACY_TWEETS[i]))
     return Corpus(("Beijing", "Democracy"), tuple(accounts))
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make count_batch see `cpus` usable CPUs, so that it cuts that many chunks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def assert_no_child_left():
+    """No child of this process is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def segment_calls(monkeypatch, tmp_path):
+    """The number of segment calls so far, made here or in a forked child:
+    each call appends a line to one file opened with O_APPEND, which every
+    process shares."""
+    segment, log = zhstance.pipeline.segment, tmp_path / "segment-calls"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def counting(*args):
+        os.write(fd, b"call\n")
+        return segment(*args)
+
+    monkeypatch.setattr(zhstance.pipeline, "segment", counting)
+    yield lambda: log.read_bytes().count(b"\n")
+    os.close(fd)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +206,122 @@ class TestAccountTokens:
         raw = Pipeline(resources, PipelineConfig(clean=False))
         acct = account("t", None, "#民主")
         assert raw.account_tokens(acct) == ["#", "民主"]
+
+
+class TestCountBatch:
+    @pytest.fixture
+    def accounts(self, synthetic_corpus_path):
+        # the fixture corpus, and accounts with traditional text, out-of-lexicon
+        # Han runs and terms shared with the fixture's first and last accounts
+        extra = (account("t1", None, "支持臺灣民主 香港的統一都繁榮 嘰哩咕嚕"),
+                 account("t2", None, "民主自由 國家發展 咕嚕嘰哩 abc 123"))
+        return load_corpus(synthetic_corpus_path).accounts + extra
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_sequential_counting(self, resources, accounts, monkeypatch, segment_calls, cpus):
+        use_cpus(monkeypatch, cpus)
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        pipe = Pipeline(resources, PipelineConfig())
+        cached = pipe.account_counts(accounts[3])
+        batch = pipe.count_batch(accounts + accounts[:2])
+        assert len(forks) == cpus - 1
+        assert segment_calls() == len(accounts)  # each once, the cached one before the batch
+        assert batch[3] is cached
+        assert batch[-2:] == batch[:2] and batch[-1] is batch[1]
+        terms = {}
+        for acct, counts in zip(accounts, batch):
+            assert type(counts) is Counter
+            assert list(counts.items()) == list(Counter(pipe.account_tokens(acct)).items())
+            for term in counts:  # one object per term, whichever process counted it
+                assert terms.setdefault(term, term) is term
+        assert len(terms) < sum(map(len, batch[:len(accounts)]))  # some terms are shared
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("bad", [["b01"], ["t2"], ["d05", "t2"]],
+                             ids=["parent-chunk", "last-child-chunk", "two-children"])
+    def test_error_is_the_sequential_one(self, resources, accounts, monkeypatch, cpus, bad):
+        tokens = Pipeline.account_tokens
+
+        def failing(self, acct):
+            if acct.account_id in bad:
+                raise ValueError(f"cannot tokenise {acct.account_id}")
+            return tokens(self, acct)
+
+        monkeypatch.setattr(Pipeline, "account_tokens", failing)
+        errors = []
+        for n in (1, cpus):
+            use_cpus(monkeypatch, n)
+            with pytest.raises(ValueError) as caught:
+                Pipeline(resources, PipelineConfig()).count_batch(accounts)
+            errors.append((type(caught.value), str(caught.value)))
+            assert_no_child_left()
+        assert errors[0] == errors[1] == (ValueError, f"cannot tokenise {bad[0]}")
+
+    def test_error_here_kills_the_children(self, resources, accounts, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        parent, tokens = os.getpid(), Pipeline.account_tokens
+
+        def stalling(self, acct):
+            if os.getpid() != parent and acct is accounts[-1]:
+                time.sleep(10)
+            elif acct is accounts[0]:
+                raise ValueError("cannot tokenise")
+            return tokens(self, acct)
+
+        monkeypatch.setattr(Pipeline, "account_tokens", stalling)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot tokenise"):
+            Pipeline(resources, PipelineConfig()).count_batch(accounts)
+        assert time.perf_counter() - start < 5  # the stalled child was killed, not waited for
+        assert_no_child_left()
+
+    def test_failed_child_is_counted_here(self, resources, accounts, monkeypatch):
+        # Three chunks of eight accounts. The second chunk's child exits
+        # nonzero and sends nothing; the third's sends its last account's
+        # pickle cut short. This process counts what did not arrive.
+        use_cpus(monkeypatch, 3)
+        parent, tokens, dumps = os.getpid(), Pipeline.account_tokens, pickle.dumps
+        counted_here = []
+
+        def dying(self, acct):
+            if os.getpid() == parent:
+                counted_here.append(acct)
+            elif acct.account_id == "d05":
+                os._exit(3)
+            return tokens(self, acct)
+
+        def truncating(obj, *args):
+            data = dumps(obj, *args)
+            return data[:len(data) // 2] if os.getpid() != parent and "abc" in obj[0] else data
+
+        monkeypatch.setattr(Pipeline, "account_tokens", dying)
+        monkeypatch.setattr(pickle, "dumps", truncating)
+        pipe = Pipeline(resources, PipelineConfig())
+        batch = pipe.count_batch(accounts)
+        monkeypatch.undo()
+        assert counted_here == [*accounts[:16], accounts[-1]]
+        assert [list(c.items()) for c in batch] == [list(Counter(pipe.account_tokens(a)).items())
+                                                   for a in accounts]
+        assert_no_child_left()
+
+    def test_no_fork_beside_another_thread(self, resources, accounts, monkeypatch):
+        def refused():
+            raise AssertionError("forked beside another thread")
+
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", refused)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            batch = Pipeline(resources, PipelineConfig()).count_batch(accounts)
+        finally:
+            release.set()
+            thread.join()
+        assert [list(c.items()) for c in batch] == [list(Counter(a).items()) for a in map(
+            Pipeline(resources, PipelineConfig()).account_tokens, accounts)]
 
 
 class TestPredict:
@@ -340,18 +489,13 @@ class TestCrossValidate:
         for (train, _), vocabulary in zip(splits, vocabularies):
             assert vocabulary == frozenset().union(*map(pipe.top_terms, train.accounts))
 
-    def test_knn_segments_each_account_once(self, resources, monkeypatch):
-        segment = zhstance.pipeline.segment
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return segment(*args)
-
-        monkeypatch.setattr(zhstance.pipeline, "segment", counting)
+    def test_knn_segments_each_account_once(self, resources, monkeypatch, segment_calls):
         corpus = make_corpus()
-        Pipeline(resources, PipelineConfig(k=3, folds=4)).cross_validate(corpus)
-        assert len(calls) == len(corpus.accounts)
+        for cpus in (1, 2, 3):  # one chunk, then forked children
+            use_cpus(monkeypatch, cpus)
+            before = segment_calls()
+            Pipeline(resources, PipelineConfig(k=3, folds=4)).cross_validate(corpus)
+            assert segment_calls() - before == len(corpus.accounts)
 
 
 class TestEvaluateTestSet:
