@@ -100,7 +100,7 @@ class KnnIndex:
     """Training accounts in account_id order, each kept as its term counts,
     its TF-IDF norm under the fitted vectorizer (transform's weights, added
     left to right) and its number of nonzero weights. No training vector
-    and no postings are built: a candidate is re-scored from its counts.
+    is built: a candidate is re-scored from its counts.
 
     Weights must be non-negative, as TF-IDF weights are, and a nonzero
     norm must lie in [2**-450, 2**450], which keeps under- and overflow
@@ -248,8 +248,7 @@ def top_k_terms(counts: dict[str, int], n: int, stopwords: frozenset[str] = froz
 
 
 class TermSetIndex:
-    """Training top-term sets in account_id order, and postings over them:
-    term -> the positions of the sets that hold it. Sets Q and M differ in
+    """Training top-term sets in account_id order. Sets Q and M differ in
     |Q| + |M| - 2|Q & M| terms, and lanes of 0/1 query vectors wide enough
     for the largest |Q| count every |Q & M| exactly, with no carry."""
 
@@ -257,30 +256,26 @@ class TermSetIndex:
         examples = sorted(((a, label, frozenset(terms)) for a, label, terms in train), key=lambda e: e[0])
         self.ids = [account_id for account_id, _, _ in examples]
         self.labels = [label for _, label, _ in examples]
+        self.sets = [terms for _, _, terms in examples]
         # |M| * n + position: with -2|Q & M| * n added, it orders by distance, then by account_id
-        self.base_keys = [len(terms) * len(examples) + i for i, (_, _, terms) in enumerate(examples)]
-        self.postings: dict[str, list[int]] = {}
-        for i, (_, _, terms) in enumerate(examples):
-            for term in terms:
-                self.postings.setdefault(term, []).append(i)
+        self.base_keys = [len(terms) * len(examples) + i for i, terms in enumerate(self.sets)]
 
     def nearest(self, queries: list, k: int) -> list[list[Neighbor]]:
         """For each query's terms, the first k accounts by (symmetric-difference
         distance, account_id), each with similarity 1/(1 + distance), scored
-        together in one pass over the postings; no queries need no valid k."""
+        together document at a time, as KnnIndex._pass scores: each set's
+        accumulator is the sum of its terms' lane ints. No queries need no valid k."""
         if not queries:
             return []
         n = len(self.ids)
         _check_k(k, n)
         sets = [frozenset(terms) for terms in queries]
         shifts, columns = _lanes(len(sets), max(map(len, sets)))
-        postings, lanes, acc = self.postings, {}, [0] * n
+        lanes: dict[str, int] = {}
         for shift, terms in zip(shifts, sets):
-            for term in terms & postings.keys():
+            for term in terms:
                 lanes[term] = lanes.get(term, 0) | 1 << shift
-        for term, lane in lanes.items():
-            for i in postings[term]:
-                acc[i] += lane
+        acc = [sum(filter(None, map(lanes.get, terms))) for terms in self.sets]  # None: in no query
         ids, labels, found = self.ids, self.labels, []
         for terms, col in zip(sets, columns(acc)):
             keys = heapq.nsmallest(k, [key - 2 * n * c for key, c in zip(self.base_keys, col)])

@@ -14,7 +14,7 @@ import re
 import signal
 import threading
 from collections import Counter
-from collections.abc import KeysView, Sequence
+from collections.abc import Sequence, Set
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date
@@ -234,8 +234,8 @@ class Pipeline:
         chunks = [todo[i * len(todo) // parts:(i + 1) * len(todo) // parts] for i in range(parts)]
         children = []  # (pid, read end) per chunk after the first
         try:
-            for chunk in chunks[1:]:  # what tokenising derives lazily is derived before a fork
-                self.resources.token_lexicon._single_words, to_simplified("", self.resources.table)
+            for chunk in chunks[1:]:
+                self.account_counts(chunks[0][0])  # before a fork: children inherit the tables it derives
                 r, w = os.pipe()
                 if not (pid := os.fork()):  # the child counts all, then sends: a full pipe would stall it
                     try:
@@ -279,11 +279,11 @@ class Pipeline:
         return vectorizer, [vectorizer.transform(doc) for doc in docs]
 
     def predict(self, train: Corpus, queries: Corpus,
-                vectorizer: TfidfVectorizer | None = None) -> tuple[list[AccountPrediction], KeysView[str]]:
+                vectorizer: TfidfVectorizer | None = None) -> tuple[list[AccountPrediction], Set[str]]:
         """Train the configured model on `train` and predict every query
         account, returned sorted by account_id along with the vocabulary
-        the model was fitted on, a view of the model's own term keys. k-NN
-        fits a vectorizer on `train` unless it is given that one."""
+        the model was fitted on: k-NN's document frequency keys (a view) or
+        baseline1's training terms. k-NN fits a vectorizer on `train` unless given one."""
         _require_labeled(train, "training")
         cfg = self.config
         ordered = sorted(queries.accounts, key=lambda a: a.account_id)
@@ -294,7 +294,7 @@ class Pipeline:
             self.count_batch(train.accounts + queries.accounts)
             index = TermSetIndex((a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
             preds = baseline1_predict([self.top_terms(q) for q in ordered], index, cfg.k)
-            vocabulary = index.postings.keys()
+            vocabulary = frozenset().union(*index.sets)
         else:
             docs = self.count_batch(train.accounts + queries.accounts)[:len(train.accounts)]
             vectorizer = vectorizer or fit_vectorizer(docs, tf_mode=cfg.tf)

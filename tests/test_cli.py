@@ -551,8 +551,8 @@ def test_unknown_corpus_key_exits_1(capsys, tmp_path):
 def test_crossval_bytes_independent_of_hash_seed(synthetic_corpus_path, model):
     """Criterion 8 reruns within one interpreter; set and dict order under
     different string hash seeds only shows across processes. baseline1
-    builds its postings and query lanes in top-term set iteration order,
-    so it is covered too."""
+    sets its query lanes and sums each training set's lanes in top-term
+    set iteration order, so it is covered too."""
     src = str(Path(zhstance.__file__).resolve().parents[1])
     blobs = []
     for hash_seed in ("1", "2"):

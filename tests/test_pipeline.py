@@ -22,7 +22,7 @@ from zhstance.pipeline import (
 )
 from zhstance.resources import Resources, load_resources
 from zhstance.segmenter import load_lexicon
-from zhstance.vectorize import TfidfVectorizer
+from zhstance.vectorize import TfidfVectorizer, fit_vectorizer
 
 WHEN = parse_timestamp("2021-02-01T00:00:00Z")
 
@@ -266,7 +266,7 @@ class TestCountBatch:
         def stalling(self, acct):
             if os.getpid() != parent and acct is accounts[-1]:
                 time.sleep(10)
-            elif acct is accounts[0]:
+            elif acct is accounts[1]:  # the first is counted before the fork
                 raise ValueError("cannot tokenise")
             return tokens(self, acct)
 
@@ -367,6 +367,24 @@ class TestPredict:
         assert [p.neighbors[0].account_id for p in preds] == ["b0", "b0", "d0", "b0"]
         assert [id(c) for c in calls] == [id(pipe.account_counts(q)) for q in queries.accounts]
 
+    @pytest.mark.parametrize("model", ["knn", "baseline1"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_query_sharing_a_training_id_is_counted_on_its_own(self, resources, monkeypatch, model, cpus):
+        # the caches key on the whole record, so a query that reuses b0's
+        # account_id with Democracy tweets is not read as the training b0
+        use_cpus(monkeypatch, cpus)
+        train = make_corpus()
+        query = account("b0", None, DEMOCRACY_TWEETS[1])
+        pipe = Pipeline(resources, PipelineConfig(model=model, k=3))
+        b0 = train.accounts[0]
+        assert b0.account_id == query.account_id and b0 != query
+        counted = pipe.count_batch([b0, query])
+        assert counted == [Counter(pipe.account_tokens(b0)), Counter(pipe.account_tokens(query))]
+        assert counted[0] != counted[1]
+        preds, _ = pipe.predict(train, Corpus(train.label_set, (query,)))
+        assert [(p.account_id, p.predicted) for p in preds] == [("b0", "Democracy")]
+        assert_no_child_left()
+
     def test_vocabulary_is_train_only(self, pipeline):
         corpus = make_corpus()
         queries = Corpus(corpus.label_set, (account("q", None, "中华人民共和国民主"),))
@@ -461,6 +479,32 @@ class TestCrossValidate:
         assert held_out
         for vocabulary in held_out:
             assert "集会" not in vocabulary
+
+    @pytest.mark.parametrize("tf", ["raw", "relative"])
+    def test_fold_vectorizers_equal_a_fit_on_the_fold(self, resources, monkeypatch, tf):
+        # cross_validate hands each fold a vectorizer taken by subtraction
+        # from the whole corpus's (without); it must be the fit on that
+        # fold's training counts, and predict(train, validation) alone,
+        # which fits afresh, would not show it
+        knn_index, seen = zhstance.pipeline.KnnIndex, []
+
+        def recording(train, vectorizer):
+            train = list(train)
+            seen.append(([account_id for account_id, _, _ in train], vectorizer))
+            return knn_index(train, vectorizer)
+
+        monkeypatch.setattr(zhstance.pipeline, "KnnIndex", recording)
+        pipe = Pipeline(resources, PipelineConfig(k=3, folds=4, tf=tf))
+        corpus = make_corpus()
+        pipe.cross_validate(corpus)
+        splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
+        assert len(seen) == len(splits)
+        for (train, _), (ids, got) in zip(splits, seen):
+            assert ids == [a.account_id for a in train.accounts]
+            want = fit_vectorizer([pipe.account_counts(a) for a in train.accounts], tf_mode=tf)
+            assert got.document_frequency == want.document_frequency
+            assert got.corpus_size == want.corpus_size == len(train.accounts)
+            assert got.idf == want.idf and got.tf_mode == tf
 
     def test_unlabeled_rejected(self, pipeline):
         corpus = Corpus(("B",), (account("a", None, "民主"), account("b", "B", "统一")))
