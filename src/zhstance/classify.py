@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import isqrt, sqrt
 
@@ -21,7 +21,7 @@ from .vectorize import SparseVector, TfidfVectorizer, cosine_similarity  # perfb
 WEIGHTINGS = ("uniform", "inverse")
 EPSILON = 1e-9
 _BITS = 15  # a unit weight becomes about 2**15 in the k-NN lanes
-_LANES = 112  # keeps each k-NN accumulator within CPython's 512-byte small objects
+_LANE_BYTES = 448  # of lanes per accumulator: each stays within CPython's 512-byte small objects
 _MIN_NORM = 2.0 ** -450
 
 KnnExample = tuple[str, str, dict[str, int]]  # (account_id, label, term counts)
@@ -83,17 +83,37 @@ def _check_vector(negative: bool, norm: float):
         raise ClassifierError(f"k-NN vector norm {norm!r} is outside [2**-450, 2**450]")
 
 
-def _lanes(m: int, top: int):
-    """Query j's shift among m lanes of one int, each the narrowest of 1, 2,
-    4 or 8 bytes that holds `top`, in the byte order memoryview.cast reads;
-    and a reader that empties a list of such ints into per-query columns."""
-    width, fmt = next((w, f) for w, f in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if top < 256 ** w)
+def _width(top: int) -> tuple[int, str]:
+    """The narrowest of 1, 2, 4 or 8 bytes that holds `top`, and its memoryview format."""
+    return next((w, f) for w, f in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if top < 256 ** w)
 
-    def columns(acc: list[int]):
+
+def _lanes(m: int, top: int):
+    """Query j's shift among m lanes of one int, each _width(top) bytes, in
+    the byte order memoryview.cast reads; and a reader that turns such ints,
+    one per account, into per-query columns."""
+    width, fmt = _width(top)
+
+    def columns(acc: Iterable[int]):
         view = memoryview(b"".join([a.to_bytes(width * m, sys.byteorder) for a in acc])).cast(fmt)
-        acc.clear()
         return (view[j::m].tolist() for j in range(m))
     return [8 * width * (j if sys.byteorder == "little" else m - 1 - j) for j in range(m)], columns
+
+
+def _passes(queries: list, top: int, lane_ints, accumulate):
+    """Each query and its column, in order, from passes of equal size with at most _LANE_BYTES
+    of lanes for `top` per accumulator. A pass ORs each (term, V) of lane_ints(query) into one
+    lane dict and takes accumulate(lanes.get); the next starts once its last column is taken."""
+    m = len(queries)
+    step = -(-m // -(-m // (_LANE_BYTES // _width(top)[0])))
+    for start in range(0, m, step):
+        batch = queries[start:start + step]
+        shifts, columns = _lanes(len(batch), top)
+        lanes: dict[str, int] = {}
+        for shift, query in zip(shifts, batch):
+            for term, v in lane_ints(query):
+                lanes[term] = lanes.get(term, 0) | v << shift
+        yield from zip(batch, columns(accumulate(lanes.get)))
 
 
 class KnnIndex:
@@ -127,8 +147,8 @@ class KnnIndex:
 
     def nearest(self, queries: list[SparseVector], k: int) -> list[list[Neighbor]]:
         """For each query, the first k accounts by (-cosine_similarity(query,
-        vec), account_id), scored together, at most _LANES queries per pass
-        over the training accounts; no queries need no valid k.
+        vec), account_id), scored together in _passes of at most 112 queries
+        (4-byte lanes) over the training accounts; no queries need no valid k.
 
         With B = 15 and u = 2**-53, a positive weight w of a vector of norm
         N becomes U = floor(w * (2**B / N)) + 1 >= 1, both operations
@@ -161,20 +181,17 @@ class KnnIndex:
         _check_k(k, len(self.ids))
         for query in queries:
             _check_vector(bool(query.weights) and min(query.weights.values()) < 0.0, query.norm)
-        m = len(queries)
-        step = -(-m // -(-m // _LANES))  # passes of equal size, none above _LANES
-        scored = [[] for _ in queries]  # per query, (similarity, position) of each candidate
-        for start in range(0, m, step):
-            batch = queries[start:start + step]
-            for query, col, pairs in zip(batch, self._pass(batch), scored[start:start + step]):
-                n = len(query)
-                line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 1))
-                for i, lane in enumerate(col):
-                    if lane >= line:
-                        pairs.append((self._similarity(query, i) if lane else 0.0, i))
-        for pairs in scored:
+        found = []
+        for query, col in _passes(queries, 2 ** 32 - 1, self._lane_ints, self._accumulate):
+            n = len(query)
+            line = heapq.nlargest(k, col)[-1] - ((2 * isqrt(n) + 3 << _BITS) + (n + 4 << 1))
+            pairs = []  # (similarity, position) of each candidate
+            for i, lane in enumerate(col):
+                if lane >= line:
+                    pairs.append((self._similarity(query, i) if lane else 0.0, i))
             pairs.sort(key=lambda si: (-si[0], si[1]))
-        return [[Neighbor(self.ids[i], self.labels[i], sim) for sim, i in pairs[:k]] for pairs in scored]
+            found.append([Neighbor(self.ids[i], self.labels[i], sim) for sim, i in pairs[:k]])
+        return found
 
     def _similarity(self, query: SparseVector, i: int) -> float:
         """cosine_similarity(query, transform(account i's counts)) to the bit, from the counts."""
@@ -192,17 +209,15 @@ class KnnIndex:
                     total += count / d * idf_of(term, 0.0) * qw
         return total / (query.norm * norm)
 
-    def _pass(self, queries: list[SparseVector]):
-        """Each query's lane column: its L for every account, in position order."""
-        shifts, columns = _lanes(len(queries), 2 ** 32 - 1)
-        lanes: dict[str, int] = {}
-        for shift, query in zip(shifts, queries):
-            if query.norm == 0.0:
-                continue
-            r = 2.0 ** _BITS / query.norm
-            for term, qw in query.weights.items():
-                lanes[term] = lanes.get(term, 0) | (int(qw * r) + 1) << shift
-        idf, get, acc = self.vectorizer.idf, lanes.get, []
+    @staticmethod
+    def _lane_ints(query: SparseVector):
+        """(term, V) for each of the query's weights; none for a zero norm."""
+        r = 2.0 ** _BITS / query.norm if query.norm else 0.0
+        return ((term, int(qw * r) + 1) for term, qw in query.weights.items() if r)
+
+    def _accumulate(self, get) -> Iterator[int]:
+        """Each account's sum of U * lanes[term] over its terms, in position order."""
+        idf = self.vectorizer.idf
         for counts, total, _, _, scale in self.accounts:
             a = 0
             if scale:
@@ -210,9 +225,7 @@ class KnnIndex:
                     lane = get(term)
                     if lane and (w := count / total * idf.get(term, 0.0)):
                         a += (int(w * scale) + 1) * lane
-            acc.append(a)
-        del lanes
-        return columns(acc)
+            yield a
 
 
 def knn_predict(queries: list[SparseVector], index: KnnIndex, k: int = 5,
@@ -263,21 +276,16 @@ class TermSetIndex:
     def nearest(self, queries: list, k: int) -> list[list[Neighbor]]:
         """For each query's terms, the first k accounts by (symmetric-difference
         distance, account_id), each with similarity 1/(1 + distance), scored
-        together document at a time, as KnnIndex._pass scores: each set's
-        accumulator is the sum of its terms' lane ints. No queries need no valid k."""
+        together in _passes, as KnnIndex scores: each set's accumulator is the
+        sum of its terms' lane ints (None: in no query). No queries need no valid k."""
         if not queries:
             return []
         n = len(self.ids)
         _check_k(k, n)
         sets = [frozenset(terms) for terms in queries]
-        shifts, columns = _lanes(len(sets), max(map(len, sets)))
-        lanes: dict[str, int] = {}
-        for shift, terms in zip(shifts, sets):
-            for term in terms:
-                lanes[term] = lanes.get(term, 0) | 1 << shift
-        acc = [sum(filter(None, map(lanes.get, terms))) for terms in self.sets]  # None: in no query
         ids, labels, found = self.ids, self.labels, []
-        for terms, col in zip(sets, columns(acc)):
+        for terms, col in _passes(sets, max(map(len, sets)), lambda terms: ((term, 1) for term in terms),
+                                  lambda get: (sum(filter(None, map(get, terms))) for terms in self.sets)):
             keys = heapq.nsmallest(k, [key - 2 * n * c for key, c in zip(self.base_keys, col)])
             found.append([Neighbor(ids[i], labels[i], 1.0 / (1.0 + len(terms) + d))
                           for d, i in (divmod(key, n) for key in keys)])

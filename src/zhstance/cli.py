@@ -30,7 +30,6 @@ from .pipeline import (
     ConfigError,
     Pipeline,
     PipelineConfig,
-    PipelineError,
     config_values,
 )
 from .report import (
@@ -203,14 +202,10 @@ def cmd_vectorize(args) -> int:
 
 def cmd_classify(args) -> int:
     config, pipe, corpus = _load_pipeline(args)
-    train = labeled_accounts(corpus)
-    if len(train) == 0:
-        raise PipelineError("no labeled training accounts after filtering")
-    queries = load_corpus(args.queries)
     # Query accounts are never dropped (both floors are 0), but their
     # tweets are still restricted to the collection window for comparability.
-    trimmed = filter_accounts(queries, 0, 0, config.window)
-    preds, _ = pipe.predict(train, trimmed)
+    trimmed = filter_accounts(load_corpus(args.queries), 0, 0, config.window)
+    preds = pipe.predict(labeled_accounts(corpus), trimmed)
     return _write(args, [prediction_dict(p) for p in preds])
 
 

@@ -14,7 +14,7 @@ import re
 import signal
 import threading
 from collections import Counter
-from collections.abc import Sequence, Set
+from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date
@@ -279,36 +279,33 @@ class Pipeline:
         return vectorizer, [vectorizer.transform(doc) for doc in docs]
 
     def predict(self, train: Corpus, queries: Corpus,
-                vectorizer: TfidfVectorizer | None = None) -> tuple[list[AccountPrediction], Set[str]]:
-        """Train the configured model on `train` and predict every query
-        account, returned sorted by account_id along with the vocabulary
-        the model was fitted on: k-NN's document frequency keys (a view) or
-        baseline1's training terms. k-NN fits a vectorizer on `train` unless given one."""
+                vectorizer: TfidfVectorizer | None = None) -> list[AccountPrediction]:
+        """Train the configured model on `train` and predict every query account, returned
+        sorted by account_id. k-NN fits a vectorizer on `train` unless given one."""
+        if not train.accounts:
+            raise PipelineError("no labeled training accounts")
         _require_labeled(train, "training")
         cfg = self.config
         ordered = sorted(queries.accounts, key=lambda a: a.account_id)
         if cfg.model == "baseline0":
             preds = [baseline0_predict([a.label for a in train.accounts])] * len(ordered)
-            vocabulary = {}.keys()
-        elif cfg.model == "baseline1":
-            self.count_batch(train.accounts + queries.accounts)
-            index = TermSetIndex((a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
-            preds = baseline1_predict([self.top_terms(q) for q in ordered], index, cfg.k)
-            vocabulary = frozenset().union(*index.sets)
         else:
             docs = self.count_batch(train.accounts + queries.accounts)[:len(train.accounts)]
-            vectorizer = vectorizer or fit_vectorizer(docs, tf_mode=cfg.tf)
-            index = KnnIndex(((a.account_id, a.label, c) for a, c in zip(train.accounts, docs)), vectorizer)
-            preds = knn_predict([vectorizer.transform(self.account_counts(q)) for q in ordered],
-                                index, cfg.k, cfg.weighting)
-            vocabulary = vectorizer.document_frequency.keys()
+            if cfg.model == "baseline1":
+                index = TermSetIndex((a.account_id, a.label, self.top_terms(a)) for a in train.accounts)
+                preds = baseline1_predict([self.top_terms(q) for q in ordered], index, cfg.k)
+            else:
+                vectorizer = vectorizer or fit_vectorizer(docs, tf_mode=cfg.tf)
+                index = KnnIndex(((a.account_id, a.label, c) for a, c in zip(train.accounts, docs)), vectorizer)
+                preds = knn_predict([vectorizer.transform(self.account_counts(q)) for q in ordered],
+                                    index, cfg.k, cfg.weighting)
         return [AccountPrediction(q.account_id, q.label, p.label, p.neighbors, dict(p.votes))
-                for q, p in zip(ordered, preds)], vocabulary
+                for q, p in zip(ordered, preds)]
 
     def score(self, train: Corpus, queries: Corpus, vectorizer: TfidfVectorizer | None = None) -> ScoredRun:
         """Train on `train`, predict every query account and score the
         predictions against the queries' labels."""
-        preds = self.predict(train, queries, vectorizer)[0]
+        preds = self.predict(train, queries, vectorizer)
         m = confusion_matrix([p.label for p in preds], [p.predicted for p in preds], queries.label_set)
         return ScoredRun(m, metric_report(m), tuple(preds))
 

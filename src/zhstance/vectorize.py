@@ -83,10 +83,6 @@ class TfidfVectorizer:
         object.__setattr__(self, "idf", {
             term: by_df[df] for term, df in self.document_frequency.items()})
 
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        return frozenset(self.document_frequency)
-
     def tf_divisor(self, counts: dict[str, int]) -> int:
         """d in a term's weight count / d * idf[term]: the counts' total under
         relative TF, 1 under raw TF (count / 1 is float(count) exactly)."""

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import zhstance.pipeline
 from zhstance.classify import KnnIndex, knn_predict, vote_weight
 from zhstance.cli import main
 from zhstance.corpus import (
@@ -255,7 +256,7 @@ def test_criterion_4_vector_invariances():
             if reference is None:
                 reference = order
             assert order == reference
-    assert base.vocabulary == frozenset(vocab)
+    assert set(base.document_frequency) == set(vocab)
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +331,21 @@ def test_criterion_5_knn_oracle():
 # criteria 6-8 share one cross-validation run over the bundled corpus
 # ----------------------------------------------------------------------
 
+def cross_validate_recording(pipe, corpus):
+    """pipe.cross_validate(corpus), and the vocabulary of each fold's k-NN
+    index as cross_validate builds it: the document frequency keys of the
+    vectorizer that the fold's KnnIndex is given."""
+    vocabularies = []
+
+    def recording(train, vectorizer):
+        vocabularies.append(frozenset(vectorizer.document_frequency))
+        return KnnIndex(train, vectorizer)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zhstance.pipeline, "KnnIndex", recording)
+        return pipe.cross_validate(corpus), vocabularies
+
+
 @pytest.fixture(scope="module")
 def crossval_run(synthetic_corpus_path):
     config = PipelineConfig(corpus=str(synthetic_corpus_path))
@@ -338,11 +354,11 @@ def crossval_run(synthetic_corpus_path):
         load_corpus(synthetic_corpus_path),
         config.min_followers, config.min_tweets, config.window))
     pipe = Pipeline(load_resources(), config)
-    result = pipe.cross_validate(corpus)
+    result, vocabularies = cross_validate_recording(pipe, corpus)
     payload = dumps_report(crossval_report(result, config))
     elapsed = time.monotonic() - started
-    return SimpleNamespace(config=config, corpus=corpus, pipe=pipe,
-                           result=result, payload=payload, elapsed=elapsed)
+    return SimpleNamespace(config=config, corpus=corpus, pipe=pipe, result=result,
+                           vocabularies=vocabularies, payload=payload, elapsed=elapsed)
 
 
 def test_criterion_6_synthetic_separability(crossval_run):
@@ -361,13 +377,15 @@ def test_criterion_7_no_validation_leakage(crossval_run, synthetic_corpus_path):
     tokens_of = {a.account_id: set(run.pipe.account_tokens(a))
                  for a in run.corpus.accounts}
     splits = kfold_splits(run.corpus, cfg.folds, cfg.seed)
-    for fold, (train, validation) in zip(run.result.folds, splits, strict=True):
+    # each fold's vocabulary is the one its reported predictions were made with
+    for fold, vocabulary, (_, validation) in zip(run.result.folds, run.vocabularies, splits, strict=True):
         held_out = set(fold.validation_ids)
         assert held_out == set(validation.account_ids)
         train_terms = set().union(
             *(toks for aid, toks in tokens_of.items() if aid not in held_out))
         val_only = set().union(*(tokens_of[aid] for aid in held_out)) - train_terms
-        assert not (val_only & run.pipe.predict(train, validation)[1])
+        assert not (val_only & vocabulary)
+        assert vocabulary == train_terms
 
     # every surviving term in the bundled corpus is shared across many
     # accounts, so the check above can pass vacuously; plant a term
@@ -385,10 +403,10 @@ def test_criterion_7_no_validation_leakage(crossval_run, synthetic_corpus_path):
     probe_corpus = labeled_accounts(filter_accounts(
         Corpus(base.label_set, tuple(accounts)),
         cfg.min_followers, cfg.min_tweets, cfg.window))
-    probe = Pipeline(load_resources(), cfg)
+    _, vocabularies = cross_validate_recording(Pipeline(load_resources(), cfg), probe_corpus)
     held, trained = [], []
-    for train, validation in kfold_splits(probe_corpus, cfg.folds, cfg.seed):
-        vocabulary = probe.predict(train, validation)[1]
+    splits = kfold_splits(probe_corpus, cfg.folds, cfg.seed)
+    for (_, validation), vocabulary in zip(splits, vocabularies, strict=True):
         (held if "b03" in validation.account_ids else trained).append(vocabulary)
     assert held and trained
     for vocabulary in held:

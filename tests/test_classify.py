@@ -11,13 +11,14 @@ from collections import Counter
 
 import pytest
 
+import zhstance.classify
 from zhstance.classify import (
     ClassifierError,
     KnnIndex,
     Neighbor,
     Prediction,
     TermSetIndex,
-    _LANES,
+    _LANE_BYTES,
     baseline0_predict,
     baseline1_predict,
     knn_predict,
@@ -25,6 +26,8 @@ from zhstance.classify import (
     vote_weight,
 )
 from zhstance.vectorize import SparseVector, TfidfVectorizer, cosine_similarity
+
+_LANES = _LANE_BYTES // 4  # k-NN queries per pass, in 4-byte lanes
 
 
 def vec(**weights):
@@ -511,3 +514,68 @@ class TestBaseline1:
         assert [(nb.account_id, nb.similarity) for nb in p.neighbors] == [("a1", 1.0), ("a2", 1.0 / 303.0)]
         alone = baseline1_predict([("p",)], index, k=2)[0]
         assert baseline1_predict([wide, frozenset({"p"})], index, k=2) == [p, alone]
+
+
+def exhaustive_term_sets(query, train, k):
+    """Every training set's symmetric-difference distance to the query, then
+    a full sort on (distance, account_id)."""
+    ranked = sorted((len(frozenset(query) ^ terms), account_id, label) for account_id, label, terms in train)
+    return [Neighbor(account_id, label, 1.0 / (1.0 + d)) for d, account_id, label in ranked[:k]]
+
+
+def record_lanes(monkeypatch) -> list:
+    """(m, top) of every _lanes call from now on."""
+    calls, lanes = [], zhstance.classify._lanes
+
+    def recording(m, top):
+        calls.append((m, top))
+        return lanes(m, top)
+
+    monkeypatch.setattr(zhstance.classify, "_lanes", recording)
+    return calls
+
+
+class TestTermSetPasses:
+    @pytest.mark.parametrize("wide, passes", [
+        (False, [[448], [225, 224], [299, 299, 299]]),
+        (True, [[224], [113, 112], [150, 150, 149]]),
+    ], ids=["1-byte", "2-byte"])
+    def test_batches_across_pass_boundaries(self, monkeypatch, wide, passes):
+        # A full pass, one query over it (two passes of equal size), and two
+        # passes' worth plus one (three): every query still gets the
+        # exhaustive sort's neighbours, whichever pass and lane it lands in.
+        # Lanes of 1 byte take 448 queries a pass; one query set of over 255
+        # terms makes every lane of its call 2 bytes wide, so 224 fill a pass,
+        # and it shares all 300 terms with one training set.
+        rng = random.Random(3400)
+        vocab = [f"t{i}" for i in range(40)]
+        big = frozenset(vocab + [f"w{i}" for i in range(260)])
+        train = [(f"a{i:02d}", "XY"[i % 2], frozenset(rng.sample(vocab, rng.randrange(0, 12)))) for i in range(30)]
+        train.append(("a30", "Y", big))
+        index = TermSetIndex(train)
+        calls = record_lanes(monkeypatch)
+        for want in passes:
+            batch = [frozenset(rng.sample(vocab, rng.randrange(0, 12))) for _ in range(sum(want))]
+            if wide:
+                batch[rng.randrange(len(batch))] = big
+            for k in (1, 7, len(train)):
+                del calls[:]
+                assert index.nearest(batch, k) == [exhaustive_term_sets(q, train, k) for q in batch]
+                assert [m for m, _ in calls] == want
+
+    @pytest.mark.parametrize("model", ["knn", "baseline1"])
+    def test_every_pass_holds_at_most_448_lane_bytes(self, monkeypatch, model):
+        # each accumulator stays within CPython's 512-byte small objects
+        rng = random.Random(3500)
+        terms = [[f"t{j}" for j in range(i % 7)] for i in range(20)]
+        if model == "knn":
+            index = knn_index([(f"a{i:02d}", "XY"[i % 2], vec(**dict.fromkeys(t, 2))) for i, t in enumerate(terms)])
+            queries = [vec(**{f"t{j % 5}": 1 + j % 3}) for j in range(1000)]
+        else:
+            index = TermSetIndex([(f"a{i:02d}", "XY"[i % 2], frozenset(t)) for i, t in enumerate(terms)])
+            queries = [frozenset(f"t{rng.randrange(9)}" for _ in range(rng.randrange(0, 6))) for _ in range(1000)]
+        calls = record_lanes(monkeypatch)
+        assert len(index.nearest(queries, 3)) == 1000
+        assert sum(m for m, _ in calls) == 1000
+        for m, top in calls:
+            assert m * next(w for w in (1, 2, 4, 8) if top < 256 ** w) <= 448

@@ -352,6 +352,16 @@ class TestTestCommand:
         assert out == ""
         assert f"error: {ids}: {message}" in err
 
+    @pytest.mark.parametrize("model", ["knn", "baseline0", "baseline1"])
+    def test_every_labeled_account_held_out_exits_1(self, capsys, tmp_path, model):
+        # one error for every model: none is left to fail in its own way
+        ids = tmp_path / "ids.txt"
+        ids.write_text("".join(f"{account_id}\n" for account_id in ACCOUNT_TEXTS), encoding="utf-8")
+        code, out, err = run(capsys, "test", "--corpus", str(corpus_file(tmp_path)),
+                             *RELAXED, "--model", model, "--test-ids", str(ids))
+        assert (code, out) == (1, "")
+        assert err == "error: no labeled training accounts\n"
+
     def test_unknown_id_exits_1(self, capsys, tmp_path):
         ids = tmp_path / "ids.txt"
         ids.write_text("ghost\n", encoding="utf-8")

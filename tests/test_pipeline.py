@@ -11,6 +11,7 @@ from datetime import date
 import pytest
 
 import zhstance.pipeline
+from zhstance.classify import KnnIndex
 from zhstance.corpus import AccountRecord, Corpus, DateWindow, Tweet, kfold_splits, load_corpus, parse_timestamp
 from zhstance.pipeline import (
     ConfigError,
@@ -52,6 +53,25 @@ def make_corpus():
         accounts.append(account(f"b{i}", "Beijing", BEIJING_TWEETS[i]))
         accounts.append(account(f"d{i}", "Democracy", DEMOCRACY_TWEETS[i]))
     return Corpus(("Beijing", "Democracy"), tuple(accounts))
+
+
+def record_indexes(monkeypatch) -> list:
+    """Every KnnIndex and TermSetIndex that zhstance.pipeline builds from now on, in order."""
+    built = []
+    for name in ("KnnIndex", "TermSetIndex"):
+        def recording(*args, build=getattr(zhstance.pipeline, name)):
+            built.append(build(*args))
+            return built[-1]
+        monkeypatch.setattr(zhstance.pipeline, name, recording)
+    return built
+
+
+def fitted_terms(index) -> frozenset[str]:
+    """The terms an index was fitted on: a KnnIndex's document frequency
+    keys, or the union of a TermSetIndex's training sets."""
+    if isinstance(index, KnnIndex):
+        return frozenset(index.vectorizer.document_frequency)
+    return frozenset().union(*index.sets)
 
 
 def use_cpus(monkeypatch, cpus):
@@ -325,18 +345,20 @@ class TestCountBatch:
 
 
 class TestPredict:
-    def test_knn_separates_topics(self, pipeline):
+    def test_knn_separates_topics(self, pipeline, monkeypatch):
+        built = record_indexes(monkeypatch)
         corpus = make_corpus()
         queries = Corpus(corpus.label_set, (
             account("q1", None, "统一富强 繁荣爱国"),
             account("q0", None, "民主抗争 普选罢工"),
         ))
-        preds, vocabulary = pipeline.predict(corpus, queries)
+        preds = pipeline.predict(corpus, queries)
         assert [p.account_id for p in preds] == ["q0", "q1"]  # sorted
         assert preds[0].predicted == "Democracy"
         assert preds[1].predicted == "Beijing"
         assert all(len(p.neighbors) == 3 for p in preds)
-        assert "民主" in vocabulary
+        [index] = built
+        assert isinstance(index, KnnIndex) and "民主" in fitted_terms(index)
 
     def test_knn_transforms_each_query_and_no_training_account(self, resources, monkeypatch):
         # Ten of the twelve training accounts share no term with any query,
@@ -361,7 +383,7 @@ class TestPredict:
                                            account("q2", None, "民主自由 法治普选"),
                                            account("q3", None, "zeta")))
         pipe = Pipeline(resources, PipelineConfig(k=1))
-        preds, _ = pipe.predict(train, queries)
+        preds = pipe.predict(train, queries)
         assert [(p.account_id, p.predicted) for p in preds] == [
             ("q0", "Beijing"), ("q1", "Beijing"), ("q2", "Democracy"), ("q3", "Beijing")]
         assert [p.neighbors[0].account_id for p in preds] == ["b0", "b0", "d0", "b0"]
@@ -381,42 +403,53 @@ class TestPredict:
         counted = pipe.count_batch([b0, query])
         assert counted == [Counter(pipe.account_tokens(b0)), Counter(pipe.account_tokens(query))]
         assert counted[0] != counted[1]
-        preds, _ = pipe.predict(train, Corpus(train.label_set, (query,)))
+        preds = pipe.predict(train, Corpus(train.label_set, (query,)))
         assert [(p.account_id, p.predicted) for p in preds] == [("b0", "Democracy")]
         assert_no_child_left()
 
-    def test_vocabulary_is_train_only(self, pipeline):
+    def test_vocabulary_is_train_only(self, resources, monkeypatch):
+        # the query's 中华人民共和国 is in no training account, so neither
+        # index predict builds holds it; each holds exactly its training terms
+        built = record_indexes(monkeypatch)
         corpus = make_corpus()
         queries = Corpus(corpus.label_set, (account("q", None, "中华人民共和国民主"),))
-        _, vocabulary = pipeline.predict(corpus, queries)
-        assert "中华人民共和国" not in vocabulary
+        for model in ("knn", "baseline1"):
+            pipe = Pipeline(resources, PipelineConfig(model=model, k=3))
+            pipe.predict(corpus, queries)
+            assert "中华人民共和国" in pipe.account_counts(queries.accounts[0])
+            terms_of = pipe.account_counts if model == "knn" else pipe.top_terms
+            assert fitted_terms(built[-1]) == frozenset().union(*map(terms_of, corpus.accounts))
+        assert [type(index).__name__ for index in built] == ["KnnIndex", "TermSetIndex"]
 
     def test_unlabeled_train_rejected(self, pipeline):
         corpus = Corpus(("B",), (account("a", None, "民主"),))
         with pytest.raises(PipelineError, match="training"):
             pipeline.predict(corpus, corpus)
 
-    def test_baseline0_is_constant(self, resources):
+    def test_baseline0_is_constant(self, resources, monkeypatch):
+        built = record_indexes(monkeypatch)
         pipe = Pipeline(resources, PipelineConfig(model="baseline0"))
         corpus = make_corpus()
         extra = Corpus(corpus.label_set,
                        corpus.accounts + (account("b9", "Beijing", "统一"),))
-        preds, vocabulary = pipe.predict(extra, corpus)
+        preds = pipe.predict(extra, corpus)
         assert {p.predicted for p in preds} == {"Beijing"}
         assert all(p.neighbors == () for p in preds)
-        assert vocabulary == frozenset()
+        assert built == []  # no index, so no vocabulary
 
-    def test_baseline1_separates_topics(self, resources):
+    def test_baseline1_separates_topics(self, resources, monkeypatch):
+        built = record_indexes(monkeypatch)
         pipe = Pipeline(resources, PipelineConfig(model="baseline1", k=3))
         corpus = make_corpus()
         queries = Corpus(corpus.label_set, (
             account("q0", None, "民主抗争 普选罢工"),
             account("q1", None, "统一富强 繁荣爱国"),
         ))
-        preds, vocabulary = pipe.predict(corpus, queries)
+        preds = pipe.predict(corpus, queries)
         assert preds[0].predicted == "Democracy"
         assert preds[1].predicted == "Beijing"
-        assert "民主" in vocabulary
+        [index] = built
+        assert not isinstance(index, KnnIndex) and "民主" in fitted_terms(index)
         # every neighbor similarity is the reciprocal set distance
         for p in preds:
             for nb in p.neighbors:
@@ -469,16 +502,19 @@ class TestCrossValidate:
             for stats in agg["per_label"][label].values():
                 assert set(stats) == {"mean", "std"}
 
-    def test_no_validation_terms_leak_into_fold_vocabulary(self, pipeline):
-        # 集会 is unique to d3, so whenever d3 is held out the fitted
-        # vocabulary must not contain it
-        cfg = pipeline.config
-        held_out = [pipeline.predict(train, validation)[1]
-                    for train, validation in kfold_splits(make_corpus(), cfg.folds, cfg.seed)
-                    if "d3" in validation.account_ids]
-        assert held_out
-        for vocabulary in held_out:
-            assert "集会" not in vocabulary
+    def test_no_validation_terms_leak_into_fold_vocabulary(self, resources, monkeypatch):
+        # 集会 is unique to d3, so the index of each fold that holds d3 out,
+        # as cross_validate builds it, must not contain it, and each other must
+        built = record_indexes(monkeypatch)
+        corpus = make_corpus()
+        for model in ("knn", "baseline1"):
+            pipe = Pipeline(resources, PipelineConfig(model=model, k=3, folds=4))
+            del built[:]
+            pipe.cross_validate(corpus)
+            splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
+            assert len(built) == len(splits)
+            for (_, validation), index in zip(splits, built):
+                assert ("集会" in fitted_terms(index)) is ("d3" not in validation.account_ids)
 
     @pytest.mark.parametrize("tf", ["raw", "relative"])
     def test_fold_vectorizers_equal_a_fit_on_the_fold(self, resources, monkeypatch, tf):
@@ -512,7 +548,7 @@ class TestCrossValidate:
             pipeline.cross_validate(corpus)
 
     def test_scored_run_keeps_no_model_state(self):
-        # a fold's vocabulary is read from Pipeline.predict, not kept per run
+        # a fold's model is not kept per run
         assert [f.name for f in dataclasses.fields(ScoredRun)] == ["confusion", "metrics", "predictions"]
 
     def test_baseline1_top_terms_once_per_account(self, resources, monkeypatch):
@@ -524,14 +560,18 @@ class TestCrossValidate:
             return top_k_terms(*args)
 
         monkeypatch.setattr(zhstance.pipeline, "top_k_terms", counting)
+        built = record_indexes(monkeypatch)
         pipe = Pipeline(resources, PipelineConfig(model="baseline1", k=3, folds=4))
         corpus = make_corpus()
-        splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
-        vocabularies = [pipe.predict(train, validation)[1] for train, validation in splits]
+        pipe.cross_validate(corpus)
         assert len(calls) == len(corpus.accounts)
-        # each fold's vocabulary is the union of its training top-term sets
-        for (train, _), vocabulary in zip(splits, vocabularies):
-            assert vocabulary == frozenset().union(*map(pipe.top_terms, train.accounts))
+        # each fold's index holds its training accounts' top-term sets, in account_id order
+        splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
+        assert len(built) == len(splits)
+        for (train, _), index in zip(splits, built):
+            ordered = sorted(train.accounts, key=lambda a: a.account_id)
+            assert index.ids == [a.account_id for a in ordered]
+            assert index.sets == [pipe.top_terms(a) for a in ordered]
 
     def test_knn_segments_each_account_once(self, resources, monkeypatch, segment_calls):
         corpus = make_corpus()

@@ -12,7 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from zhstance.classify import _LANES, KnnIndex, Neighbor, TermSetIndex, _vote, baseline1_predict  # noqa: E402
+from zhstance.classify import _LANE_BYTES, KnnIndex, Neighbor, TermSetIndex, _vote, baseline1_predict  # noqa: E402
 from zhstance.corpus import AccountRecord, Tweet, parse_timestamp  # noqa: E402
 from zhstance.evaluate import mean_std  # noqa: E402
 from zhstance.pipeline import Pipeline, PipelineConfig  # noqa: E402
@@ -33,6 +33,8 @@ from zhstance.segmenter import (  # noqa: E402
 from zhstance.textfile import MAX_WORD_LENGTH  # noqa: E402
 from zhstance.vectorize import TF_MODES, SparseVector, cosine_similarity, fit_vectorizer  # noqa: E402
 from zhstance.zh_convert import ConversionTable, to_simplified  # noqa: E402
+
+_LANES = _LANE_BYTES // 4  # k-NN queries per pass, in 4-byte lanes
 
 RESOURCES = load_resources()
 TABLE = RESOURCES.table
