@@ -95,25 +95,29 @@ def _lanes(m: int, top: int):
     width, fmt = _width(top)
 
     def columns(acc: Iterable[int]):
-        view = memoryview(b"".join([a.to_bytes(width * m, sys.byteorder) for a in acc])).cast(fmt)
+        joined = bytearray()  # grown in place: no list of parts beside it
+        for a in acc:
+            joined += a.to_bytes(width * m, sys.byteorder)
+        view = memoryview(joined).cast(fmt)
         return (view[j::m].tolist() for j in range(m))
     return [8 * width * (j if sys.byteorder == "little" else m - 1 - j) for j in range(m)], columns
 
 
 def _passes(queries: list, top: int, lane_ints, accumulate):
     """Each query and its column, in order, from passes of equal size with at most _LANE_BYTES
-    of lanes for `top` per accumulator. A pass ORs each (term, V) of lane_ints(query) into one
-    lane dict and takes accumulate(lanes.get); the next starts once its last column is taken."""
+    of lanes for `top` per accumulator. A pass ORs each (term, V) of lane_ints(query) into one lane
+    dict, dropped once accumulate(lanes.get) is decoded; the next starts once its last column is taken."""
     m = len(queries)
     step = -(-m // -(-m // (_LANE_BYTES // _width(top)[0])))
     for start in range(0, m, step):
         batch = queries[start:start + step]
         shifts, columns = _lanes(len(batch), top)
-        lanes: dict[str, int] = {}
+        lanes = {}  # {term: lane int}, then the pass's columns
         for shift, query in zip(shifts, batch):
             for term, v in lane_ints(query):
                 lanes[term] = lanes.get(term, 0) | v << shift
-        yield from zip(batch, columns(accumulate(lanes.get)))
+        lanes = columns(accumulate(lanes.get))
+        yield from zip(batch, lanes)
 
 
 class KnnIndex:

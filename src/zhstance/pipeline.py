@@ -14,7 +14,7 @@ import re
 import signal
 import threading
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date
@@ -189,6 +189,42 @@ def _require_labeled(corpus: Corpus, role: str):
         raise PipelineError(f"{role} accounts without labels: {sorted(unlabeled)}")
 
 
+def _on_cpus(items: Sequence, work: Callable) -> Iterator:
+    """work(item) of each item, in order. The items are cut in order into one chunk per usable CPU
+    (one where fork is missing, beside another thread, or for one item): this process works the
+    first, a forked child each other and sends one pickle per result, and this process what none sent."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    parts = 1 if not hasattr(os, "fork") or threading.active_count() > 1 else min(cpus, len(items)) or 1
+    chunks = [items[i * len(items) // parts:(i + 1) * len(items) // parts] for i in range(parts)]
+    children = []  # (pid, read end) per chunk after the first
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            if not (pid := os.fork()):
+                try:
+                    os.close(r)  # so that a write fails, not blocks, once the parent is gone
+                    with open(w, "wb") as pipe:  # all worked, then sent: a full pipe would stall the work
+                        pipe.writelines(map(pickle.dumps, [work(item) for item in chunk]))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        yield from map(work, chunks[0])
+        for (_, pipe), chunk in zip(children, chunks[1:]):
+            sent = 0
+            with suppress(EOFError, pickle.UnpicklingError):  # a failed child sends short
+                while sent < len(chunk):
+                    yield pickle.load(pipe)
+                    sent += 1
+            yield from map(work, chunk[sent:])  # so that an error is the sequential one
+    finally:  # a child that has sent its results has nothing left to do
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 class Pipeline:
     """Caches per-account term counts and runs the configured predictor.
 
@@ -225,43 +261,15 @@ class Pipeline:
         return cached
 
     def count_batch(self, accounts: Sequence[AccountRecord]) -> list[Counter[str]]:
-        """account_counts of each account. The uncached ones are cut in order into one chunk
-        per usable CPU (one without os.fork, beside another thread, or for one account): this
-        process counts the first, a forked child each other, and this process, in order, what none sends."""
+        """account_counts of each account, the uncached ones counted _on_cpus."""
         todo = list(dict.fromkeys(a for a in accounts if a not in self._counts))
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        parts = 1 if not hasattr(os, "fork") or threading.active_count() > 1 else min(cpus, len(todo)) or 1
-        chunks = [todo[i * len(todo) // parts:(i + 1) * len(todo) // parts] for i in range(parts)]
-        children = []  # (pid, read end) per chunk after the first
-        try:
-            for chunk in chunks[1:]:
-                self.account_counts(chunks[0][0])  # before a fork: children inherit the tables it derives
-                r, w = os.pipe()
-                if not (pid := os.fork()):  # the child counts all, then sends: a full pipe would stall it
-                    try:
-                        os.close(r)  # so that a write fails, not blocks, once the parent is gone
-                        counted = [self.account_counts(account) for account in chunk]
-                        with open(w, "wb") as pipe:
-                            pipe.writelines(pickle.dumps((list(c), list(c.values()))) for c in counted)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                os.close(w)
-                children.append((pid, open(r, "rb")))
-            for account in chunks[0]:
-                self.account_counts(account)
-            for (_, pipe), chunk in zip(children, chunks[1:]):
-                with suppress(EOFError, pickle.UnpicklingError):  # a failed child sends short
-                    for account in chunk:
-                        terms, counts = pickle.load(pipe)
-                        self._counts[account] = counted = Counter()  # filled from the pairs: no 2nd dict
-                        dict.update(counted, zip(map(self._interned.setdefault, terms, terms), counts))
-        finally:  # a child that has sent its counts has nothing left to do
-            for pid, pipe in children:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        return [self.account_counts(a) for a in accounts]  # counts what no child sent
+        for account in todo[:1]:  # before any fork: the children inherit the tables it derives
+            self.account_counts(account)
+        for account, counts in zip(todo, _on_cpus(todo, self.account_counts), strict=True):
+            if account not in self._counts:  # a child's: its terms are interned here
+                self._counts[account] = counted = Counter()
+                dict.update(counted, zip(map(self._interned.setdefault, counts, counts), counts.values()))
+        return [self.account_counts(a) for a in accounts]
 
     def top_terms(self, account: AccountRecord) -> frozenset[str]:
         """The account's top_n terms after stopword removal, as a set."""
@@ -310,16 +318,18 @@ class Pipeline:
         return ScoredRun(m, metric_report(m), tuple(preds))
 
     def cross_validate(self, corpus: Corpus) -> CrossValResult:
-        """k-fold cross-validation; each fold's model (IDF and all) is
-        fitted on that fold's training accounts only, k-NN's document
+        """k-fold cross-validation, the folds scored _on_cpus; each fold's model (IDF and
+        all) is fitted on that fold's training accounts only, k-NN's document
         frequencies by subtraction from the whole corpus's (see without)."""
         _require_labeled(corpus, "cross-validation")
         cfg, whole = self.config, None
         if cfg.model == "knn":
             whole = fit_vectorizer(self.count_batch(corpus.accounts), tf_mode=cfg.tf)
-        folds = [self.score(train, validation,
-                            whole and whole.without([self.account_counts(a) for a in validation.accounts]))
-                 for train, validation in kfold_splits(corpus, cfg.folds, cfg.seed)]
+        elif cfg.model == "baseline1":  # counted and ranked before the fork: no fold ranks again
+            self.count_batch(corpus.accounts)
+            list(map(self.top_terms, corpus.accounts))
+        folds = list(_on_cpus(kfold_splits(corpus, cfg.folds, cfg.seed), lambda split: self.score(
+            *split, whole and whole.without([self.account_counts(a) for a in split[1].accounts]))))
         return CrossValResult(corpus.label_set, tuple(folds), _aggregate(folds, corpus.label_set))
 
     def evaluate_test_set(self, non_test: Corpus, test: Corpus) -> ScoredRun:

@@ -5,6 +5,8 @@ prints one PASS/FAIL line per criterion, so the gate can be read at a
 glance without scanning the full pytest report.
 """
 
+import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,37 @@ def synthetic_corpus_path() -> Path:
 @pytest.fixture(scope="session")
 def test_ids_path() -> Path:
     return FIXTURES / "test_ids.txt"
+
+
+class SharedLog:
+    """A list that this process and every child it forks append to. Each
+    record is one pickle, written with one write to a file opened with
+    O_APPEND, so that records from several processes never interleave."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        path.touch()
+
+    def append(self, record):
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, pickle.dumps(record))
+        finally:
+            os.close(fd)
+
+    def records(self) -> list:
+        """Every record so far, in the order written."""
+        with open(self.path, "rb") as log:
+            found = []
+            while log.peek(1):
+                found.append(pickle.load(log))
+            return found
+
+
+@pytest.fixture(scope="session")
+def shared_log(tmp_path_factory):
+    """A function that returns a new, empty SharedLog each call."""
+    return lambda: SharedLog(tmp_path_factory.mktemp("shared") / "log")
 
 
 def pytest_runtest_logreport(report):

@@ -9,6 +9,7 @@ criterion means.
 
 import json
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -331,30 +332,39 @@ def test_criterion_5_knn_oracle():
 # criteria 6-8 share one cross-validation run over the bundled corpus
 # ----------------------------------------------------------------------
 
-def cross_validate_recording(pipe, corpus):
+def cross_validate_recording(pipe, corpus, log, cpus=None):
     """pipe.cross_validate(corpus), and the vocabulary of each fold's k-NN
-    index as cross_validate builds it: the document frequency keys of the
-    vectorizer that the fold's KnnIndex is given."""
-    vocabularies = []
-
+    index as cross_validate builds it, in fold order: the document frequency
+    keys of the vectorizer that the fold's KnnIndex is given. Folds may be
+    scored in forked children, so each vocabulary goes to log (a SharedLog)
+    keyed by its fold's training ids. With cpus, cross_validate sees that
+    many usable CPUs, and so scores its folds in that many processes."""
     def recording(train, vectorizer):
-        vocabularies.append(frozenset(vectorizer.document_frequency))
+        train = list(train)
+        log.append((frozenset(a for a, _, _ in train), frozenset(vectorizer.document_frequency)))
         return KnnIndex(train, vectorizer)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zhstance.pipeline, "KnnIndex", recording)
-        return pipe.cross_validate(corpus), vocabularies
+        if cpus:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            patch.setattr(os, "cpu_count", lambda: cpus)
+        result = pipe.cross_validate(corpus)
+    vocabularies = dict(log.records())
+    assert len(vocabularies) == len(log.records()) == len(result.folds)
+    splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
+    return result, [vocabularies[frozenset(train.account_ids)] for train, _ in splits]
 
 
 @pytest.fixture(scope="module")
-def crossval_run(synthetic_corpus_path):
+def crossval_run(synthetic_corpus_path, shared_log):
     config = PipelineConfig(corpus=str(synthetic_corpus_path))
     started = time.monotonic()
     corpus = labeled_accounts(filter_accounts(
         load_corpus(synthetic_corpus_path),
         config.min_followers, config.min_tweets, config.window))
     pipe = Pipeline(load_resources(), config)
-    result, vocabularies = cross_validate_recording(pipe, corpus)
+    result, vocabularies = cross_validate_recording(pipe, corpus, shared_log())
     payload = dumps_report(crossval_report(result, config))
     elapsed = time.monotonic() - started
     return SimpleNamespace(config=config, corpus=corpus, pipe=pipe, result=result,
@@ -371,21 +381,26 @@ def test_criterion_6_synthetic_separability(crossval_run):
     assert run.elapsed < 60.0
 
 
-def test_criterion_7_no_validation_leakage(crossval_run, synthetic_corpus_path):
+def test_criterion_7_no_validation_leakage(crossval_run, synthetic_corpus_path, shared_log):
     run = crossval_run
     cfg = run.config
     tokens_of = {a.account_id: set(run.pipe.account_tokens(a))
                  for a in run.corpus.accounts}
     splits = kfold_splits(run.corpus, cfg.folds, cfg.seed)
-    # each fold's vocabulary is the one its reported predictions were made with
-    for fold, vocabulary, (_, validation) in zip(run.result.folds, run.vocabularies, splits, strict=True):
-        held_out = set(fold.validation_ids)
-        assert held_out == set(validation.account_ids)
-        train_terms = set().union(
-            *(toks for aid, toks in tokens_of.items() if aid not in held_out))
-        val_only = set().union(*(tokens_of[aid] for aid in held_out)) - train_terms
-        assert not (val_only & vocabulary)
-        assert vocabulary == train_terms
+    # each fold's vocabulary is the one its reported predictions were made with,
+    # whether every fold is scored here (1 CPU) or some in forked children
+    runs = [(run.result, run.vocabularies)]
+    runs += [cross_validate_recording(run.pipe, run.corpus, shared_log(), cpus) for cpus in (1, 2)]
+    for result, vocabularies in runs:
+        assert result == run.result
+        for fold, vocabulary, (_, validation) in zip(result.folds, vocabularies, splits, strict=True):
+            held_out = set(fold.validation_ids)
+            assert held_out == set(validation.account_ids)
+            train_terms = set().union(
+                *(toks for aid, toks in tokens_of.items() if aid not in held_out))
+            val_only = set().union(*(tokens_of[aid] for aid in held_out)) - train_terms
+            assert not (val_only & vocabulary)
+            assert vocabulary == train_terms
 
     # every surviving term in the bundled corpus is shared across many
     # accounts, so the check above can pass vacuously; plant a term
@@ -403,16 +418,18 @@ def test_criterion_7_no_validation_leakage(crossval_run, synthetic_corpus_path):
     probe_corpus = labeled_accounts(filter_accounts(
         Corpus(base.label_set, tuple(accounts)),
         cfg.min_followers, cfg.min_tweets, cfg.window))
-    _, vocabularies = cross_validate_recording(Pipeline(load_resources(), cfg), probe_corpus)
-    held, trained = [], []
     splits = kfold_splits(probe_corpus, cfg.folds, cfg.seed)
-    for (_, validation), vocabulary in zip(splits, vocabularies, strict=True):
-        (held if "b03" in validation.account_ids else trained).append(vocabulary)
-    assert held and trained
-    for vocabulary in held:
-        assert marker not in vocabulary
-    for vocabulary in trained:
-        assert marker in vocabulary
+    for cpus in (1, 2):
+        _, vocabularies = cross_validate_recording(Pipeline(load_resources(), cfg), probe_corpus,
+                                                   shared_log(), cpus)
+        held, trained = [], []
+        for (_, validation), vocabulary in zip(splits, vocabularies, strict=True):
+            (held if "b03" in validation.account_ids else trained).append(vocabulary)
+        assert held and trained
+        for vocabulary in held:
+            assert marker not in vocabulary
+        for vocabulary in trained:
+            assert marker in vocabulary
 
 
 def test_criterion_8_determinism(crossval_run, capsys, tmp_path, synthetic_corpus_path):

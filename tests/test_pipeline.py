@@ -1,6 +1,7 @@
 """Tests for the pipeline: configuration, orchestration, and hygiene."""
 
 import dataclasses
+import itertools
 import os
 import pickle
 import threading
@@ -11,9 +12,20 @@ from datetime import date
 import pytest
 
 import zhstance.pipeline
-from zhstance.classify import KnnIndex
-from zhstance.corpus import AccountRecord, Corpus, DateWindow, Tweet, kfold_splits, load_corpus, parse_timestamp
+from zhstance.classify import KnnIndex, TermSetIndex
+from zhstance.corpus import (
+    AccountRecord,
+    Corpus,
+    DateWindow,
+    Tweet,
+    filter_accounts,
+    kfold_splits,
+    labeled_accounts,
+    load_corpus,
+    parse_timestamp,
+)
 from zhstance.pipeline import (
+    MODELS,
     ConfigError,
     Pipeline,
     PipelineConfig,
@@ -21,6 +33,7 @@ from zhstance.pipeline import (
     ScoredRun,
     config_values,
 )
+from zhstance.report import crossval_report, dumps_report
 from zhstance.resources import Resources, load_resources
 from zhstance.segmenter import load_lexicon
 from zhstance.vectorize import TfidfVectorizer, fit_vectorizer
@@ -55,15 +68,25 @@ def make_corpus():
     return Corpus(("Beijing", "Democracy"), tuple(accounts))
 
 
-def record_indexes(monkeypatch) -> list:
-    """Every KnnIndex and TermSetIndex that zhstance.pipeline builds from now on, in order."""
-    built = []
-    for name in ("KnnIndex", "TermSetIndex"):
-        def recording(*args, build=getattr(zhstance.pipeline, name)):
-            built.append(build(*args))
-            return built[-1]
-        monkeypatch.setattr(zhstance.pipeline, name, recording)
-    return built
+def record_indexes(monkeypatch, log):
+    """log (a SharedLog), to which each KnnIndex and TermSetIndex that zhstance.pipeline
+    builds from now on is appended, in this process or in a forked child."""
+    for build in (KnnIndex, TermSetIndex):
+        def recording(*args, build=build):
+            index = build(*args)
+            log.append(index)
+            return index
+        monkeypatch.setattr(zhstance.pipeline, build.__name__, recording)
+    return log
+
+
+def by_fold(records, splits, train_ids) -> list:
+    """The record of each split's fold, in split order. Folds scored in several processes
+    are recorded in no set order, so each record is found by its fold's training ids,
+    train_ids(record); there must be exactly one per fold."""
+    keyed = {frozenset(train_ids(record)): record for record in records}
+    assert len(keyed) == len(records) == len(splits)
+    return [keyed[frozenset(train.account_ids)] for train, _ in splits]
 
 
 def fitted_terms(index) -> frozenset[str]:
@@ -87,20 +110,17 @@ def assert_no_child_left():
 
 
 @pytest.fixture
-def segment_calls(monkeypatch, tmp_path):
+def segment_calls(monkeypatch, shared_log):
     """The number of segment calls so far, made here or in a forked child:
-    each call appends a line to one file opened with O_APPEND, which every
-    process shares."""
-    segment, log = zhstance.pipeline.segment, tmp_path / "segment-calls"
-    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    each call appends a record to one SharedLog."""
+    segment, log = zhstance.pipeline.segment, shared_log()
 
     def counting(*args):
-        os.write(fd, b"call\n")
+        log.append(None)
         return segment(*args)
 
     monkeypatch.setattr(zhstance.pipeline, "segment", counting)
-    yield lambda: log.read_bytes().count(b"\n")
-    os.close(fd)
+    return lambda: len(log.records())
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +334,7 @@ class TestCountBatch:
 
         def truncating(obj, *args):
             data = dumps(obj, *args)
-            return data[:len(data) // 2] if os.getpid() != parent and "abc" in obj[0] else data
+            return data[:len(data) // 2] if os.getpid() != parent and "abc" in obj else data
 
         monkeypatch.setattr(Pipeline, "account_tokens", dying)
         monkeypatch.setattr(pickle, "dumps", truncating)
@@ -345,8 +365,8 @@ class TestCountBatch:
 
 
 class TestPredict:
-    def test_knn_separates_topics(self, pipeline, monkeypatch):
-        built = record_indexes(monkeypatch)
+    def test_knn_separates_topics(self, pipeline, monkeypatch, shared_log):
+        built = record_indexes(monkeypatch, shared_log())
         corpus = make_corpus()
         queries = Corpus(corpus.label_set, (
             account("q1", None, "统一富强 繁荣爱国"),
@@ -357,7 +377,7 @@ class TestPredict:
         assert preds[0].predicted == "Democracy"
         assert preds[1].predicted == "Beijing"
         assert all(len(p.neighbors) == 3 for p in preds)
-        [index] = built
+        [index] = built.records()
         assert isinstance(index, KnnIndex) and "民主" in fitted_terms(index)
 
     def test_knn_transforms_each_query_and_no_training_account(self, resources, monkeypatch):
@@ -407,10 +427,10 @@ class TestPredict:
         assert [(p.account_id, p.predicted) for p in preds] == [("b0", "Democracy")]
         assert_no_child_left()
 
-    def test_vocabulary_is_train_only(self, resources, monkeypatch):
+    def test_vocabulary_is_train_only(self, resources, monkeypatch, shared_log):
         # the query's 中华人民共和国 is in no training account, so neither
         # index predict builds holds it; each holds exactly its training terms
-        built = record_indexes(monkeypatch)
+        built = record_indexes(monkeypatch, shared_log())
         corpus = make_corpus()
         queries = Corpus(corpus.label_set, (account("q", None, "中华人民共和国民主"),))
         for model in ("knn", "baseline1"):
@@ -418,16 +438,16 @@ class TestPredict:
             pipe.predict(corpus, queries)
             assert "中华人民共和国" in pipe.account_counts(queries.accounts[0])
             terms_of = pipe.account_counts if model == "knn" else pipe.top_terms
-            assert fitted_terms(built[-1]) == frozenset().union(*map(terms_of, corpus.accounts))
-        assert [type(index).__name__ for index in built] == ["KnnIndex", "TermSetIndex"]
+            assert fitted_terms(built.records()[-1]) == frozenset().union(*map(terms_of, corpus.accounts))
+        assert [type(index).__name__ for index in built.records()] == ["KnnIndex", "TermSetIndex"]
 
     def test_unlabeled_train_rejected(self, pipeline):
         corpus = Corpus(("B",), (account("a", None, "民主"),))
         with pytest.raises(PipelineError, match="training"):
             pipeline.predict(corpus, corpus)
 
-    def test_baseline0_is_constant(self, resources, monkeypatch):
-        built = record_indexes(monkeypatch)
+    def test_baseline0_is_constant(self, resources, monkeypatch, shared_log):
+        built = record_indexes(monkeypatch, shared_log())
         pipe = Pipeline(resources, PipelineConfig(model="baseline0"))
         corpus = make_corpus()
         extra = Corpus(corpus.label_set,
@@ -435,10 +455,10 @@ class TestPredict:
         preds = pipe.predict(extra, corpus)
         assert {p.predicted for p in preds} == {"Beijing"}
         assert all(p.neighbors == () for p in preds)
-        assert built == []  # no index, so no vocabulary
+        assert built.records() == []  # no index, so no vocabulary
 
-    def test_baseline1_separates_topics(self, resources, monkeypatch):
-        built = record_indexes(monkeypatch)
+    def test_baseline1_separates_topics(self, resources, monkeypatch, shared_log):
+        built = record_indexes(monkeypatch, shared_log())
         pipe = Pipeline(resources, PipelineConfig(model="baseline1", k=3))
         corpus = make_corpus()
         queries = Corpus(corpus.label_set, (
@@ -448,7 +468,7 @@ class TestPredict:
         preds = pipe.predict(corpus, queries)
         assert preds[0].predicted == "Democracy"
         assert preds[1].predicted == "Beijing"
-        [index] = built
+        [index] = built.records()
         assert not isinstance(index, KnnIndex) and "民主" in fitted_terms(index)
         # every neighbor similarity is the reciprocal set distance
         for p in preds:
@@ -502,45 +522,44 @@ class TestCrossValidate:
             for stats in agg["per_label"][label].values():
                 assert set(stats) == {"mean", "std"}
 
-    def test_no_validation_terms_leak_into_fold_vocabulary(self, resources, monkeypatch):
+    def test_no_validation_terms_leak_into_fold_vocabulary(self, resources, monkeypatch, shared_log):
         # 集会 is unique to d3, so the index of each fold that holds d3 out,
         # as cross_validate builds it, must not contain it, and each other must
-        built = record_indexes(monkeypatch)
         corpus = make_corpus()
-        for model in ("knn", "baseline1"):
+        for model, cpus in itertools.product(("knn", "baseline1"), (1, 2)):  # folds here, then forked too
+            use_cpus(monkeypatch, cpus)
+            built = record_indexes(monkeypatch, shared_log())
             pipe = Pipeline(resources, PipelineConfig(model=model, k=3, folds=4))
-            del built[:]
             pipe.cross_validate(corpus)
             splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
-            assert len(built) == len(splits)
-            for (_, validation), index in zip(splits, built):
+            for (_, validation), index in zip(splits, by_fold(built.records(), splits, lambda ix: ix.ids)):
                 assert ("集会" in fitted_terms(index)) is ("d3" not in validation.account_ids)
 
     @pytest.mark.parametrize("tf", ["raw", "relative"])
-    def test_fold_vectorizers_equal_a_fit_on_the_fold(self, resources, monkeypatch, tf):
+    def test_fold_vectorizers_equal_a_fit_on_the_fold(self, resources, monkeypatch, shared_log, tf):
         # cross_validate hands each fold a vectorizer taken by subtraction
         # from the whole corpus's (without); it must be the fit on that
         # fold's training counts, and predict(train, validation) alone,
         # which fits afresh, would not show it
-        knn_index, seen = zhstance.pipeline.KnnIndex, []
-
         def recording(train, vectorizer):
             train = list(train)
             seen.append(([account_id for account_id, _, _ in train], vectorizer))
-            return knn_index(train, vectorizer)
+            return KnnIndex(train, vectorizer)
 
         monkeypatch.setattr(zhstance.pipeline, "KnnIndex", recording)
-        pipe = Pipeline(resources, PipelineConfig(k=3, folds=4, tf=tf))
         corpus = make_corpus()
-        pipe.cross_validate(corpus)
-        splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
-        assert len(seen) == len(splits)
-        for (train, _), (ids, got) in zip(splits, seen):
-            assert ids == [a.account_id for a in train.accounts]
-            want = fit_vectorizer([pipe.account_counts(a) for a in train.accounts], tf_mode=tf)
-            assert got.document_frequency == want.document_frequency
-            assert got.corpus_size == want.corpus_size == len(train.accounts)
-            assert got.idf == want.idf and got.tf_mode == tf
+        for cpus in (1, 2):  # every fold scored here, then folds scored in forked children too
+            use_cpus(monkeypatch, cpus)
+            seen = shared_log()
+            pipe = Pipeline(resources, PipelineConfig(k=3, folds=4, tf=tf))
+            pipe.cross_validate(corpus)
+            splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
+            for (train, _), (ids, got) in zip(splits, by_fold(seen.records(), splits, lambda r: r[0])):
+                assert ids == [a.account_id for a in train.accounts]
+                want = fit_vectorizer([pipe.account_counts(a) for a in train.accounts], tf_mode=tf)
+                assert got.document_frequency == want.document_frequency
+                assert got.corpus_size == want.corpus_size == len(train.accounts)
+                assert got.idf == want.idf and got.tf_mode == tf
 
     def test_unlabeled_rejected(self, pipeline):
         corpus = Corpus(("B",), (account("a", None, "民主"), account("b", "B", "统一")))
@@ -551,27 +570,94 @@ class TestCrossValidate:
         # a fold's model is not kept per run
         assert [f.name for f in dataclasses.fields(ScoredRun)] == ["confusion", "metrics", "predictions"]
 
-    def test_baseline1_top_terms_once_per_account(self, resources, monkeypatch):
+    def test_baseline1_top_terms_once_per_account(self, resources, monkeypatch, shared_log):
         top_k_terms = zhstance.pipeline.top_k_terms
-        calls = []
 
         def counting(*args):
             calls.append(args)
             return top_k_terms(*args)
 
         monkeypatch.setattr(zhstance.pipeline, "top_k_terms", counting)
-        built = record_indexes(monkeypatch)
-        pipe = Pipeline(resources, PipelineConfig(model="baseline1", k=3, folds=4))
         corpus = make_corpus()
-        pipe.cross_validate(corpus)
-        assert len(calls) == len(corpus.accounts)
-        # each fold's index holds its training accounts' top-term sets, in account_id order
-        splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
-        assert len(built) == len(splits)
-        for (train, _), index in zip(splits, built):
-            ordered = sorted(train.accounts, key=lambda a: a.account_id)
-            assert index.ids == [a.account_id for a in ordered]
-            assert index.sets == [pipe.top_terms(a) for a in ordered]
+        for cpus in (1, 2):  # every fold scored here, then folds scored in forked children too
+            use_cpus(monkeypatch, cpus)
+            calls, built = shared_log(), record_indexes(monkeypatch, shared_log())
+            pipe = Pipeline(resources, PipelineConfig(model="baseline1", k=3, folds=4))
+            pipe.cross_validate(corpus)
+            assert len(calls.records()) == len(corpus.accounts)
+            # each fold's index holds its training accounts' top-term sets, in account_id order
+            splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
+            for (train, _), index in zip(splits, by_fold(built.records(), splits, lambda ix: ix.ids)):
+                ordered = sorted(train.accounts, key=lambda a: a.account_id)
+                assert index.ids == [a.account_id for a in ordered]
+                assert index.sets == [pipe.top_terms(a) for a in ordered]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_report_is_the_same_bytes_on_any_cpu_count(self, resources, synthetic_corpus_path, monkeypatch,
+                                                       model):
+        cfg = PipelineConfig(model=model)
+        corpus = labeled_accounts(filter_accounts(load_corpus(synthetic_corpus_path),
+                                                  cfg.min_followers, cfg.min_tweets, cfg.window))
+        fork, forks, reports = os.fork, [], set()
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for cpus in (1, 2, 3, 6):  # 6 CPUs are more than the 5 folds
+            use_cpus(monkeypatch, cpus)
+            del forks[:]
+            reports.add(dumps_report(crossval_report(Pipeline(resources, cfg).cross_validate(corpus), cfg)))
+            # one child per fold chunk after the first, and per count chunk after the first
+            assert len(forks) == min(cpus, cfg.folds) - 1 + (model != "baseline0") * (cpus - 1)
+            assert_no_child_left()
+        assert len(reports) == 1
+
+    def test_fold_error_is_the_sequential_one(self, resources, monkeypatch):
+        # folds 2 and 3 of 4 fail: at 2 CPUs a child scores both, at 3 one
+        # child scores both, at 6 a child scores each; fold 2's error wins
+        corpus, cfg = make_corpus(), PipelineConfig(k=3, folds=4)
+        fold_of = {tuple(v.account_ids): n for n, (_, v) in enumerate(kfold_splits(corpus, cfg.folds, cfg.seed))}
+        predict, errors = Pipeline.predict, set()
+
+        def failing(self, train, queries, vectorizer=None):
+            if fold_of[tuple(queries.account_ids)] >= 2:
+                raise ArithmeticError(f"cannot score fold {fold_of[tuple(queries.account_ids)]}")
+            return predict(self, train, queries, vectorizer)
+
+        monkeypatch.setattr(Pipeline, "predict", failing)
+        for cpus in (1, 2, 3, 6):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(ArithmeticError) as caught:
+                Pipeline(resources, cfg).cross_validate(corpus)
+            errors.add((type(caught.value), str(caught.value)))
+            assert_no_child_left()
+        assert errors == {(ArithmeticError, "cannot score fold 2")}
+
+    def test_failed_child_has_its_folds_scored_here(self, resources, monkeypatch):
+        # Four folds in three chunks: this process scores fold 0, one child
+        # fold 1, another folds 2 and 3. That child scores fold 2, then exits
+        # nonzero while building fold 3's index, so it sends nothing, and
+        # this process scores folds 2 and 3 itself.
+        corpus, cfg = make_corpus(), PipelineConfig(k=3, folds=4)
+        expected = Pipeline(resources, cfg).cross_validate(corpus)
+        splits = kfold_splits(corpus, cfg.folds, cfg.seed)
+        fold_of = {tuple(v.account_ids): n for n, (_, v) in enumerate(splits)}
+        parent, score, scored_here = os.getpid(), Pipeline.score, []
+
+        def recording(self, train, queries, vectorizer=None):
+            if os.getpid() == parent:
+                scored_here.append(fold_of[tuple(queries.account_ids)])
+            return score(self, train, queries, vectorizer)
+
+        def dying(train, vectorizer):
+            train = list(train)
+            if os.getpid() != parent and {a for a, _, _ in train} == set(splits[3][0].account_ids):
+                os._exit(3)
+            return KnnIndex(train, vectorizer)
+
+        monkeypatch.setattr(Pipeline, "score", recording)
+        monkeypatch.setattr(zhstance.pipeline, "KnnIndex", dying)
+        use_cpus(monkeypatch, 3)
+        assert Pipeline(resources, cfg).cross_validate(corpus) == expected
+        assert scored_here == [0, 2, 3]
+        assert_no_child_left()
 
     def test_knn_segments_each_account_once(self, resources, monkeypatch, segment_calls):
         corpus = make_corpus()
