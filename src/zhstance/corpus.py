@@ -9,9 +9,9 @@ An optional header ``{"label_set": [...]}`` on the first non-blank line
 declares the allowed labels; account labels outside a declared set,
 keys not shown here, and a key repeated in one object are rejected.
 
-A tweet is a ``Tweet`` named tuple. An account's tweets are checked as
-columns, its stamps by one match; when a check fails they are walked in
-turn, so the error names the first bad tweet. A naive timestamp is UTC.
+A loaded tweet is a ``Tweet`` named tuple; a filtered account keeps only its in-window
+texts. An account's tweets are checked as columns, its stamps by one match; when a check
+fails they are walked in turn, so the error names the first bad tweet. A naive timestamp is UTC.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class AccountRecord:
     account_id: str
     follower_count: int
     label: str | None
-    tweets: tuple[Tweet, ...]
+    tweets: tuple[Tweet, ...] | tuple[str, ...]  # loaded Tweets, or filter_accounts' texts
 
     def __hash__(self) -> int:  # equal records share an id; hashing tweets costs far more
         return hash(self.account_id)
@@ -205,13 +205,13 @@ def load_corpus(path) -> Corpus:
 def filter_accounts(c: Corpus, min_followers: int, min_tweets: int, window: DateWindow) -> Corpus:
     """Keep accounts meeting the follower floor with enough in-window tweets.
 
-    Kept accounts have their tweet lists restricted to the window.
+    Kept accounts hold their in-window tweets' texts only, one str per tweet.
     """
     kept = []
     for a in c.accounts:
         if a.follower_count < min_followers:
             continue
-        in_window = tuple(t for t in a.tweets if window.contains(t.timestamp))
+        in_window = tuple(t.text for t in a.tweets if window.contains(t.timestamp))
         if len(in_window) >= min_tweets:
             kept.append(AccountRecord(a.account_id, a.follower_count, a.label, in_window))
     return Corpus(label_set=c.label_set, accounts=tuple(kept))

@@ -244,11 +244,11 @@ class Pipeline:
         self._top_terms: dict[AccountRecord, frozenset[str]] = {}
 
     def account_tokens(self, account: AccountRecord) -> list[str]:
-        """The account's tokens, tweet after tweet. The tweets are converted
+        """The account's tokens, text after text. The texts are converted
         and segmented as one text joined with newlines: no conversion key
         holds one, and no segmentation piece crosses whitespace."""
         res = self.resources
-        text = to_simplified("\n".join(tweet.text for tweet in account.tweets), res.table)
+        text = to_simplified("\n".join(account.tweets), res.table)
         return segment(text, res.token_lexicon, res.hmm, self.config.clean)
 
     def account_counts(self, account: AccountRecord) -> Counter[str]:

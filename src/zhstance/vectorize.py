@@ -56,13 +56,15 @@ def cosine_similarity(u: SparseVector, v: SparseVector) -> float:
     return dot(u, v) / (u.norm * v.norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TfidfVectorizer:
-    document_frequency: dict[str, int]
+    """IDF in one term-keyed table, its own: the document frequencies given, turned in place by
+    the first read of idf, which takes no lock (read it once before threads share the vectorizer)."""
+    _table: dict[str, int]
     corpus_size: int
     tf_mode: str = "raw"
     log_base: float | None = None  # None means natural log
-    idf: dict[str, float] = field(init=False, repr=False, compare=False)
+    _df_of: dict[float, int] | None = field(default=None, init=False, repr=False)  # IDF -> its one frequency
 
     def __post_init__(self):
         if self.tf_mode not in TF_MODES:
@@ -71,17 +73,25 @@ class TfidfVectorizer:
             raise VectorizerError(f"log base must exceed 1, got {self.log_base!r}")
         if self.corpus_size < 1:
             raise VectorizerError("vectorizer fit on an empty corpus")
-        # One log per distinct document frequency; terms sharing a
-        # frequency share the float object.
-        by_df: dict[int, float] = {}
-        for df in self.document_frequency.values():
-            if df not in by_df:
-                value = math.log(self.corpus_size / df)
-                if self.log_base is not None:
-                    value /= math.log(self.log_base)
-                by_df[df] = value
-        object.__setattr__(self, "idf", {
-            term: by_df[df] for term, df in self.document_frequency.items()})
+
+    def __eq__(self, other):  # equal fits are equal whether or not either has turned its table
+        return isinstance(other, TfidfVectorizer) and self.document_frequency == other.document_frequency and (
+            self.corpus_size, self.tf_mode, self.log_base) == (other.corpus_size, other.tf_mode, other.log_base)
+
+    @property
+    def document_frequency(self) -> dict[str, int]:  # a new dict: the table's, or read back from its IDF
+        return dict(self._table) if self._df_of is None else {t: self._df_of[v] for t, v in self._table.items()}
+
+    @property
+    def idf(self) -> dict[str, float]:
+        """One log per distinct document frequency; terms sharing one share the float object."""
+        if self._df_of is None:
+            scale = 1.0 if self.log_base is None else math.log(self.log_base)  # x / 1.0 is x
+            by_df = {df: math.log(self.corpus_size / df) / scale for df in set(self._table.values())}
+            for term, df in self._table.items():  # values replaced: the dict keeps its size
+                self._table[term] = by_df[df]
+            object.__setattr__(self, "_df_of", {value: df for df, value in by_df.items()})
+        return self._table
 
     def tf_divisor(self, counts: dict[str, int]) -> int:
         """d in a term's weight count / d * idf[term]: the counts' total under
@@ -91,7 +101,7 @@ class TfidfVectorizer:
     def without(self, documents: list[dict[str, int]]) -> TfidfVectorizer:
         """fit_vectorizer's result on the fitted corpus less these documents,
         by subtraction: work per document term, not per vocabulary term."""
-        df = dict(self.document_frequency)
+        df = self.document_frequency
         for counts in documents:
             for term in counts:
                 df[term] -= 1

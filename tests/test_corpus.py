@@ -1,5 +1,6 @@
 """Tests for corpus loading, validation, filtering, and splitting."""
 
+import dataclasses
 import json
 import time
 from datetime import date, datetime, timezone
@@ -401,7 +402,24 @@ class TestFilterAccounts:
         outside = Tweet("out", parse_timestamp("2021-03-10T00:00:00Z"))
         c = Corpus((), (AccountRecord("a", 20000, None, (inside, outside)),))
         kept = filter_accounts(c, 0, 1, self.WINDOW)
-        assert [t.text for t in kept.accounts[0].tweets] == ["in"]
+        assert kept.accounts[0].tweets == ("in",)
+
+    def test_kept_accounts_hold_texts_only(self, synthetic_corpus_path):
+        # no Tweet and no datetime outlives the filter: a kept account holds
+        # one str per in-window tweet, joined as the loaded texts would be
+        window = DateWindow(date(2021, 1, 1), date(2021, 4, 15))
+        loaded = load_corpus(synthetic_corpus_path)
+        kept = filter_accounts(loaded, 0, 0, window)
+        assert len(kept) == len(loaded)
+        dropped = 0
+        for before, after in zip(loaded.accounts, kept.accounts, strict=True):
+            texts = [t.text for t in before.tweets if window.contains(t.timestamp)]
+            dropped += len(before.tweets) - len(texts)
+            assert len(after.tweets) == len(texts) and all(type(t) is str for t in after.tweets)
+            assert "\n".join(after.tweets) == "\n".join(texts)
+            held = [getattr(after, f.name) for f in dataclasses.fields(after)] + list(after.tweets)
+            assert not any(isinstance(value, (Tweet, datetime)) for value in held)
+        assert dropped == 2  # the fixture has out-of-window tweets for the filter to drop
 
     def test_label_set_preserved(self):
         c = Corpus(("X", "Y"), ())

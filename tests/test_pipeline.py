@@ -17,12 +17,10 @@ from zhstance.corpus import (
     AccountRecord,
     Corpus,
     DateWindow,
-    Tweet,
     filter_accounts,
     kfold_splits,
     labeled_accounts,
     load_corpus,
-    parse_timestamp,
 )
 from zhstance.pipeline import (
     MODELS,
@@ -37,8 +35,6 @@ from zhstance.report import crossval_report, dumps_report
 from zhstance.resources import Resources, load_resources
 from zhstance.segmenter import load_lexicon
 from zhstance.vectorize import TfidfVectorizer, fit_vectorizer
-
-WHEN = parse_timestamp("2021-02-01T00:00:00Z")
 
 # disjoint topic vocabularies; every account carries its label's core
 # pair, so any train/validation split keeps the classes separable
@@ -57,7 +53,7 @@ DEMOCRACY_TWEETS = (
 
 
 def account(account_id, label, text):
-    return AccountRecord(account_id, 20000, label, (Tweet(text, WHEN),))
+    return AccountRecord(account_id, 20000, label, (text,))
 
 
 def make_corpus():
@@ -95,6 +91,14 @@ def fitted_terms(index) -> frozenset[str]:
     if isinstance(index, KnnIndex):
         return frozenset(index.vectorizer.document_frequency)
     return frozenset().union(*index.sets)
+
+
+def one_table(vectorizer) -> bool:
+    """Whether the vectorizer holds one dict of its vocabulary's size, and
+    beside it none with more than one entry per distinct document frequency."""
+    df = vectorizer.document_frequency
+    sizes = [len(value) for value in vars(vectorizer).values() if isinstance(value, dict)]
+    return sizes.count(len(df)) == 1 and all(n <= len(set(df.values())) for n in sizes if n != len(df))
 
 
 def use_cpus(monkeypatch, cpus):
@@ -226,8 +230,7 @@ class TestAccountTokens:
         assert pipeline.account_counts(acct) is pipeline.account_counts(acct)
 
     def test_counts_in_first_occurrence_order(self, pipeline):
-        acct = AccountRecord("t", 0, None,
-                             (Tweet("反对统一 支持民主", WHEN), Tweet("支持统一", WHEN)))
+        acct = AccountRecord("t", 0, None, ("反对统一 支持民主", "支持统一"))
         counts = pipeline.account_counts(acct)
         assert counts == Counter(pipeline.account_tokens(acct))
         assert list(counts.items()) == [("反对", 1), ("统一", 2), ("支持", 2), ("民主", 1)]
@@ -238,8 +241,7 @@ class TestAccountTokens:
         assert next(iter(first)) is next(iter(second))
 
     def test_tweets_concatenate_in_order(self, pipeline):
-        acct = AccountRecord("t", 0, None,
-                             (Tweet("支持民主", WHEN), Tweet("反对统一", WHEN)))
+        acct = AccountRecord("t", 0, None, ("支持民主", "反对统一"))
         assert pipeline.account_tokens(acct) == ["支持", "民主", "反对", "统一"]
 
     def test_clean_flag_respected(self, resources):
@@ -251,11 +253,11 @@ class TestAccountTokens:
 class TestCountBatch:
     @pytest.fixture
     def accounts(self, synthetic_corpus_path):
-        # the fixture corpus, and accounts with traditional text, out-of-lexicon
-        # Han runs and terms shared with the fixture's first and last accounts
+        # the fixture corpus's accounts, each with its in-window texts, and accounts with
+        # traditional text, out-of-lexicon Han runs and terms shared with its first and last
         extra = (account("t1", None, "支持臺灣民主 香港的統一都繁榮 嘰哩咕嚕"),
                  account("t2", None, "民主自由 國家發展 咕嚕嘰哩 abc 123"))
-        return load_corpus(synthetic_corpus_path).accounts + extra
+        return filter_accounts(load_corpus(synthetic_corpus_path), 0, 0, PipelineConfig().window).accounts + extra
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_equals_sequential_counting(self, resources, accounts, monkeypatch, segment_calls, cpus):
@@ -379,6 +381,25 @@ class TestPredict:
         assert all(len(p.neighbors) == 3 for p in preds)
         [index] = built.records()
         assert isinstance(index, KnnIndex) and "民主" in fitted_terms(index)
+
+    def test_knn_vectorizer_holds_one_table(self, pipeline, monkeypatch):
+        # after predict, the fitted vectorizer's frequencies have become its
+        # IDF in place: one dict of vocabulary size, read back as the fit's
+        seen = []
+
+        def recording(train, vectorizer):
+            seen.append(vectorizer)
+            return KnnIndex(train, vectorizer)
+
+        monkeypatch.setattr(zhstance.pipeline, "KnnIndex", recording)
+        corpus = make_corpus()
+        train = Corpus(corpus.label_set, corpus.accounts[2:])
+        pipeline.predict(train, Corpus(corpus.label_set, corpus.accounts[:2]))
+        [vectorizer] = seen
+        want = fit_vectorizer([pipeline.account_counts(a) for a in train.accounts])
+        assert one_table(vectorizer)
+        assert vectorizer.document_frequency == want.document_frequency
+        assert vectorizer.idf == want.idf and vectorizer == want
 
     def test_knn_transforms_each_query_and_no_training_account(self, resources, monkeypatch):
         # Ten of the twelve training accounts share no term with any query,
@@ -543,8 +564,9 @@ class TestCrossValidate:
         # which fits afresh, would not show it
         def recording(train, vectorizer):
             train = list(train)
-            seen.append(([account_id for account_id, _, _ in train], vectorizer))
-            return KnnIndex(train, vectorizer)
+            index = KnnIndex(train, vectorizer)  # built first: it reads the IDF
+            seen.append(([account_id for account_id, _, _ in train], vectorizer, one_table(vectorizer)))
+            return index
 
         monkeypatch.setattr(zhstance.pipeline, "KnnIndex", recording)
         corpus = make_corpus()
@@ -554,8 +576,9 @@ class TestCrossValidate:
             pipe = Pipeline(resources, PipelineConfig(k=3, folds=4, tf=tf))
             pipe.cross_validate(corpus)
             splits = kfold_splits(corpus, pipe.config.folds, pipe.config.seed)
-            for (train, _), (ids, got) in zip(splits, by_fold(seen.records(), splits, lambda r: r[0])):
+            for (train, _), (ids, got, alone) in zip(splits, by_fold(seen.records(), splits, lambda r: r[0])):
                 assert ids == [a.account_id for a in train.accounts]
+                assert alone  # one table, checked where the fold was scored
                 want = fit_vectorizer([pipe.account_counts(a) for a in train.accounts], tf_mode=tf)
                 assert got.document_frequency == want.document_frequency
                 assert got.corpus_size == want.corpus_size == len(train.accounts)
@@ -565,6 +588,22 @@ class TestCrossValidate:
         corpus = Corpus(("B",), (account("a", None, "民主"), account("b", "B", "统一")))
         with pytest.raises(PipelineError):
             pipeline.cross_validate(corpus)
+
+    def test_whole_corpus_vectorizer_builds_no_idf(self, resources, monkeypatch):
+        # the folds read the whole corpus's fit only through without, so its
+        # frequencies are never turned into IDF
+        fits = []
+
+        def recording(*args, **kwargs):
+            fits.append(fit_vectorizer(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(zhstance.pipeline, "fit_vectorizer", recording)
+        use_cpus(monkeypatch, 1)
+        Pipeline(resources, PipelineConfig(k=3, folds=4)).cross_validate(make_corpus())
+        [whole] = fits
+        [table] = [value for value in vars(whole).values() if isinstance(value, dict)]
+        assert {type(v) for v in table.values()} == {int} and len(table) == len(whole.document_frequency)
 
     def test_scored_run_keeps_no_model_state(self):
         # a fold's model is not kept per run

@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zhstance.classify import _LANE_BYTES, KnnIndex, Neighbor, TermSetIndex, _vote, baseline1_predict  # noqa: E402
-from zhstance.corpus import AccountRecord, Tweet, parse_timestamp  # noqa: E402
+from zhstance.corpus import AccountRecord  # noqa: E402
 from zhstance.evaluate import mean_std  # noqa: E402
 from zhstance.pipeline import Pipeline, PipelineConfig  # noqa: E402
 from zhstance.resources import Resources, load_resources  # noqa: E402
@@ -39,7 +39,6 @@ _LANES = _LANE_BYTES // 4  # k-NN queries per pass, in 4-byte lanes
 RESOURCES = load_resources()
 TABLE = RESOURCES.table
 LEX = RESOURCES.lexicon
-WHEN = parse_timestamp("2021-02-01T00:00:00Z")
 
 # Derandomized so that the suite gives the same verdict on every run.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -528,7 +527,7 @@ def han_account(draw):
 def test_account_tokens_match_per_tweet_loop(case, clean, with_hmm):
     table, lex, texts = case
     res = Resources(table, lex, RESOURCES.hmm if with_hmm else None, frozenset())
-    account = AccountRecord("a", 0, None, tuple(Tweet(text, WHEN) for text in texts))
+    account = AccountRecord("a", 0, None, tuple(texts))
     got = Pipeline(res, PipelineConfig(clean=clean)).account_tokens(account)
     assert got == per_tweet_tokens(texts, res, clean)
 

@@ -140,6 +140,53 @@ class TestIdf:
         assert vec.transform(Counter(["a", "b"])).weights == {"b": math.log(2)}
 
 
+def held_dicts(vectorizer) -> list[dict]:
+    """The dicts a vectorizer holds."""
+    return [value for value in vars(vectorizer).values() if isinstance(value, dict)]
+
+
+class TestOneTable:
+    """A fitted vectorizer keeps one term-keyed table: its document
+    frequencies, turned into IDF in place by the first read of idf."""
+
+    @pytest.mark.parametrize("log_base", [None, 2.0, 10.0])
+    def test_idf_turns_the_frequencies_in_place(self, log_base):
+        docs = random_documents(random.Random(3), n_docs=30, vocab_size=40)
+        vec = fit_vectorizer(docs, log_base=log_base)
+        want_df = vec.document_frequency
+        [table] = held_dicts(vec)
+        assert table == want_df and table is not want_df  # the caller gets a copy
+        idf = vec.idf
+        assert idf is table and vec.idf is idf
+        assert vec.document_frequency == want_df and want_df != idf
+        for term, freq in want_df.items():  # the bits of one log per term, as computed before
+            value = math.log(30 / freq)
+            if log_base is not None:
+                value /= math.log(log_base)
+            assert idf[term].hex() == value.hex()
+        by_df = {}
+        for term, freq in want_df.items():  # one float object per distinct frequency
+            assert by_df.setdefault(freq, idf[term]) is idf[term]
+        assert sorted(map(len, held_dicts(vec))) == [len(by_df), len(want_df)]
+
+    def test_without_reads_no_idf(self):
+        docs = random_documents(random.Random(4))
+        whole = fit_vectorizer(docs)
+        fold = whole.without(docs[:5])
+        fold.transform(docs[0])
+        assert [set(map(type, d.values())) for d in held_dicts(whole)] == [{int}]
+        assert fold.document_frequency == fit_vectorizer(docs[5:]).document_frequency
+        assert whole.document_frequency == fit_vectorizer(docs).document_frequency
+
+    def test_equal_fits_compare_equal_once_turned(self):
+        docs = random_documents(random.Random(5))
+        turned, fresh = fit_vectorizer(docs), fit_vectorizer(docs)
+        turned.transform(docs[0])
+        assert turned == fresh and fresh == turned
+        assert turned != fit_vectorizer(docs[1:]) and turned != fit_vectorizer(docs, log_base=2.0)
+        assert turned != fit_vectorizer(docs, tf_mode="relative")
+
+
 class TestTransform:
     def test_raw_counts(self):
         vec = fit_vectorizer([Counter(["a", "b"]), Counter(["b"])])
